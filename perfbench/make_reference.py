@@ -30,7 +30,7 @@ def main() -> int:
     work_root = run.ROOT / ".bench_work" / "reference"
     try:
         for name in run.WORKLOAD_NAMES:
-            workload, _ = run.set_up(name, SEED, work_root / name)
+            workload, *_ = run.set_up(name, SEED, work_root / name)
             ops = []
             for i in range(workload.cycle):
                 workload.run(i)

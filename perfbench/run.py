@@ -130,7 +130,7 @@ def set_up(name: str, seed: int, workdir: Path):
     import hostspeed  # not at the top: numpy must first load inside the timed set-up
 
     probe = hostspeed.Probe()
-    seconds = wall * hostspeed.scale(probe(), probe())
+    seconds = wall * hostspeed.scale([probe(), probe()])
     workload.check(0)
     return workload, probe, wall, seconds
 
@@ -204,21 +204,24 @@ class OpLog:
         return problems, result.work
 
 
-def measure(probe, logs: list[OpLog], seconds: float, cycle: int, tracer=None) -> dict[int, float]:
-    """Issue ops back to back in whole cycles, a probe between each two.
+def measure(probe, logs: list[OpLog], seconds: float, cycle: int,
+            tracer=None) -> tuple[dict[int, float], list[float]]:
+    """Issue ops back to back in whole cycles, a probe between each two,
+    and scale each op by the probes around it (hostspeed.op_scales).
 
     Every run covers each input equally often: another cycle starts while
     the run would end nearer to `seconds` with it than without it.
     Untraced, `logs` is one log. Traced, it is (untraced, traced): each op
     runs once in each, in alternating order, and its outputs meet the same
-    expectations. Returns the scale of every traced op by op id.
+    expectations. Returns the scale of every traced op by op id, and the
+    peak RSS after each cycle.
     """
-    from hostspeed import scale  # numpy is loaded by now
+    from hostspeed import SIDE, op_scales  # numpy is loaded by now
 
     for log in logs[1:]:
         log.expected = logs[0].expected
-    traced_scale = {}
-    before = probe()
+    peaks, order = [], []  # order: (log, op id) of every op as it ran
+    gaps = [probe() for _ in range(SIDE)]
     start = time.perf_counter()
     i = 0
     while i == 0 or (time.perf_counter() - start) * (1 + cycle / (2 * i)) < seconds:
@@ -226,13 +229,17 @@ def measure(probe, logs: list[OpLog], seconds: float, cycle: int, tracer=None) -
             for log in (logs if i % 2 == 0 else logs[::-1]):
                 is_traced = tracer is not None and log is logs[-1]
                 log.timed(i, tracer if is_traced else None)
-                after = probe()
-                log.scale.append(scale(before, after))
-                before = after
-                if is_traced:
-                    traced_scale[i] = log.scale[-1]
+                gaps.append(probe())
+                order.append((log, i))
             i += 1
-    return traced_scale
+        peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+    gaps.extend(probe() for _ in range(SIDE - 1))
+    traced_scale = {}
+    for (log, op), factor in zip(order, op_scales(gaps), strict=True):
+        log.scale.append(factor)
+        if tracer is not None and log is logs[-1]:
+            traced_scale[op] = factor
+    return traced_scale, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +283,20 @@ def main(argv=None) -> int:
 
             tracer = Tracer()
             logs = (plain, OpLog(workload, args.seed))
-            metrics = tracer.metrics(measure(probe, logs, args.seconds, workload.cycle, tracer))
+            traced_scale, peaks = measure(probe, logs, args.seconds, workload.cycle, tracer)
+            metrics = tracer.metrics(traced_scale)
             metrics["trace_overhead"] = {
                 "value": p50(logs[1].seconds) / p50(plain.seconds) - 1.0, "unit": "ratio"}
         else:
             logs = (plain,)
-            measure(probe, logs, args.seconds, workload.cycle)
+            _, peaks = measure(probe, logs, args.seconds, workload.cycle)
             metrics = {
                 "work_per_s": {"value": work_per_s(plain.work, plain.seconds), "unit": "work/s"},
                 "latency_s_p50": {"value": p50(plain.seconds), "unit": "s"},
                 "setup_s": {"value": p50([s["setup_s"] for s in setups]), "unit": "s"},
-                "peak_rss_mb": {
-                    "value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-                    "unit": "MB"},
+                # after the first cycle, so the figure does not depend on how
+                # many cycles the host's speed allowed; later ones are in the record
+                "peak_rss_mb": {"value": peaks[0], "unit": "MB"},
             }
     finally:
         shutil.rmtree(work_root, ignore_errors=True)
@@ -306,6 +314,7 @@ def main(argv=None) -> int:
         "wall_work_per_s": [work_per_s(log.work, log.wall) for log in logs],
         "scale_quartiles": [quartiles(log.scale) for log in logs],
         "setups": setups,
+        "peak_rss_mb_per_cycle": peaks,
         "outputs_identical": all(log.identical for log in logs),
         "reference": plain.reference_kind,
         "problems": [p for log in logs for p in log.problems][:10],

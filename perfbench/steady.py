@@ -28,20 +28,17 @@ def summarise(values: list[float]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workloads", nargs="+", default=list(run.WORKLOAD_NAMES))
-    parser.add_argument("--seeds", type=int, default=10, help="seeds 0..N-1 (after --first-seed)")
-    parser.add_argument("--first-seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--seeds", type=int, default=10, help="run seeds 0..N-1")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     bench = json.loads((run.ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
     report = {"seconds": seconds, "trace": args.trace, "workloads": {}}
-    for name in args.workloads:
+    for name in run.WORKLOAD_NAMES:
         rows, records, wall = [], [], []
-        for seed in range(args.first_seed, args.first_seed + args.seeds):
+        for seed in range(args.seeds):
             start = time.perf_counter()
             proc = subprocess.run(
                 [sys.executable, str(run.HERE / "run.py"), "--workload", name,
@@ -63,7 +60,7 @@ def main(argv=None) -> int:
         for key, row in rows[0]["metrics"].items():
             metrics[key]["unit"] = row["unit"]
         report["workloads"][name] = {
-            "seeds": list(range(args.first_seed, args.first_seed + args.seeds)),
+            "seeds": list(range(args.seeds)),
             "correct": all(row["correct"] for row in rows),
             "attempted": [row["attempted"] for row in rows],
             "failed": [row["failed"] for row in rows],

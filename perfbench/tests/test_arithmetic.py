@@ -33,10 +33,23 @@ def test_values_differ_uses_a_relative_tolerance_and_nan_equality():
 
 def test_host_speed_scale_maps_wall_time_to_reference_seconds():
     ref = hostspeed.REFERENCE_PROBE_S
-    assert hostspeed.scale(ref, ref) == pytest.approx(1.0)
+    assert hostspeed.scale([ref, ref]) == pytest.approx(1.0)
     # probes twice as slow as the reference: the host runs at half speed
-    assert hostspeed.scale(2 * ref, 2 * ref) == pytest.approx(0.5)
-    assert hostspeed.scale(ref, 3 * ref) == pytest.approx(0.5)
+    assert hostspeed.scale([2 * ref, 2 * ref]) == pytest.approx(0.5)
+    assert hostspeed.scale([ref, 3 * ref]) == pytest.approx(0.5)
+    # the median: one probe caught in a slow spell does not move it
+    assert hostspeed.scale([ref, ref, 9 * ref, ref]) == pytest.approx(1.0)
+
+
+def test_each_op_is_scaled_by_the_probes_on_either_side_of_it():
+    ref, side = hostspeed.REFERENCE_PROBE_S, hostspeed.SIDE
+    n_ops = 3
+    # probe j takes (j + 1) reference probes; op k sits between probes side - 1 + k and side + k
+    gaps = [(j + 1) * ref for j in range(n_ops + 2 * side - 1)]
+    scales = hostspeed.op_scales(gaps)
+    assert len(scales) == n_ops
+    for k, factor in enumerate(scales):
+        assert factor == pytest.approx(1 / (side + k + 0.5))
 
 
 def test_op_seconds_are_wall_times_times_their_scale():
