@@ -123,59 +123,3 @@ def align_notes(
         unmatched_score=tuple(i for i in range(n) if i not in matched_s),
         unmatched_perf=tuple(j for j in range(m) if j not in matched_p),
     )
-
-
-def brute_force_align(
-    score: NoteSequence, perf: NoteSequence, gap_penalty: float = DEFAULT_GAP_PENALTY
-) -> tuple[tuple[float, float], list[tuple[tuple[int, int], ...]]]:
-    """Exhaustive optimum over all monotone pitch-preserving matchings.
-
-    Returns the best (score, onset_cost) under the same lexicographic
-    objective as align_notes, together with every matching achieving it.
-    Exponential; only for short sequences.
-    """
-    s_notes, p_notes = score.notes, perf.notes
-    s_beats = [note.onset_ticks / score.ppq for note in s_notes]
-    p_beats = [note.onset_ticks / perf.ppq for note in p_notes]
-    n, m = len(s_notes), len(p_notes)
-
-    def matchings(i: int, j: int):
-        if i == n or j == m:
-            gaps = (n - i) + (m - j)
-            yield ((-gap_penalty * gaps, 0.0), ())
-            return
-        for (b, c), pairs in matchings(i + 1, j):
-            yield ((b - gap_penalty, c), pairs)
-        for (b, c), pairs in matchings(i, j + 1):
-            yield ((b - gap_penalty, c), pairs)
-        if s_notes[i].pitch == p_notes[j].pitch:
-            d = abs(s_beats[i] - p_beats[j])
-            for (b, c), pairs in matchings(i + 1, j + 1):
-                yield ((b + 1.0, c + d), ((i, j),) + pairs)
-
-    best_key = None
-    optima: set[tuple[tuple[int, int], ...]] = set()
-    for (b, c), pairs in matchings(0, 0):
-        key = (b, -c)
-        if best_key is None or key > best_key:
-            best_key = key
-            optima = {pairs}
-        elif key == best_key:
-            optima.add(pairs)
-    assert best_key is not None
-    return (best_key[0], -best_key[1]), sorted(optima)
-
-
-def alignment_objective(
-    score: NoteSequence,
-    perf: NoteSequence,
-    alignment: AlignmentMap,
-    gap_penalty: float = DEFAULT_GAP_PENALTY,
-) -> tuple[float, float]:
-    """(score, onset_cost) achieved by a given alignment."""
-    total = len(alignment.unmatched_score) + len(alignment.unmatched_perf)
-    onset_cost = sum(
-        abs(score.notes[i].onset_ticks / score.ppq - perf.notes[j].onset_ticks / perf.ppq)
-        for i, j in alignment.pairs
-    )
-    return (len(alignment.pairs) - gap_penalty * total, onset_cost)

@@ -254,7 +254,13 @@ def cmd_evaluate(args, config) -> int:
         target = resample_grid(read_midi(str(target_dir / name)))
         if args.alignments:
             amap_path = Path(args.alignments) / (Path(name).stem + ".json")
-            amap = AlignmentMap.from_json(amap_path.read_text())
+            try:
+                amap = AlignmentMap.from_json(amap_path.read_text())
+            except (OSError, KeyError, TypeError, ValueError) as err:
+                raise DataError(f"cannot read alignment {amap_path}: {err!r}") from err
+            if amap.pairs and (min(amap.pairs[0]) < 0 or amap.pairs[-1][0] >= len(pred.notes)
+                               or amap.pairs[-1][1] >= len(target.notes)):
+                raise DataError(f"{amap_path}: pair index outside the notes of {name}")
         else:
             amap = align_notes(pred, target)
         triples.append((pred, target, amap))

@@ -215,25 +215,37 @@ def dtw_path_cost(x: list[float], y: list[float]) -> tuple[float, int]:
     """(total cost, path length) of the optimal warping path.
 
     Minimizes total |a-b| cost; among equal-cost paths, minimizes the number
-    of aligned pairs, which makes the value unique.
+    of aligned pairs, which makes the value unique. Cells are filled one
+    anti-diagonal (i + j = d) at a time, each diagonal in one set of array
+    ops. Every cell gets the same local + predecessor sum as a row-by-row
+    fill would give it, so the result is bit-identical to one.
     """
     n, m = len(x), len(y)
-    INF = float("inf")
-    cost = np.full((n + 1, m + 1), INF)
-    length = np.zeros((n + 1, m + 1), dtype=int)
+    xs = np.asarray(x, dtype=float)
+    ys_rev = np.asarray(y, dtype=float)[::-1]
+    # Ring of three diagonals indexed by row i: diagonal d lives in slot d % 3.
+    # Cells off the table stay inf; only row 0 (j = d) needs resetting on reuse.
+    cost = np.full((3, n + 1), np.inf)
+    length = np.zeros((3, n + 1), dtype=np.int64)
     cost[0, 0] = 0.0
-    for i in range(1, n + 1):
-        xi = x[i - 1]
-        for j in range(1, m + 1):
-            local = abs(xi - y[j - 1])
-            best_c, best_l = cost[i - 1, j - 1], length[i - 1, j - 1]
-            if (cost[i - 1, j], length[i - 1, j]) < (best_c, best_l):
-                best_c, best_l = cost[i - 1, j], length[i - 1, j]
-            if (cost[i, j - 1], length[i, j - 1]) < (best_c, best_l):
-                best_c, best_l = cost[i, j - 1], length[i, j - 1]
-            cost[i, j] = local + best_c
-            length[i, j] = 1 + best_l
-    return float(cost[n, m]), int(length[n, m])
+    too_long = n + m  # longer than any warping path
+    for d in range(1, n + m + 1):
+        c0, c1, c2 = cost[d % 3], cost[(d - 1) % 3], cost[(d - 2) % 3]
+        l0, l1, l2 = length[d % 3], length[(d - 1) % 3], length[(d - 2) % 3]
+        c0[0] = np.inf
+        lo, hi = max(1, d - m), min(n, d - 1)
+        # predecessors of cells (i, d - i), i in lo..hi: diagonal, up, left
+        cd, ld = c2[lo - 1:hi], l2[lo - 1:hi]
+        cu, lu = c1[lo - 1:hi], l1[lo - 1:hi]
+        cl, ll = c1[lo:hi + 1], l1[lo:hi + 1]
+        best = np.minimum(np.minimum(cd, cu), cl)
+        shortest = np.minimum(
+            np.minimum(np.where(cd == best, ld, too_long), np.where(cu == best, lu, too_long)),
+            np.where(cl == best, ll, too_long),
+        )
+        c0[lo:hi + 1] = best + np.abs(xs[lo - 1:hi] - ys_rev[m - d + lo:m - d + hi + 1])
+        l0[lo:hi + 1] = shortest + 1
+    return float(cost[(n + m) % 3, n]), int(length[(n + m) % 3, n])
 
 
 def chroma_mse(a: Chromagram, b: Chromagram) -> float:
@@ -334,17 +346,21 @@ def evaluate_m2m(
             continue
         features = matched_feature_sequences(pred, target, alignment)
         for feature, (p, q) in features.items():
-            row[f"{feature}_kld"] = kld(p, q)
-            row[f"{feature}_dtwd"] = dtwd(p, q)
-            try:
-                row[f"{feature}_correlation"] = pearson(p, q)
-            except (ConstantSequenceError, ValueError):
-                row[f"{feature}_correlation"] = None
-            _accumulate(p, q, perf_values[feature], perf_missing, feature)
-            for start in range(0, len(p.values), SEGMENT_LEN):
-                pw = FeatureSeq(p.values[start:start + SEGMENT_LEN], feature, p.vocab_size)
-                qw = FeatureSeq(q.values[start:start + SEGMENT_LEN], feature, q.vocab_size)
-                _accumulate(pw, qw, seg_values[feature], seg_missing, feature)
+            whole = _window_metrics(p, q)
+            row[f"{feature}_kld"], row[f"{feature}_dtwd"], row[f"{feature}_correlation"] = whole
+            _accumulate(whole, perf_values[feature], perf_missing, feature)
+            if len(p.values) <= SEGMENT_LEN:
+                windows = [whole]
+            else:
+                windows = [
+                    _window_metrics(
+                        FeatureSeq(p.values[start:start + SEGMENT_LEN], feature, p.vocab_size),
+                        FeatureSeq(q.values[start:start + SEGMENT_LEN], feature, q.vocab_size),
+                    )
+                    for start in range(0, len(p.values), SEGMENT_LEN)
+                ]
+            for metrics in windows:
+                _accumulate(metrics, seg_values[feature], seg_missing, feature)
 
     report = MetricReport(item_rows=item_rows)
     for feature in PREDICTED_FEATURES:
@@ -355,13 +371,23 @@ def evaluate_m2m(
     return report
 
 
-def _accumulate(p: FeatureSeq, q: FeatureSeq, sink: dict, missing: dict, feature: str) -> None:
-    sink["kld"].append(kld(p, q))
-    sink["dtwd"].append(dtwd(p, q))
+def _window_metrics(p: FeatureSeq, q: FeatureSeq) -> tuple[float, float, float | None]:
+    """(kld, dtwd, correlation) of one window; correlation None when undefined."""
     try:
-        sink["correlation"].append(pearson(p, q))
+        correlation = pearson(p, q)
     except (ConstantSequenceError, ValueError):
+        correlation = None
+    return kld(p, q), dtwd(p, q), correlation
+
+
+def _accumulate(metrics: tuple, sink: dict, missing: dict, feature: str) -> None:
+    kld_value, dtwd_value, correlation = metrics
+    sink["kld"].append(kld_value)
+    sink["dtwd"].append(dtwd_value)
+    if correlation is None:
         missing[feature] += 1
+    else:
+        sink["correlation"].append(correlation)
 
 
 def _aggregate_row(values: dict, n_missing: int) -> dict[str, Aggregate]:

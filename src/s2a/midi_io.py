@@ -286,12 +286,14 @@ def _parse_track(body: _Reader, base_offset: int, track_idx: int, rows: list) ->
             payload = body.read(length)
             running_status = None
             if meta_type == 0x51:
-                if length != 3:
-                    raise SMFParseError("tempo meta event must carry 3 bytes", base_offset + body.pos)
+                if length != 3 or not any(payload):
+                    raise SMFParseError("tempo meta event must carry 3 bytes, not all zero",
+                                        base_offset + body.pos)
                 rows.append((tick, track_idx, event_idx, "tempo", int.from_bytes(payload, "big")))
             elif meta_type == 0x58:
-                if length < 2:
-                    raise SMFParseError("time signature meta event too short", base_offset + body.pos)
+                if length < 2 or payload[0] < 1 or payload[1] > 6:
+                    raise SMFParseError("time signature meta event too short or out of range",
+                                        base_offset + body.pos)
                 rows.append((tick, track_idx, event_idx, "timesig", payload[0], payload[1]))
             elif meta_type == 0x2F:
                 break
@@ -305,19 +307,17 @@ def _parse_track(body: _Reader, base_offset: int, track_idx: int, rows: list) ->
             running_status = status
             kind = status & 0xF0
             channel = status & 0x0F
-            if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-                d1 = body.read_u8()
-                d2 = body.read_u8()
-                if kind == 0x90 and d2 > 0:
-                    rows.append((tick, track_idx, event_idx, "on", channel, d1, d2))
-                elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-                    rows.append((tick, track_idx, event_idx, "off", channel, d1))
-                elif kind == 0xB0 and d1 == SUSTAIN_CONTROLLER:
-                    rows.append((tick, track_idx, event_idx, "sustain", d2))
-            elif kind in (0xC0, 0xD0):
-                body.read_u8()
-            else:  # pragma: no cover - kinds above are exhaustive for status < 0xF0
-                raise SMFParseError(f"unknown status byte 0x{status:02X}", base_offset + body.pos - 1)
+            data = body.read(1 if kind in (0xC0, 0xD0) else 2)
+            for k, byte in enumerate(data):
+                if byte & 0x80:
+                    raise SMFParseError(f"data byte 0x{byte:02X} has the high bit set",
+                                        base_offset + body.pos - len(data) + k)
+            if kind == 0x90 and data[1] > 0:
+                rows.append((tick, track_idx, event_idx, "on", channel, data[0], data[1]))
+            elif kind == 0x80 or (kind == 0x90 and data[1] == 0):
+                rows.append((tick, track_idx, event_idx, "off", channel, data[0]))
+            elif kind == 0xB0 and data[0] == SUSTAIN_CONTROLLER:
+                rows.append((tick, track_idx, event_idx, "sustain", data[1]))
         event_idx += 1
     return tick
 

@@ -150,10 +150,9 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
 def _stft_magnitude(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     if len(samples) < frame_len:
         samples = np.pad(samples, (0, frame_len - len(samples)))
-    n_frames = 1 + (len(samples) - frame_len) // hop
     window = np.hanning(frame_len)
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    return np.abs(np.fft.rfft(samples[idx] * window, axis=1))
+    frames = np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop]
+    return np.abs(np.fft.rfft(frames * window, axis=1))
 
 
 def midi_filterbank(sample_rate: int, frame_len: int) -> np.ndarray:

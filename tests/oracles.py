@@ -1,0 +1,85 @@
+"""Slow reference implementations the fast code in s2a is tested against."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from s2a.align import DEFAULT_GAP_PENALTY, AlignmentMap
+from s2a.midi_io import NoteSequence
+
+
+def scalar_dtw_path_cost(x: list[float], y: list[float]) -> tuple[float, int]:
+    """Row-by-row DTW with the (cost, path length) tie-break, one cell at a time."""
+    n, m = len(x), len(y)
+    INF = float("inf")
+    cost = np.full((n + 1, m + 1), INF)
+    length = np.zeros((n + 1, m + 1), dtype=int)
+    cost[0, 0] = 0.0
+    for i in range(1, n + 1):
+        xi = x[i - 1]
+        for j in range(1, m + 1):
+            local = abs(xi - y[j - 1])
+            best_c, best_l = cost[i - 1, j - 1], length[i - 1, j - 1]
+            if (cost[i - 1, j], length[i - 1, j]) < (best_c, best_l):
+                best_c, best_l = cost[i - 1, j], length[i - 1, j]
+            if (cost[i, j - 1], length[i, j - 1]) < (best_c, best_l):
+                best_c, best_l = cost[i, j - 1], length[i, j - 1]
+            cost[i, j] = local + best_c
+            length[i, j] = 1 + best_l
+    return float(cost[n, m]), int(length[n, m])
+
+
+def brute_force_align(
+    score: NoteSequence, perf: NoteSequence, gap_penalty: float = DEFAULT_GAP_PENALTY
+) -> tuple[tuple[float, float], list[tuple[tuple[int, int], ...]]]:
+    """Exhaustive optimum over all monotone pitch-preserving matchings.
+
+    Returns the best (score, onset_cost) under the same lexicographic
+    objective as align_notes, together with every matching achieving it.
+    Exponential; only for short sequences.
+    """
+    s_notes, p_notes = score.notes, perf.notes
+    s_beats = [note.onset_ticks / score.ppq for note in s_notes]
+    p_beats = [note.onset_ticks / perf.ppq for note in p_notes]
+    n, m = len(s_notes), len(p_notes)
+
+    def matchings(i: int, j: int):
+        if i == n or j == m:
+            gaps = (n - i) + (m - j)
+            yield ((-gap_penalty * gaps, 0.0), ())
+            return
+        for (b, c), pairs in matchings(i + 1, j):
+            yield ((b - gap_penalty, c), pairs)
+        for (b, c), pairs in matchings(i, j + 1):
+            yield ((b - gap_penalty, c), pairs)
+        if s_notes[i].pitch == p_notes[j].pitch:
+            d = abs(s_beats[i] - p_beats[j])
+            for (b, c), pairs in matchings(i + 1, j + 1):
+                yield ((b + 1.0, c + d), ((i, j),) + pairs)
+
+    best_key = None
+    optima: set[tuple[tuple[int, int], ...]] = set()
+    for (b, c), pairs in matchings(0, 0):
+        key = (b, -c)
+        if best_key is None or key > best_key:
+            best_key = key
+            optima = {pairs}
+        elif key == best_key:
+            optima.add(pairs)
+    assert best_key is not None
+    return (best_key[0], -best_key[1]), sorted(optima)
+
+
+def alignment_objective(
+    score: NoteSequence,
+    perf: NoteSequence,
+    alignment: AlignmentMap,
+    gap_penalty: float = DEFAULT_GAP_PENALTY,
+) -> tuple[float, float]:
+    """(score, onset_cost) achieved by a given alignment."""
+    total = len(alignment.unmatched_score) + len(alignment.unmatched_perf)
+    onset_cost = sum(
+        abs(score.notes[i].onset_ticks / score.ppq - perf.notes[j].onset_ticks / perf.ppq)
+        for i, j in alignment.pairs
+    )
+    return (len(alignment.pairs) - gap_penalty * total, onset_cost)

@@ -1,11 +1,7 @@
 import random
 
-from s2a.align import (
-    AlignmentMap,
-    align_notes,
-    alignment_objective,
-    brute_force_align,
-)
+from oracles import alignment_objective, brute_force_align
+from s2a.align import AlignmentMap, align_notes
 from s2a.midi_io import NoteEvent, NoteSequence
 
 

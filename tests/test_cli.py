@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from test_midi_io import smf, vlq
 from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, main
 from s2a.midi_io import parse_smf
 from s2a.synth import read_wav
@@ -61,6 +62,13 @@ class TestTokenizeAlign:
 
     def test_tokenize_missing_file_is_data_error(self, tmp_path):
         assert run("tokenize", "--in", str(tmp_path / "nope.mid")) == EXIT_DATA
+
+    def test_tokenize_high_bit_data_byte_is_data_error(self, tmp_path):
+        bad = tmp_path / "bad.mid"
+        # velocity 80 (0x50) flipped to 169 (0xA9)
+        bad.write_bytes(smf([[vlq(0) + bytes([0x90, 60, 0xA9]),
+                              vlq(480) + bytes([0x80, 60, 0])]]))
+        assert run("tokenize", "--in", str(bad)) == EXIT_DATA
 
     def test_align_outputs_json(self, tmp_path):
         corpus = make_corpus(tmp_path)
@@ -220,6 +228,29 @@ class TestEvaluate:
                    "--target", str(corpus / "performances"),
                    "--out-dir", str(out), "--alignments", str(aligns))
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("text", [
+        None,  # file missing
+        "{",
+        "[]",
+        '{"pairs": []}',
+        '{"pairs": 5, "unmatched_score": [], "unmatched_perf": []}',
+        '{"pairs": [["a", 0]], "unmatched_score": [], "unmatched_perf": []}',
+        '{"pairs": [[1, 1], [0, 0]], "unmatched_score": [], "unmatched_perf": []}',
+        '{"pairs": [[0, 40]], "unmatched_score": [], "unmatched_perf": []}',
+        '{"pairs": [[-1, 0]], "unmatched_score": [], "unmatched_perf": []}',
+    ], ids=["missing", "not-json", "not-object", "missing-keys", "pairs-not-list",
+            "non-integer", "not-increasing", "index-past-end", "negative-index"])
+    def test_bad_alignment_is_data_error(self, tmp_path, text):
+        corpus = make_corpus(tmp_path, pieces=1, notes=40, performers=1)
+        aligns = tmp_path / "aligns"
+        aligns.mkdir()
+        if text is not None:
+            (aligns / "piece_000_p00.json").write_text(text)
+        perf_dir = corpus / "performances"
+        code = run("evaluate", "--pred", str(perf_dir), "--target", str(perf_dir),
+                   "--out-dir", str(tmp_path / "report"), "--alignments", str(aligns))
+        assert code == EXIT_DATA
 
 
 class TestExitCodes:

@@ -3,9 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import scalar_dtw_path_cost
 from s2a.align import AlignmentMap, align_notes
 from s2a.metrics import (
+    PREDICTED_FEATURES,
     ConstantSequenceError,
     FeatureSeq,
     aggregate,
@@ -18,6 +22,7 @@ from s2a.metrics import (
     pearson,
     spectrogram_mse,
 )
+from s2a.tokenizer import SEGMENT_LEN
 from s2a.midi_io import NoteEvent, NoteSequence
 from s2a.synth import Chromagram, Spectrogram
 
@@ -156,6 +161,42 @@ class TestDtwd:
             assert dtwd(x, y) == pytest.approx(dtwd(y, x), abs=1e-12)
 
 
+@st.composite
+def dtw_inputs(draw):
+    """Two token sequences of lengths 1..300; small alphabets make ties common."""
+    alphabet = draw(st.sampled_from([(4, 5), (4, 5, 6), tuple(range(4, 68))]))
+    x, y = (
+        draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size))
+        for size in (draw(st.integers(1, 300)), draw(st.integers(1, 300)))
+    )
+    return [float(v) for v in x], [float(v) for v in y]
+
+
+class TestWavefrontDtw:
+    @settings(max_examples=60, deadline=None)
+    @given(dtw_inputs())
+    def test_equals_scalar_oracle(self, xy):
+        x, y = xy
+        assert dtw_path_cost(x, y) == scalar_dtw_path_cost(x, y)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 300), (300, 1), (300, 300), (2, 299), (257, 40)])
+    def test_extreme_lengths_equal_oracle(self, n, m):
+        rng = random.Random(n * 1000 + m)
+        x = [float(rng.choice((4, 5))) for _ in range(n)]
+        y = [float(rng.choice((4, 5, 6))) for _ in range(m)]
+        assert dtw_path_cost(x, y) == scalar_dtw_path_cost(x, y)
+
+    def test_empty_inputs_equal_oracle(self):
+        for x, y in (([], []), ([], [4.0]), ([4.0, 5.0], [])):
+            assert dtw_path_cost(x, y) == scalar_dtw_path_cost(x, y)
+
+    def test_non_integer_costs_bit_identical(self):
+        rng = random.Random(14)
+        x = [rng.random() for _ in range(90)]
+        y = [rng.random() for _ in range(70)]
+        assert dtw_path_cost(x, y) == scalar_dtw_path_cost(x, y)
+
+
 class TestMse:
     def test_identical_zero(self):
         c = Chromagram(np.full((4, 12), 1.0 / 12), 10.0)
@@ -268,6 +309,41 @@ class TestEvaluateM2M:
         assert vel_row["correlation"].n_missing == 1
         # KLD and DTWD still report
         assert vel_row["kld"].n == 1
+
+
+def direct_window_metrics(p, q):
+    try:
+        correlation = pearson(p, q)
+    except ValueError:
+        correlation = None
+    return kld(p, q), dtwd(p, q), correlation
+
+
+def test_report_equals_direct_computation_of_every_window():
+    # one item of 1 window and one of 3: the whole-sequence result may only
+    # stand in for the segment-wise value when the sequence is one window
+    rng = random.Random(9)
+    triples = []
+    for n in (200, 600):
+        pairs = tuple((i, i) for i in range(n))
+        triples.append((make_piece(rng, n), make_piece(rng, n), AlignmentMap(pairs, (), ())))
+    report = evaluate_m2m(triples, labels=["short", "long"])
+    for feature in PREDICTED_FEATURES:
+        perf, seg = [], []
+        for row, (pred, target, amap) in zip(report.item_rows, triples):
+            p, q = matched_feature_sequences(pred, target, amap)[feature]
+            whole = direct_window_metrics(p, q)
+            assert tuple(row[f"{feature}_{m}"] for m in ("kld", "dtwd", "correlation")) == whole
+            perf.append(whole)
+            for start in range(0, len(p.values), SEGMENT_LEN):
+                seg.append(direct_window_metrics(
+                    FeatureSeq(p.values[start:start + SEGMENT_LEN], feature, p.vocab_size),
+                    FeatureSeq(q.values[start:start + SEGMENT_LEN], feature, q.vocab_size),
+                ))
+        assert len(seg) == 1 + 3
+        for k, metric in enumerate(("kld", "dtwd", "correlation")):
+            assert report.performance_wise[feature][metric] == aggregate([v[k] for v in perf])
+            assert report.segment_wise[feature][metric] == aggregate([v[k] for v in seg])
 
 
 def test_matched_feature_sequences_requires_grid():

@@ -128,6 +128,31 @@ class TestParse:
         with pytest.raises(SMFParseError):
             parse_smf(data[:-4])
 
+    @pytest.mark.parametrize("events, bad", [
+        ([bytes([0x90, 60, 169])], 169),  # note-on velocity 80 with its high bit flipped
+        ([bytes([0x90, 0xBC, 80])], 0xBC),  # note-on pitch
+        ([bytes([0x80, 60, 0x80])], 0x80),  # note-off velocity
+        ([bytes([0xB0, 64, 0xFF])], 0xFF),  # sustain controller value
+        ([bytes([0xC0, 0x85])], 0x85),  # program change, one data byte
+        ([bytes([0x90, 60, 80]), bytes([62, 0xC8])], 0xC8),  # under running status
+    ])
+    def test_high_bit_data_byte_reports_offset(self, events, bad):
+        data = smf([[vlq(0) + event for event in events]])
+        with pytest.raises(SMFParseError) as err:
+            parse_smf(data)
+        end_of_track = 4
+        assert data[err.value.offset] == bad
+        assert err.value.offset >= len(data) - end_of_track - len(events[-1])
+
+    @pytest.mark.parametrize("meta", [
+        b"\xff\x51\x03\x00\x00\x00",  # tempo of 0 us per quarter
+        b"\xff\x58\x04\x00\x02\x18\x08",  # time signature 0/4
+        b"\xff\x58\x04\x04\x07\x18\x08",  # time signature 4/128
+    ])
+    def test_out_of_range_meta_payload_rejected(self, meta):
+        with pytest.raises(SMFParseError):
+            parse_smf(smf([[vlq(0) + meta]]))
+
 
 class TestWrite:
     def test_round_trip_one_note(self):
