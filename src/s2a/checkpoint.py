@@ -30,9 +30,16 @@ def save_checkpoint(model: M2MModel) -> bytes:
 
 
 def load_checkpoint(data: bytes) -> M2MModel:
+    """The model in checkpoint bytes; ValueError for any malformed input."""
     if not data.startswith(MAGIC):
         raise ValueError("not a model checkpoint (bad magic string)")
-    pos = len(MAGIC)
+    try:
+        return _parse(data, len(MAGIC))
+    except (KeyError, TypeError, ArithmeticError, struct.error) as err:
+        raise ValueError(f"malformed checkpoint: {err!r}") from err
+
+
+def _parse(data: bytes, pos: int) -> M2MModel:
     (header_len,) = struct.unpack_from("<Q", data, pos)
     pos += 8
     header = json.loads(data[pos:pos + header_len])

@@ -21,16 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import aggregate, chroma_mse, evaluate_m2m, spectrogram_mse
 from .midi_io import SMFParseError, parse_smf, resample_grid, write_smf
 from .model import M2MConfig, init_model, predict_performance
-from .synth import (
-    SEGMENT_SECONDS,
-    chromagram,
-    midi_spectrogram,
-    render_audio,
-    save_matrix,
-    segment_audio,
-    stitch_segments,
-    write_wav,
-)
+from .synth import chromagram, midi_spectrogram, render_audio, save_matrix, write_wav
 from .tokenizer import dump_tokens, tokenize
 from .trainer import TrainConfig, train
 
@@ -132,20 +123,34 @@ def _load_manifest(data_dir: Path) -> dict:
     path = data_dir / "manifest.json"
     if not path.exists():
         raise DataError(f"no manifest.json under {data_dir}")
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as err:
+        raise DataError(f"cannot read {path}: {err}") from err
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("items"), list)
+            and all(isinstance(item, dict) for item in manifest["items"])
+            and isinstance(manifest.get("n_performers"), int)):
+        raise DataError(f"{path}: need an 'items' list of objects and an integer 'n_performers'")
+    return manifest
 
 
 def _dataset_from_manifest(data_dir: Path, manifest: dict, split: str):
+    n_performers = max(manifest["n_performers"], 1)
     pairs = []
     for item in manifest["items"]:
         if split != "all" and item.get("split", "train") != split:
             continue
-        score = resample_grid(read_midi(str(data_dir / item["score"])))
-        perf = resample_grid(read_midi(str(data_dir / item["performance"])))
-        amap = AlignmentMap.from_json((data_dir / item["alignment"]).read_text())
-        pairs.extend(
-            corpus_mod.build_training_pairs(score, perf, amap, item["performer_id"])
-        )
+        try:
+            if not 0 <= item["performer_id"] < n_performers:
+                raise ValueError(f"performer_id outside 0..{n_performers - 1}")
+            score = resample_grid(read_midi(str(data_dir / item["score"])))
+            perf = resample_grid(read_midi(str(data_dir / item["performance"])))
+            amap = AlignmentMap.from_json((data_dir / item["alignment"]).read_text())
+            pairs.extend(
+                corpus_mod.build_training_pairs(score, perf, amap, item["performer_id"])
+            )
+        except (OSError, KeyError, TypeError, ValueError) as err:
+            raise DataError(f"bad manifest item {item}: {err!r}") from err
     return pairs
 
 
@@ -215,12 +220,7 @@ def cmd_render(args, config) -> int:
 def cmd_synth(args, config) -> int:
     seq = read_midi(args.input)
     sample_rate = _setting(args.sample_rate, config, "synth", "sample_rate", 24000)
-    overlap = _setting(None, config, "synth", "overlap_seconds", 0.5)
     audio = render_audio(seq, sample_rate)
-    if audio.duration_seconds > SEGMENT_SECONDS:
-        segments = segment_audio(audio, SEGMENT_SECONDS, overlap)
-        audio = stitch_segments(segments, overlap_seconds=overlap)
-        log.info("synth: stitched %d segments", len(segments))
     if len(audio.samples) == 0:
         print("synth: empty MIDI, writing zero-length WAV", file=sys.stderr)
     Path(args.out).write_bytes(write_wav(audio))

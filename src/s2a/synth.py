@@ -4,7 +4,8 @@ Additive synthesis stands in for a neural synthesizer: 8 harmonics per note
 with a 1/h^1.3 rolloff, pitch-dependent exponential decay, linear attack and
 release ramps, and peak normalization. The analysis side provides piano
 rolls, a 128-bin semitone-spaced (MIDI-scale) spectrogram, chromagrams, and
-the 9.6 s segmentation / cross-correlation stitching used around it.
+9.6 s segmentation / cross-correlation stitching for audio produced in
+fixed-length windows (render_audio has no window, so `s2a synth` uses none).
 """
 
 from __future__ import annotations
@@ -107,6 +108,36 @@ def piano_roll(seq: NoteSequence, frame_rate: float) -> np.ndarray:
     return roll
 
 
+def _render_pitch(pitch: int, members: list, sample_rate: int, mixed: np.ndarray) -> None:
+    """Write tone * envelope of each (start, n_samples, at, held, velocity)
+    note of one pitch into mixed[at:at + n_samples]."""
+    n_max = max(n for _, n, _, _, _ in members)
+    t = np.arange(n_max) / sample_rate
+    f0 = midi_pitch_hz(pitch)
+    sines = []
+    for h in range(1, N_HARMONICS + 1):
+        if h * f0 >= sample_rate / 2:
+            break
+        sines.append(np.sin(2 * np.pi * h * f0 * t))
+    tau = DECAY_SECONDS_AT_C4 * 2.0 ** ((60 - pitch) / 24)
+    decay = np.exp(-t / tau)
+    attack_len = int(np.ceil(ATTACK_SECONDS * sample_rate)) + 1  # the factor is 1.0 after
+    decay[:attack_len] *= np.minimum(t[:attack_len] / ATTACK_SECONDS, 1.0)
+    scratch = np.empty(n_max)
+    for _, n, at, held, velocity in members:
+        amp = velocity / 127.0
+        tone = mixed[at:at + n]
+        tone.fill(0.0)
+        for h, sine in enumerate(sines, start=1):
+            tone += np.multiply(amp * h ** (-HARMONIC_ROLLOFF), sine[:n], out=scratch[:n])
+        env = scratch[:n]
+        env[:] = decay[:n]
+        # the release factor is exactly 1.0 up to two samples before note-off
+        lo = min(max(int(held * sample_rate) - 2, 0), n)
+        env[lo:] *= np.clip((held + RELEASE_SECONDS - t[lo:n]) / RELEASE_SECONDS, 0.0, 1.0)
+        tone *= env
+
+
 def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
     """Additive-synthesis rendering of a NoteSequence.
 
@@ -114,30 +145,34 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     exponential decay with time constant 0.8 * 2^((60-pitch)/24) seconds, a
     5 ms linear attack and a 10 ms release after note-off. Harmonics at or
     above Nyquist are dropped. The mix is peak-normalized to 0.95.
+
+    The sines and the decay depend only on pitch and sample index, so they
+    are computed once per pitch at its longest note and sliced per note.
+    Every sample gets the same float operations, in the same order, as a
+    note-by-note loop would apply: the attack and release factors are exactly
+    1.0 outside the ranges they are applied over, and the notes are mixed
+    into the output in their original order.
     """
     times = _note_times(seq)
     if not times:
         return Waveform(np.zeros(0), sample_rate)
     total = max(off for _, off, _, _ in times) + RELEASE_SECONDS
     out = np.zeros(int(np.ceil(total * sample_rate)) + 1)
-    nyquist = sample_rate / 2
+    notes = []  # (start, n_samples, at, held, velocity); at: offset into `mixed`
+    by_pitch: dict[int, list[tuple]] = {}
+    at = 0
     for onset, offset, pitch, velocity in times:
-        start = int(round(onset * sample_rate))
         held = max(offset - onset, 1.0 / sample_rate)
         n_samples = int(round((held + RELEASE_SECONDS) * sample_rate))
-        t = np.arange(n_samples) / sample_rate
-        f0 = midi_pitch_hz(pitch)
-        tone = np.zeros(n_samples)
-        amp = velocity / 127.0
-        for h in range(1, N_HARMONICS + 1):
-            if h * f0 >= nyquist:
-                break
-            tone += amp * h ** (-HARMONIC_ROLLOFF) * np.sin(2 * np.pi * h * f0 * t)
-        tau = DECAY_SECONDS_AT_C4 * 2.0 ** ((60 - pitch) / 24)
-        env = np.exp(-t / tau)
-        env *= np.minimum(t / ATTACK_SECONDS, 1.0)
-        env *= np.clip((held + RELEASE_SECONDS - t) / RELEASE_SECONDS, 0.0, 1.0)
-        out[start:start + n_samples] += tone * env
+        note = (int(round(onset * sample_rate)), n_samples, at, held, velocity)
+        notes.append(note)
+        by_pitch.setdefault(pitch, []).append(note)
+        at += n_samples
+    mixed = np.empty(at)  # every note's tone * envelope, back to back
+    for pitch, members in by_pitch.items():
+        _render_pitch(pitch, members, sample_rate, mixed)
+    for start, n_samples, at, _, _ in notes:
+        out[start:start + n_samples] += mixed[at:at + n_samples]
     peak = np.max(np.abs(out))
     if peak > 0:
         out *= PEAK_LEVEL / peak

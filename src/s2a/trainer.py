@@ -24,7 +24,6 @@ from .model import (
     backward_batch,
     forward_batch,
     prepare_batch,
-    softmax,
 )
 from .tokenizer import TokenSegment
 
@@ -110,11 +109,12 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray, nonpad: np.ndarray):
     if n == 0:
         raise ValueError("no non-pad positions to average over")
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1))
     picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
-    nll = (logz - picked) * nonpad
+    exp = np.exp(shifted, out=shifted)
+    total = exp.sum(axis=-1, keepdims=True)
+    nll = (np.log(total[..., 0]) - picked) * nonpad
     loss = float(nll.sum() / n)
-    grad = softmax(logits)
+    grad = np.divide(exp, total, out=exp)  # softmax(logits), in place
     np.put_along_axis(
         grad, targets[..., None],
         np.take_along_axis(grad, targets[..., None], axis=-1) - 1.0, axis=-1,

@@ -6,6 +6,18 @@ import numpy as np
 
 from s2a.align import DEFAULT_GAP_PENALTY, AlignmentMap
 from s2a.midi_io import NoteSequence
+from s2a.model import softmax
+from s2a.synth import (
+    ATTACK_SECONDS,
+    DECAY_SECONDS_AT_C4,
+    HARMONIC_ROLLOFF,
+    N_HARMONICS,
+    PEAK_LEVEL,
+    RELEASE_SECONDS,
+    Waveform,
+    _note_times,
+    midi_pitch_hz,
+)
 
 
 def scalar_dtw_path_cost(x: list[float], y: list[float]) -> tuple[float, int]:
@@ -83,3 +95,51 @@ def alignment_objective(
         for i, j in alignment.pairs
     )
     return (len(alignment.pairs) - gap_penalty * total, onset_cost)
+
+
+def scalar_render_audio(seq: NoteSequence, sample_rate: int) -> Waveform:
+    """Additive synthesis one note at a time, every partial computed per note."""
+    times = _note_times(seq)
+    if not times:
+        return Waveform(np.zeros(0), sample_rate)
+    total = max(off for _, off, _, _ in times) + RELEASE_SECONDS
+    out = np.zeros(int(np.ceil(total * sample_rate)) + 1)
+    nyquist = sample_rate / 2
+    for onset, offset, pitch, velocity in times:
+        start = int(round(onset * sample_rate))
+        held = max(offset - onset, 1.0 / sample_rate)
+        n_samples = int(round((held + RELEASE_SECONDS) * sample_rate))
+        t = np.arange(n_samples) / sample_rate
+        f0 = midi_pitch_hz(pitch)
+        tone = np.zeros(n_samples)
+        amp = velocity / 127.0
+        for h in range(1, N_HARMONICS + 1):
+            if h * f0 >= nyquist:
+                break
+            tone += amp * h ** (-HARMONIC_ROLLOFF) * np.sin(2 * np.pi * h * f0 * t)
+        tau = DECAY_SECONDS_AT_C4 * 2.0 ** ((60 - pitch) / 24)
+        env = np.exp(-t / tau)
+        env *= np.minimum(t / ATTACK_SECONDS, 1.0)
+        env *= np.clip((held + RELEASE_SECONDS - t) / RELEASE_SECONDS, 0.0, 1.0)
+        out[start:start + n_samples] += tone * env
+    peak = np.max(np.abs(out))
+    if peak > 0:
+        out *= PEAK_LEVEL / peak
+    return Waveform(out, sample_rate)
+
+
+def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray, nonpad: np.ndarray):
+    """(mean CE over non-pad positions, d(loss)/d(logits)), with the
+    exponentials taken once for the loss and again inside softmax."""
+    n = int(nonpad.sum())
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=-1))
+    picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
+    loss = float(((logz - picked) * nonpad).sum() / n)
+    grad = softmax(logits)
+    np.put_along_axis(
+        grad, targets[..., None],
+        np.take_along_axis(grad, targets[..., None], axis=-1) - 1.0, axis=-1,
+    )
+    grad *= nonpad[..., None] / n
+    return loss, grad

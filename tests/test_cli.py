@@ -1,11 +1,14 @@
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from test_midi_io import smf, vlq
+from s2a.checkpoint import MAGIC
 from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, main
 from s2a.midi_io import parse_smf
-from s2a.synth import read_wav
+from s2a.synth import load_matrix, midi_spectrogram, read_wav, render_audio, write_wav
 from s2a.tokenizer import SCORE_VELOCITY
 
 
@@ -20,6 +23,11 @@ def make_corpus(tmp_path, pieces=2, notes=60, performers=2, seed=11):
                "--seed", str(seed))
     assert code == EXIT_OK
     return out
+
+
+def checkpoint_tail(header: bytes, tensors: bytes = b"") -> bytes:
+    """Checkpoint bytes after the magic string: header length, header, tensors."""
+    return struct.pack("<Q", len(header)) + header + tensors
 
 
 class TestDemoData:
@@ -135,17 +143,19 @@ class TestSynth:
         assert audio.sample_rate == 24000
         assert len(audio.samples) > 0
 
-    def test_long_performance_stitched_length_close(self, tmp_path):
+    def test_long_performance_written_as_rendered(self, tmp_path):
         corpus = make_corpus(tmp_path, pieces=1, notes=120, performers=1, seed=3)
         perf_path = corpus / "performances/piece_000_p00.mid"
-        from s2a.synth import render_audio
         seq = parse_smf(perf_path.read_bytes())
         direct = render_audio(seq)
-        assert direct.duration_seconds > 9.6  # exercises the stitching path
+        assert direct.duration_seconds > 9.6  # longer than one synthesizer segment
         wav = tmp_path / "out.wav"
-        assert run("synth", "--in", str(perf_path), "--out", str(wav)) == EXIT_OK
-        stitched = read_wav(wav.read_bytes())
-        assert abs(len(stitched.samples) - len(direct.samples)) <= 0.01 * len(direct.samples)
+        assert run("synth", "--in", str(perf_path), "--out", str(wav),
+                   "--dump-features") == EXIT_OK
+        assert wav.read_bytes() == write_wav(direct)
+        spec = midi_spectrogram(direct)
+        frames, _, _ = load_matrix(str(tmp_path / "out.spec"))
+        assert np.array_equal(frames, spec.frames.astype("<f4").astype(np.float64))
 
     def test_empty_midi_writes_empty_wav(self, tmp_path):
         from s2a.midi_io import NoteSequence, write_smf
@@ -272,3 +282,46 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"version": 99}))
         assert run("--config", str(cfg), "demo-data", "--out", str(tmp_path / "x")) == EXIT_DATA
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: "{",
+        lambda m: [],
+        lambda m: {k: v for k, v in m.items() if k != "items"},
+        lambda m: {k: v for k, v in m.items() if k != "n_performers"},
+        lambda m: {**m, "n_performers": "2"},
+        lambda m: {**m, "items": 5},
+        lambda m: {**m, "items": [5]},
+        lambda m: {**m, "items": [{k: v for k, v in m["items"][0].items() if k != "alignment"}]},
+        lambda m: {**m, "items": [{**m["items"][0], "alignment": "none.json"}]},
+        lambda m: {**m, "items": [{**m["items"][0], "performer_id": m["n_performers"]}]},
+    ], ids=["not-json", "not-object", "no-items", "no-performers", "performers-not-int",
+            "items-not-list", "item-not-object", "item-missing-key", "alignment-missing",
+            "performer-out-of-range"])
+    def test_bad_manifest_is_data_error(self, tmp_path, edit):
+        data = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
+        manifest = edit(json.loads((data / "manifest.json").read_text()))
+        (data / "manifest.json").write_text(
+            manifest if isinstance(manifest, str) else json.dumps(manifest))
+        assert run("train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                   "--split", "all", "--epochs", "1") == EXIT_DATA
+
+    @pytest.mark.parametrize("tail", [
+        b"",  # truncated right after the magic string
+        checkpoint_tail(b"{"),
+        checkpoint_tail(b'{"tensors": []}'),
+        checkpoint_tail(b'{"config": {}, "tensors": []}'),
+        checkpoint_tail(b'{"config": {"vocab": {"bogus": 1}}, "tensors": []}'),
+        checkpoint_tail(b'{"config": 5, "tensors": []}'),
+        checkpoint_tail(b"[]"),
+        checkpoint_tail(b'{"config": {"vocab": {}}, "tensors": [{"name": "x", "shape": [4],'
+                        b' "offset": 0, "dtype": "<f4"}]}'),
+        checkpoint_tail(b'{"config": {"vocab": {}}, "tensors": [{"name": "x", "shape": [1],'
+                        b' "offset": 0, "dtype": "<f4"}]}', struct.pack("<f", float("nan"))),
+    ], ids=["truncated", "not-json", "no-config", "empty-config", "unknown-vocab-key",
+            "config-not-object", "header-not-object", "tensor-past-end", "non-finite"])
+    def test_bad_checkpoint_is_data_error(self, tmp_path, tail):
+        corpus = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(MAGIC + tail)
+        assert run("render", "--score", str(corpus / "scores/piece_000.mid"),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.mid")) == EXIT_DATA

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import group_relative_errors
 from s2a.checkpoint import load_checkpoint, save_checkpoint
@@ -204,3 +206,20 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(b"garbage")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_damaged_bytes_load_or_raise_value_error(self, data):
+        model = small_model()
+        blob = bytearray(save_checkpoint(model))
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:  # most flips land in the header, where the structure is
+            header_end = len(blob) - 4 * sum(v.size for v in model.params.values())
+            for _ in range(data.draw(st.integers(1, 3), label="flips")):
+                at = data.draw(st.integers(0, header_end + 64), label="at")
+                blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+        try:
+            load_checkpoint(bytes(blob))
+        except ValueError:
+            pass

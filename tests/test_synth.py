@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from s2a.midi_io import NoteEvent, NoteSequence, TempoEvent
+from oracles import scalar_render_audio
+from s2a.corpus import SyntheticCorpusSpec, generate_corpus
+from s2a.midi_io import NoteEvent, NoteSequence, TempoEvent, parse_smf
 from s2a.synth import (
     Waveform,
     chromagram,
@@ -100,6 +105,64 @@ class TestRenderAudio:
         a = render_audio(seq)
         b = render_audio(seq)
         assert np.array_equal(a.samples, b.samples)
+
+
+@st.composite
+def note_sequences(draw):
+    """Few distinct pitches, so notes repeat and overlap on the same pitch;
+    at 2000 us per quarter a tick is shorter than a sample, so some notes
+    are held for a single sample."""
+    ppq = draw(st.sampled_from([96, 480]))
+    tempo = draw(st.sampled_from([500000, 2000]))
+    pitches = draw(st.lists(st.integers(0, 127), min_size=1, max_size=4))
+    notes = draw(st.lists(
+        st.builds(NoteEvent, st.integers(0, 3 * ppq), st.integers(1, 2 * ppq),
+                  st.sampled_from(pitches), st.integers(1, 127)),
+        max_size=12,
+    ))
+    return NoteSequence(ppq=ppq, notes=tuple(notes), tempi=(TempoEvent(0, tempo),))
+
+
+class TestRenderAgainstOracle:
+    """render_audio computes each pitch's partials once; every sample must
+    still equal the note-by-note loop bit for bit."""
+
+    @staticmethod
+    def assert_same(seq, sample_rate):
+        fast = render_audio(seq, sample_rate)
+        slow = scalar_render_audio(seq, sample_rate)
+        assert fast.sample_rate == slow.sample_rate
+        assert np.array_equal(fast.samples, slow.samples)
+        assert write_wav(fast) == write_wav(slow)
+
+    @settings(max_examples=60, deadline=None)
+    @given(note_sequences(), st.sampled_from([8000, 11025, 24000]))
+    def test_equals_scalar_oracle(self, seq, sample_rate):
+        self.assert_same(seq, sample_rate)
+
+    @pytest.mark.parametrize("sample_rate", [8000, 24000])
+    @pytest.mark.parametrize("tempo, notes", [
+        (500000, ()),
+        (500000, (NoteEvent(0, 192, 69, 100),)),
+        # repeated and overlapping notes of one pitch, longest not first
+        (500000, (NoteEvent(0, 96, 60, 90), NoteEvent(48, 300, 60, 30), NoteEvent(50, 10, 60, 127),
+                  NoteEvent(400, 96, 60, 64), NoteEvent(40, 200, 64, 80))),
+        # one tick is shorter than one sample: held = 1 / sample_rate
+        (2000, (NoteEvent(0, 1, 72, 127), NoteEvent(0, 1, 72, 5), NoteEvent(3, 1, 48, 60))),
+        # above 4 kHz every harmonic of these is cut at 8 kHz
+        (500000, (NoteEvent(0, 100, 100, 100), NoteEvent(20, 100, 108, 100),
+                  NoteEvent(40, 80, 127, 90))),
+    ], ids=["empty", "single", "same-pitch-overlap", "one-tick", "high-pitches"])
+    def test_fixed_cases(self, tempo, notes, sample_rate):
+        self.assert_same(NoteSequence(ppq=96, notes=notes, tempi=(TempoEvent(0, tempo),)),
+                         sample_rate)
+
+    def test_corpus_performance(self, tmp_path):
+        spec = SyntheticCorpusSpec(n_pieces=1, notes_per_piece=200, n_performers=1, seed=0)
+        manifest = generate_corpus(spec, tmp_path)
+        seq = parse_smf((tmp_path / manifest["items"][0]["performance"]).read_bytes())
+        assert len({n.pitch for n in seq.notes}) < len(seq.notes)
+        self.assert_same(seq, 24000)
 
 
 class TestSpectrogram:

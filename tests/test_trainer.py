@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import softmax_cross_entropy
 from s2a.model import M2MConfig, OutputDistributions, init_model
 from s2a.tokenizer import PAD_TUPLE, SEGMENT_LEN, TokenSegment, TokenTuple
 from s2a.trainer import (
@@ -97,6 +98,17 @@ class TestFeatureLoss:
         dup, _ = cross_entropy(logits, targets, nonpad)
         single, _ = cross_entropy(logits[:1], targets[:1], nonpad[:1])
         assert dup == pytest.approx(single, abs=1e-15)
+
+    @pytest.mark.parametrize("vocab", [68, 772, 1156])
+    def test_equals_two_pass_softmax(self, vocab):
+        rng = np.random.default_rng(vocab)
+        logits = rng.normal(0.0, 3.0, size=(4, 256, vocab))
+        targets = rng.integers(0, vocab, size=(4, 256))
+        nonpad = rng.random((4, 256)) < 0.8
+        want_loss, want_grad = softmax_cross_entropy(logits, targets, nonpad)
+        loss, grad = cross_entropy(logits, targets, nonpad)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
 
     def test_all_pad_errors(self):
         logits = np.zeros((1, 256, 68))
