@@ -41,12 +41,16 @@ class AlignmentMap:
 
     @classmethod
     def from_json(cls, text: str) -> "AlignmentMap":
-        obj = json.loads(text)
-        return cls(
-            pairs=tuple((int(i), int(j)) for i, j in obj["pairs"]),
-            unmatched_score=tuple(int(i) for i in obj["unmatched_score"]),
-            unmatched_perf=tuple(int(j) for j in obj["unmatched_perf"]),
-        )
+        """The map to_json wrote; ValueError for any other text."""
+        try:
+            obj = json.loads(text)
+            return cls(
+                pairs=tuple((int(i), int(j)) for i, j in obj["pairs"]),
+                unmatched_score=tuple(int(i) for i in obj["unmatched_score"]),
+                unmatched_perf=tuple(int(j) for j in obj["unmatched_perf"]),
+            )
+        except (KeyError, TypeError, ArithmeticError, RecursionError) as err:
+            raise ValueError(f"malformed alignment JSON: {err!r}") from err
 
 
 def align_notes(

@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 
-from .model import M2MConfig, M2MModel, sinusoidal_positions
+from .model import M2MConfig, M2MModel, parameter_shapes, sinusoidal_positions
 from .tokenizer import VocabSpec
 
 MAGIC = b"S2A-M2M-CKPT-v1\n"
@@ -48,6 +48,7 @@ def _parse(data: bytes, pos: int) -> M2MModel:
     cfg_dict = dict(header["config"])
     cfg_dict["vocab"] = VocabSpec(**cfg_dict["vocab"])
     config = M2MConfig(**cfg_dict)
+    _check_manifest(header["tensors"], parameter_shapes(config))
 
     params = {}
     for entry in header["tensors"]:
@@ -59,3 +60,19 @@ def _parse(data: bytes, pos: int) -> M2MModel:
     model = M2MModel(config, params, sinusoidal_positions(config.max_seq_len, config.d_model))
     model.check_finite()
     return model
+
+
+def _check_manifest(entries: list[dict], shapes: dict[str, tuple[int, ...]]) -> None:
+    """ValueError unless the tensors are exactly the config's, with its shapes."""
+    names = [entry["name"] for entry in entries]
+    if sorted(names) != sorted(shapes):
+        missing = sorted(set(shapes) - set(names))
+        unexpected = sorted(set(names) - set(shapes))
+        raise ValueError(f"tensors do not match the config: missing {missing}, "
+                         f"unexpected {unexpected} (or a name repeats)")
+    for entry in entries:
+        if tuple(entry["shape"]) != shapes[entry["name"]]:
+            raise ValueError(
+                f"tensor {entry['name']} has shape {entry['shape']}, "
+                f"the config needs {list(shapes[entry['name']])}"
+            )

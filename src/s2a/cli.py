@@ -256,7 +256,7 @@ def cmd_evaluate(args, config) -> int:
             amap_path = Path(args.alignments) / (Path(name).stem + ".json")
             try:
                 amap = AlignmentMap.from_json(amap_path.read_text())
-            except (OSError, KeyError, TypeError, ValueError) as err:
+            except (OSError, ValueError) as err:
                 raise DataError(f"cannot read alignment {amap_path}: {err!r}") from err
             if amap.pairs and (min(amap.pairs[0]) < 0 or amap.pairs[-1][0] >= len(pred.notes)
                                or amap.pairs[-1][1] >= len(target.notes)):

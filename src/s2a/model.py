@@ -100,37 +100,45 @@ def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def init_model(config: M2MConfig) -> M2MModel:
-    """Seeded Gaussian init (scale 0.02), zero biases, identity layer norms."""
-    rng = np.random.default_rng(config.seed)
-    p: dict[str, np.ndarray] = {}
-
-    def normal(*shape):
-        return rng.normal(0.0, 0.02, size=shape)
-
+def parameter_shapes(config: M2MConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter the config asks for, in init order."""
+    d, d_ff = config.d_model, config.d_ff
+    shapes: dict[str, tuple[int, ...]] = {}
     for name in FEATURE_NAMES:
-        p[f"emb_{name}"] = normal(config.vocab.size(name), config.d_embed)
-    p["proj_w"] = normal(6 * config.d_embed, config.d_model)
-    p["proj_b"] = np.zeros(config.d_model)
+        shapes[f"emb_{name}"] = (config.vocab.size(name), config.d_embed)
+    shapes["proj_w"] = (6 * config.d_embed, d)
+    shapes["proj_b"] = (d,)
     for layer in range(config.n_layers):
         pre = f"l{layer}."
         for mat in ("wq", "wk", "wv", "wo"):
-            p[pre + mat] = normal(config.d_model, config.d_model)
-            p[pre + mat.replace("w", "b")] = np.zeros(config.d_model)
-        p[pre + "ln1_g"] = np.ones(config.d_model)
-        p[pre + "ln1_b"] = np.zeros(config.d_model)
-        p[pre + "ff_w1"] = normal(config.d_model, config.d_ff)
-        p[pre + "ff_b1"] = np.zeros(config.d_ff)
-        p[pre + "ff_w2"] = normal(config.d_ff, config.d_model)
-        p[pre + "ff_b2"] = np.zeros(config.d_model)
-        p[pre + "ln2_g"] = np.ones(config.d_model)
-        p[pre + "ln2_b"] = np.zeros(config.d_model)
-    p["perf_emb"] = normal(config.n_performers, config.d_model)
+            shapes[pre + mat] = (d, d)
+            shapes[pre + mat.replace("w", "b")] = (d,)
+        shapes[pre + "ln1_g"] = shapes[pre + "ln1_b"] = (d,)
+        shapes[pre + "ff_w1"] = (d, d_ff)
+        shapes[pre + "ff_b1"] = (d_ff,)
+        shapes[pre + "ff_w2"] = (d_ff, d)
+        shapes[pre + "ff_b2"] = (d,)
+        shapes[pre + "ln2_g"] = shapes[pre + "ln2_b"] = (d,)
+    shapes["perf_emb"] = (config.n_performers, d)
     for feature in PREDICTED:
         key = HEAD_KEYS[feature]
-        p[key + "_w"] = normal(config.d_model, config.vocab.size(feature))
-        p[key + "_b"] = np.zeros(config.vocab.size(feature))
+        shapes[key + "_w"] = (d, config.vocab.size(feature))
+        shapes[key + "_b"] = (config.vocab.size(feature),)
+    return shapes
 
+
+def init_model(config: M2MConfig) -> M2MModel:
+    """Seeded Gaussian init (scale 0.02) of every matrix, zero biases,
+    identity layer norms."""
+    rng = np.random.default_rng(config.seed)
+    p: dict[str, np.ndarray] = {}
+    for name, shape in parameter_shapes(config).items():
+        if len(shape) == 2:
+            p[name] = rng.normal(0.0, 0.02, size=shape)
+        elif name.endswith("_g"):
+            p[name] = np.ones(shape)
+        else:
+            p[name] = np.zeros(shape)
     return M2MModel(config, p, sinusoidal_positions(config.max_seq_len, config.d_model))
 
 
@@ -386,35 +394,69 @@ def forward(model: M2MModel, seg: TokenSegment) -> OutputDistributions:
 # ---------------------------------------------------------------------------
 # Decoding
 
+def nucleus_sample(
+    logits: np.ndarray,
+    temperature: float,
+    top_p: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Temperature + nucleus sampling of every row of [rows, V] logits.
+
+    The nucleus of a row is the smallest prefix of its probability-sorted
+    tokens (ties broken by lower id) whose mass reaches top_p. Temperatures
+    below 1e-6 short-circuit to argmax and draw nothing; otherwise one
+    uniform is drawn per row, in row order. Each row gets the id, and the
+    generator the state, that sampling the rows one at a time gives.
+    ValueError for a bad top_p or temperature, or for a row whose
+    logits / temperature hold NaN or +inf.
+    """
+    if len(logits) == 0:  # as with no rows sampled one at a time: no checks, no draws
+        return np.zeros(0, dtype=np.int64)
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError("top_p must be in (0, 1]")
+    if not temperature >= 0.0:
+        raise ValueError("temperature must be >= 0")
+    if temperature < ARGMAX_TEMPERATURE:
+        return np.argmax(logits, axis=-1)
+    probs = softmax(logits / temperature)
+    # The sorted values fix the cumsum, the cut and the picked position; any
+    # order of tied values gives the same ones, so the values alone are sorted.
+    sorted_probs = np.negative(probs)
+    sorted_probs.sort(axis=-1)
+    np.negative(sorted_probs, out=sorted_probs)
+    cumulative = np.cumsum(sorted_probs, axis=-1)
+    if np.isnan(cumulative[:, -1]).any():
+        raise ValueError("logits / temperature must not be NaN or +inf")
+    cut = np.minimum((cumulative < top_p).sum(axis=-1), probs.shape[-1] - 1)
+    # The nucleus mass is the sum of a contiguous prefix. Rows with one
+    # nucleus length are summed together, so each gets the pairwise
+    # summation of its own prefix.
+    mass = np.empty(len(probs))
+    for c in np.unique(cut):
+        same = np.flatnonzero(cut == c)
+        mass[same] = sorted_probs[same, :c + 1].sum(axis=-1)
+    head = sorted_probs[:, :int(cut.max()) + 1]
+    weights = np.cumsum(head / mass[:, None], axis=-1)
+    r = rng.random(len(probs))  # the same stream as one rng.random() per row
+    pick = np.minimum((weights <= r[:, None]).sum(axis=-1), cut)
+    # Probability-sorted order puts equal values in id order, so the picked
+    # position holds the rank-th id with that value, where rank is the
+    # position's offset into its run of equal values.
+    rows = np.arange(len(probs))
+    value = head[rows, pick]
+    rank = pick - (head > value[:, None]).sum(axis=-1)
+    hit_row, hit_id = np.nonzero(probs == value[:, None])
+    return hit_id[np.searchsorted(hit_row, rows) + rank]
+
+
 def nucleus_sample_row(
     logits: np.ndarray,
     temperature: float,
     top_p: float,
     rng: np.random.Generator,
 ) -> int:
-    """Temperature + nucleus sampling of one categorical row.
-
-    The nucleus is the smallest prefix of probability-sorted tokens (ties
-    broken by lower id) whose mass reaches top_p. Temperatures below 1e-6
-    short-circuit to argmax.
-    """
-    if not 0.0 < top_p <= 1.0:
-        raise ValueError("top_p must be in (0, 1]")
-    if temperature < 0.0:
-        raise ValueError("temperature must be >= 0")
-    if temperature < ARGMAX_TEMPERATURE:
-        return int(np.argmax(logits))
-    probs = softmax(logits / temperature)
-    order = np.argsort(-probs, kind="stable")
-    cumulative = np.cumsum(probs[order])
-    cut = int(np.searchsorted(cumulative, top_p, side="left"))
-    cut = min(cut, len(order) - 1)
-    nucleus = order[:cut + 1]
-    weights = probs[nucleus]
-    weights = weights / weights.sum()
-    r = rng.random()
-    pick = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-    return int(nucleus[min(pick, len(nucleus) - 1)])
+    """Temperature + nucleus sampling of one categorical row (see nucleus_sample)."""
+    return int(nucleus_sample(np.asarray(logits)[None, :], temperature, top_p, rng)[0])
 
 
 def sample(
@@ -433,7 +475,7 @@ def sample(
     for feature in PREDICTED:
         logits = dist.logits(feature).copy()
         logits[:, :N_SPECIALS] = NEG_MASK
-        out.append([nucleus_sample_row(row, temperature, top_p, rng) for row in logits])
+        out.append(nucleus_sample(logits, temperature, top_p, rng).tolist())
     return out[0], out[1], out[2]
 
 

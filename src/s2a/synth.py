@@ -28,6 +28,12 @@ ATTACK_SECONDS = 0.005
 RELEASE_SECONDS = 0.010
 PEAK_LEVEL = 0.95
 SEGMENT_SECONDS = 9.6
+# Above this normalized correlation at the chosen lag, concat_crosscorr fades
+# with equal gains: on near-identical material an equal-power fade swells the
+# level by up to sqrt(2). At the fade's midpoint the power is off by rho for
+# an equal-power fade and by (1 - rho) / 2 for an equal-gain one, which
+# break even at rho = 1/3.
+EQUAL_GAIN_CORRELATION = 1 / 3
 
 DEFAULT_FRAME_LEN = 2048
 DEFAULT_HOP = 512
@@ -282,9 +288,10 @@ def concat_crosscorr(
     The last overlap_seconds of `a` (default max_lag + fade) are taken to
     nominally coincide with the head of `b`. The lag in [-max_lag, +max_lag]
     maximizing normalized cross-correlation between those windows is
-    selected (ties: smallest |lag|, negative first), then an equal-power
-    crossfade of fade_seconds is applied at the join. Inputs shorter than
-    the correlation window fall back to a plain faded butt-join.
+    selected (ties: smallest |lag|, negative first), then a crossfade of
+    fade_seconds is applied at the join: equal-gain when that correlation
+    exceeds EQUAL_GAIN_CORRELATION, equal-power otherwise. Inputs shorter
+    than the correlation window fall back to a plain faded butt-join.
     """
     if a.sample_rate != b.sample_rate:
         raise ValueError("sample rates must match")
@@ -323,17 +330,22 @@ def concat_crosscorr(
     if join < fade or join > len(b.samples):
         joined = _crossfade_join(a.samples, b.samples, fade)
         return StitchResult(Waveform(joined, sr), best_lag, True)
-    theta = (np.arange(fade) + 0.5) / fade * (np.pi / 2)
-    faded = a.samples[-fade:] * np.cos(theta) + b.samples[join - fade:join] * np.sin(theta)
-    joined = np.concatenate([a.samples[:-fade], faded, b.samples[join:]])
+    equal_gain = -best_key[0] > EQUAL_GAIN_CORRELATION
+    joined = _crossfade_join(a.samples, b.samples[join - fade:], fade, equal_gain)
     return StitchResult(Waveform(joined, sr), best_lag, False)
 
 
-def _crossfade_join(a: np.ndarray, b: np.ndarray, fade: int) -> np.ndarray:
+def _crossfade_join(
+    a: np.ndarray, b: np.ndarray, fade: int, equal_gain: bool = False
+) -> np.ndarray:
     if fade == 0:
         return np.concatenate([a, b])
-    theta = (np.arange(fade) + 0.5) / fade * (np.pi / 2)
-    faded = a[-fade:] * np.cos(theta) + b[:fade] * np.sin(theta)
+    ramp = (np.arange(fade) + 0.5) / fade
+    if equal_gain:
+        faded = a[-fade:] + ramp * (b[:fade] - a[-fade:])
+    else:
+        theta = ramp * (np.pi / 2)
+        faded = a[-fade:] * np.cos(theta) + b[:fade] * np.sin(theta)
     return np.concatenate([a[:-fade], faded, b[fade:]])
 
 

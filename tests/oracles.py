@@ -6,7 +6,14 @@ import numpy as np
 
 from s2a.align import DEFAULT_GAP_PENALTY, AlignmentMap
 from s2a.midi_io import NoteSequence
-from s2a.model import softmax
+from s2a.model import (
+    ARGMAX_TEMPERATURE,
+    NEG_MASK,
+    N_SPECIALS,
+    PREDICTED,
+    OutputDistributions,
+    softmax,
+)
 from s2a.synth import (
     ATTACK_SECONDS,
     DECAY_SECONDS_AT_C4,
@@ -143,3 +150,38 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray, nonpad: np.nd
     )
     grad *= nonpad[..., None] / n
     return loss, grad
+
+
+def scalar_nucleus_sample_row(
+    logits: np.ndarray, temperature: float, top_p: float, rng: np.random.Generator
+) -> int:
+    """Temperature + nucleus sampling of one row with its own stable sort."""
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError("top_p must be in (0, 1]")
+    if temperature < 0.0:
+        raise ValueError("temperature must be >= 0")
+    if temperature < ARGMAX_TEMPERATURE:
+        return int(np.argmax(logits))
+    probs = softmax(logits / temperature)
+    order = np.argsort(-probs, kind="stable")
+    cumulative = np.cumsum(probs[order])
+    cut = int(np.searchsorted(cumulative, top_p, side="left"))
+    cut = min(cut, len(order) - 1)
+    nucleus = order[:cut + 1]
+    weights = probs[nucleus]
+    weights = weights / weights.sum()
+    r = rng.random()
+    pick = int(np.searchsorted(np.cumsum(weights), r, side="right"))
+    return int(nucleus[min(pick, len(nucleus) - 1)])
+
+
+def loop_sample(
+    dist: OutputDistributions, temperature: float, top_p: float, rng: np.random.Generator
+) -> tuple[list[int], list[int], list[int]]:
+    """model.sample one row at a time: specials masked, features in order."""
+    out = []
+    for feature in PREDICTED:
+        logits = dist.logits(feature).copy()
+        logits[:, :N_SPECIALS] = NEG_MASK
+        out.append([scalar_nucleus_sample_row(row, temperature, top_p, rng) for row in logits])
+    return out[0], out[1], out[2]

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from test_midi_io import smf, vlq
-from s2a.checkpoint import MAGIC
+from test_model import edit_manifest
+from s2a.checkpoint import MAGIC, save_checkpoint
 from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, main
 from s2a.midi_io import parse_smf
+from s2a.model import M2MConfig, init_model
 from s2a.synth import load_matrix, midi_spectrogram, read_wav, render_audio, write_wav
 from s2a.tokenizer import SCORE_VELOCITY
 
@@ -323,5 +325,19 @@ class TestExitCodes:
         corpus = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(MAGIC + tail)
+        assert run("render", "--score", str(corpus / "scores/piece_000.mid"),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.mid")) == EXIT_DATA
+
+    @pytest.mark.parametrize("edit", [
+        lambda ts: [t for t in ts if t["name"] != "emb_pitch"],
+        lambda ts: [{**t, "shape": [t["shape"][0] + 1, t["shape"][1]]}
+                    if t["name"] == "emb_velocity" else t for t in ts],
+        lambda ts: ts + [{"name": "extra", "shape": [1], "offset": 0, "dtype": "<f4"}],
+    ], ids=["missing-tensor", "wrong-shape", "extra-name"])
+    def test_checkpoint_unlike_its_config_is_data_error(self, tmp_path, edit):
+        corpus = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
+        model = init_model(M2MConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32))
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(edit_manifest(save_checkpoint(model), edit))
         assert run("render", "--score", str(corpus / "scores/piece_000.mid"),
                    "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.mid")) == EXIT_DATA

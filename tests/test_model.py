@@ -1,15 +1,21 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcheck import group_relative_errors
-from s2a.checkpoint import load_checkpoint, save_checkpoint
+from oracles import loop_sample, scalar_nucleus_sample_row
+from s2a import model as model_module
+from s2a.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from s2a.midi_io import NoteEvent, NoteSequence, write_smf
 from s2a.model import (
+    NEG_MASK,
     M2MConfig,
+    OutputDistributions,
     forward,
     init_model,
     nucleus_sample_row,
@@ -142,6 +148,15 @@ class TestSampling:
         sigma = np.sqrt(n * probs * (1 - probs))
         assert np.all(np.abs(counts - n * probs) <= 3 * sigma)
 
+    @pytest.mark.parametrize("logits,temperature", [
+        ([0.0, np.inf, 1.0], 1.0), ([0.0, np.nan], 1.0), ([1e303, 0.0], 1e-6),
+        ([0.0, 1.0], float("nan")),
+    ], ids=["inf", "nan", "overflow", "nan-temperature"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_unsampleable_input_raises(self, logits, temperature):
+        with pytest.raises(ValueError):
+            nucleus_sample_row(np.array(logits), temperature, 0.9, np.random.default_rng(0))
+
     def test_specials_never_sampled(self):
         model = small_model()
         dist = forward(model, make_segment(n_real=40))
@@ -153,6 +168,83 @@ class TestSampling:
         model = small_model()
         dist = forward(model, make_segment(n_real=40))
         assert sample(dist, 1.0, 0.9, seed=7) == sample(dist, 1.0, 0.9, seed=7)
+
+
+def random_logits(rng: np.random.Generator, kind: str, rows: int, width: int) -> np.ndarray:
+    """[rows, width] float64 logits; "integer" rows tie heavily, "flat" rows are all equal."""
+    if kind == "integer":
+        return rng.integers(-3, 4, size=(rows, width)).astype(float)
+    if kind == "flat":
+        return np.repeat(rng.normal(size=(rows, 1)), width, axis=1)
+    logits = rng.normal(0.0, 3.0, size=(rows, width))
+    if kind == "masked":
+        logits[rng.random((rows, width)) < 0.3] = NEG_MASK
+    return logits
+
+
+TEMPERATURES = [0.0, 1e-7, 0.5, 1.0, 2.0]
+TOP_PS = [0.05, 0.9, 1.0]
+LOGIT_KINDS = ["normal", "integer", "flat", "masked"]
+
+
+class TestSamplerMatchesLoop:
+    """The batched sampler against the one-row-at-a-time loop in tests/oracles.py:
+    equal ids and an equal generator state afterwards."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(0, 300), widths=st.tuples(*[st.integers(1, 1200)] * 3),
+           kind=st.sampled_from(LOGIT_KINDS), temperature=st.sampled_from(TEMPERATURES),
+           top_p=st.sampled_from(TOP_PS), seed=st.integers(0, 2**32 - 1))
+    @example(rows=300, widths=(68, 772, 1156), kind="normal", temperature=1.0, top_p=0.9, seed=1)
+    @example(rows=300, widths=(1200, 1200, 1200), kind="integer", temperature=2.0, top_p=1.0,
+             seed=2)
+    @example(rows=257, widths=(1, 4, 5), kind="flat", temperature=0.5, top_p=0.05, seed=3)
+    @example(rows=300, widths=(900, 1200, 17), kind="masked", temperature=1e-7, top_p=0.9, seed=4)
+    def test_sample(self, rows, widths, kind, temperature, top_p, seed):
+        data_rng = np.random.default_rng(seed)
+        vel, ioi, dur = (random_logits(data_rng, kind, rows, w) for w in widths)
+        dist = OutputDistributions(vel_logits=vel, ioi_logits=ioi, dur_logits=dur)
+        fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        assert sample(dist, temperature, top_p, fast) == loop_sample(dist, temperature, top_p, slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(width=st.integers(1, 1200), kind=st.sampled_from(LOGIT_KINDS),
+           temperature=st.sampled_from(TEMPERATURES), top_p=st.sampled_from(TOP_PS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_nucleus_sample_row(self, width, kind, temperature, top_p, seed):
+        logits = random_logits(np.random.default_rng(seed), kind, 5, width)
+        fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for row in logits:
+            assert (nucleus_sample_row(row, temperature, top_p, fast)
+                    == scalar_nucleus_sample_row(row, temperature, top_p, slow))
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("temperature,top_p", [
+        (1.0, 0.0), (1.0, -0.5), (1.0, 1.5), (1.0, float("nan")), (-1.0, 0.9), (0.0, 2.0),
+    ])
+    def test_invalid_settings_raise_the_same_error(self, temperature, top_p):
+        logits = np.random.default_rng(0).normal(size=(3, 10))
+        dist = OutputDistributions(vel_logits=logits, ioi_logits=logits, dur_logits=logits)
+        with pytest.raises(ValueError) as want:
+            loop_sample(dist, temperature, top_p, np.random.default_rng(0))
+        with pytest.raises(ValueError) as got:
+            sample(dist, temperature, top_p, seed=0)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got:
+            nucleus_sample_row(logits[0], temperature, top_p, np.random.default_rng(0))
+        assert str(got.value) == str(want.value)
+
+    def test_predict_performance_equals_loop_render(self, monkeypatch):
+        model = small_model()
+        rng = np.random.default_rng(8)
+        for key in ("head_vel_b", "head_ioi_b", "head_dur_b"):  # peaked, varied rows
+            model.params[key] = rng.normal(0.0, 3.0, size=model.params[key].shape)
+        notes = [NoteEvent(i * 48, 40 + (i * 7) % 36, 30 + (i * 11) % 60, 60) for i in range(640)]
+        score = NoteSequence(ppq=96, notes=tuple(notes))
+        fast = write_smf(predict_performance(model, score, 2, 1.0, 0.9, seed=3))
+        monkeypatch.setattr(model_module, "sample", loop_sample)
+        assert fast == write_smf(predict_performance(model, score, 2, 1.0, 0.9, seed=3))
 
 
 class TestPredictPerformance:
@@ -186,6 +278,16 @@ class TestPredictPerformance:
         assert out.notes == ()
 
 
+def edit_manifest(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes with edit applied to the header's tensor list."""
+    start = len(MAGIC) + 8
+    (length,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    header = json.loads(blob[start:start + length])
+    header["tensors"] = edit(header["tensors"])
+    text = json.dumps(header).encode()
+    return MAGIC + struct.pack("<Q", len(text)) + text + blob[start + length:]
+
+
 class TestCheckpoint:
     def test_round_trip(self):
         model = small_model()
@@ -202,6 +304,32 @@ class TestCheckpoint:
         a = forward(load_checkpoint(save_checkpoint(model)), seg)
         b = forward(again, seg)
         assert np.array_equal(a.vel_logits, b.vel_logits)
+
+    @pytest.mark.parametrize("edit", [
+        lambda ts: [t for t in ts if t["name"] != "emb_pitch"],
+        lambda ts: [{**t, "shape": [t["shape"][0] + 1, t["shape"][1]]}
+                    if t["name"] == "emb_velocity" else t for t in ts],
+        lambda ts: [{**t, "shape": t["shape"][::-1]} if t["name"] == "l0.ff_w1" else t
+                    for t in ts],
+        lambda ts: ts + [{"name": "extra", "shape": [1], "offset": 0, "dtype": "<f4"}],
+        lambda ts: ts + [ts[0]],
+        lambda ts: [],
+    ], ids=["missing", "extra-rows", "transposed", "extra-name", "repeated", "none"])
+    def test_tensors_must_match_the_config(self, edit):
+        blob = edit_manifest(save_checkpoint(small_model()), edit)
+        with pytest.raises(ValueError, match="tensor"):
+            load_checkpoint(blob)
+
+    def test_header_with_config_and_no_tensors_rejected(self):
+        header = json.dumps({"config": {"vocab": {}}, "tensors": []}).encode()
+        with pytest.raises(ValueError, match="missing"):
+            load_checkpoint(MAGIC + struct.pack("<Q", len(header)) + header)
+
+    def test_non_finite_tensor_rejected(self):
+        model = small_model()
+        model.params["proj_b"][3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            load_checkpoint(save_checkpoint(model))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):

@@ -7,6 +7,7 @@ from oracles import scalar_render_audio
 from s2a.corpus import SyntheticCorpusSpec, generate_corpus
 from s2a.midi_io import NoteEvent, NoteSequence, TempoEvent, parse_smf
 from s2a.synth import (
+    PEAK_LEVEL,
     Waveform,
     chromagram,
     concat_crosscorr,
@@ -303,6 +304,48 @@ class TestConcatCrosscorr:
         rms = np.sqrt(np.mean(diff * diff))
         assert rms < 1e-3
 
+
+    def test_fade_over_same_material_keeps_the_peak(self):
+        # 40 notes; a loud chord sounds across the first join at 9.6 s
+        notes = [NoteEvent(i * 48, 96, 48 + (i * 7) % 30, 60) for i in range(36)]
+        notes += [NoteEvent(38 * 48, 96, pitch, 127) for pitch in (48, 55, 60, 64)]
+        continuous = render_audio(NoteSequence(ppq=96, notes=tuple(notes),
+                                               tempi=(TempoEvent(0, 500000),)))
+        sr, fade, overlap = continuous.sample_rate, 0.02, 0.5
+        segs = segment_audio(continuous, 9.6, overlap)
+        assert len(segs) == 2
+        result = concat_crosscorr(segs[0], segs[1], max_lag_seconds=0.05,
+                                  fade_seconds=fade, overlap_seconds=overlap)
+        assert result.lag == 0 and not result.fallback
+        join = len(segs[0].samples)
+        region = slice(join - int(round(fade * sr)), join)
+        stitched_peak = np.max(np.abs(result.waveform.samples[region]))
+        assert stitched_peak > 0.5
+        assert stitched_peak <= np.max(np.abs(continuous.samples[region])) + 1e-12
+        assert np.max(np.abs(result.waveform.samples)) <= PEAK_LEVEL + 1e-12
+
+    def test_zero_fade_keeps_all_of_a(self):
+        x = self.make_signal()
+        sr, n = x.sample_rate, len(x.samples)
+        a = Waveform(x.samples[: n // 2], sr)
+        b = Waveform(x.samples[n // 2 - int(0.05 * sr):], sr)
+        result = concat_crosscorr(a, b, max_lag_seconds=0.05, fade_seconds=0.0)
+        assert result.lag == 0 and not result.fallback
+        assert np.array_equal(result.waveform.samples, x.samples)
+
+    def test_uncorrelated_join_keeps_equal_power_fade(self):
+        rng = np.random.default_rng(4)
+        sr, fade = 24000, 480
+        a = Waveform(rng.standard_normal(sr), sr)
+        b = Waveform(rng.standard_normal(sr), sr)
+        result = concat_crosscorr(a, b, max_lag_seconds=0.05, fade_seconds=0.02)
+        assert not result.fallback
+        join = int(round(0.07 * sr)) + result.lag
+        theta = (np.arange(fade) + 0.5) / fade * (np.pi / 2)
+        want = (a.samples[-fade:] * np.cos(theta)
+                + b.samples[join - fade:join] * np.sin(theta))
+        got = result.waveform.samples[len(a.samples) - fade:len(a.samples)]
+        assert np.array_equal(got, want)
 
 def test_matrix_export_round_trip(tmp_path):
     from s2a.synth import load_matrix, save_matrix
