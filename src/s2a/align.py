@@ -10,7 +10,9 @@ and crossing-free by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .midi_io import NoteSequence
 
@@ -29,6 +31,11 @@ class AlignmentMap:
         for (i, j), (i2, j2) in zip(self.pairs, self.pairs[1:]):
             if not (i < i2 and j < j2):
                 raise ValueError("pairs must be strictly increasing in both coordinates")
+        for side, unmatched in ((0, self.unmatched_score), (1, self.unmatched_perf)):
+            indices = [pair[side] for pair in self.pairs] + list(unmatched)
+            if min(indices, default=0) < 0 or len(set(indices)) != len(indices):
+                raise ValueError("each note index must be >= 0 and appear once "
+                                 "across pairs and unmatched notes")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -44,13 +51,19 @@ class AlignmentMap:
         """The map to_json wrote; ValueError for any other text."""
         try:
             obj = json.loads(text)
-            return cls(
-                pairs=tuple((int(i), int(j)) for i, j in obj["pairs"]),
-                unmatched_score=tuple(int(i) for i in obj["unmatched_score"]),
-                unmatched_perf=tuple(int(j) for j in obj["unmatched_perf"]),
-            )
-        except (KeyError, TypeError, ArithmeticError, RecursionError) as err:
+            pairs = tuple((i, j) for i, j in obj["pairs"])
+            unmatched = tuple(obj["unmatched_score"]), tuple(obj["unmatched_perf"])
+        except (KeyError, TypeError, ValueError, RecursionError) as err:
             raise ValueError(f"malformed alignment JSON: {err!r}") from err
+        if not all(type(x) is int for x in chain(*pairs, *unmatched)):
+            raise ValueError("alignment indices must be JSON integers")
+        return cls(pairs, *unmatched)
+
+
+def check_gap_penalty(gap_penalty: float) -> None:
+    """ValueError unless gap_penalty is finite."""
+    if not math.isfinite(gap_penalty):
+        raise ValueError(f"gap_penalty must be finite, got {gap_penalty}")
 
 
 def align_notes(
@@ -61,8 +74,10 @@ def align_notes(
     Cell values are (score, -onset_cost) compared lexicographically: maximize
     the number of matches minus gap costs first, then minimize the summed
     |onset difference| in beats over the matched pairs. Traceback prefers
-    diagonal, then score-gap, then perf-gap when still tied.
+    diagonal, then score-gap, then perf-gap when still tied. ValueError for
+    a non-finite gap_penalty.
     """
+    check_gap_penalty(gap_penalty)
     s_notes, p_notes = score.notes, perf.notes
     n, m = len(s_notes), len(p_notes)
     if n == 0 or m == 0:

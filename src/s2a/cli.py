@@ -2,28 +2,35 @@
 evaluate.
 
 Every subcommand is a pure function of its inputs and seeds: rerunning with
-the same arguments produces byte-identical outputs. Exit codes: 0 success,
-1 usage error, 2 data error, 3 empty evaluation.
+the same arguments produces byte-identical outputs. A setting is its flag,
+else its `--config` value, else the default of the library code that takes
+it and checks its range. Exit codes: 0 success, 1 usage error (a bad flag or
+setting), 2 data error (also an unwritable output), 3 empty evaluation.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus as corpus_mod
-from .align import AlignmentMap, align_notes
+from .align import DEFAULT_GAP_PENALTY, AlignmentMap, align_notes, check_gap_penalty
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import aggregate, chroma_mse, evaluate_m2m, spectrogram_mse
 from .midi_io import SMFParseError, parse_smf, resample_grid, write_smf
-from .model import M2MConfig, init_model, predict_performance
-from .synth import chromagram, midi_spectrogram, render_audio, save_matrix, write_wav
+from .model import M2MConfig, check_sampling, init_model, predict_performance
+from .synth import (check_sample_rate, chromagram, midi_spectrogram, render_audio, save_matrix,
+                    write_wav)
 from .tokenizer import dump_tokens, tokenize
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,6 +38,23 @@ EXIT_DATA = 2
 EXIT_EMPTY = 3
 
 CONFIG_VERSION = 1
+
+# Config section: (the library code that takes its keys, {key: JSON type}).
+# A key is also the dest of the flag that sets it.
+INT, NUM, NUM_OR_NULL = "integer", "number", "number or null"
+SETTINGS = {
+    "model": (M2MConfig, dict(n_layers=INT, d_model=INT, n_heads=INT, d_ff=INT, dropout=NUM,
+                              seed=INT)),
+    "train": (TrainConfig, dict(learning_rate=NUM, warmup_steps=INT, max_epochs=INT,
+                                batch_size=INT, alpha=NUM, seed=INT, gradnorm_lr=NUM,
+                                early_stop_loss=NUM_OR_NULL)),
+    "sampling": (predict_performance, dict(temperature=NUM, top_p=NUM, seed=INT)),
+    "synth": (render_audio, dict(sample_rate=INT)),
+    "demo_data": (corpus_mod.SyntheticCorpusSpec, dict(pieces=INT, notes=INT, performers=INT,
+                                                       seed=INT)),
+}
+KEYWORDS = {"pieces": "n_pieces", "notes": "notes_per_piece", "performers": "n_performers"}
+CLI_DEFAULTS = {("train", "max_epochs"): 10}  # TrainConfig's is 1
 
 log = logging.getLogger("s2a")
 
@@ -48,31 +72,70 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as err:
+        raise DataError(f"cannot read {path}: {err!r}") from err
+
+
 def load_config_file(path: str | None) -> dict:
+    """The --config document, with its values checked against SETTINGS."""
     if path is None:
         return {}
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise DataError(f"config {path} is not a JSON object")
+    version = doc.pop("version", CONFIG_VERSION)
+    if type(version) is not int or version != CONFIG_VERSION:
+        raise DataError(f"unsupported config version {version!r}")
+    for section, values in doc.items():
+        if not (section in SETTINGS and isinstance(values, dict)):
+            raise UsageError(f"config: {section!r} is not one of the objects {', '.join(SETTINGS)}")
+        for key, value in values.items():
+            kind = SETTINGS[section][1].get(key)
+            if kind is None:
+                raise UsageError(f"config: unknown key {section}.{key}")
+            values[key] = _json_value(value, kind, f"config: {section}.{key}")
+    return doc
+
+
+def _json_value(value, kind: str, where: str):
+    """value as the JSON type kind, a number as a float; UsageError if it is not one."""
+    if value is None and kind == NUM_OR_NULL:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, int if kind == INT else (int, float))
+            or not abs(value) <= sys.float_info.max):  # JSON numbers are finite
+        raise UsageError(f"{where} must be a JSON {kind}, got {value!r}")
+    return value if kind == INT else float(value)
+
+
+def resolve(args, config: dict, section: str) -> dict:
+    """A section's settings as keyword arguments of the code that takes them."""
+    owner, keys = SETTINGS[section]
+    defaults = inspect.signature(owner).parameters
+    kwargs = {}
+    for key in keys:
+        keyword = KEYWORDS.get(key, key)
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(section, {}).get(
+                key, CLI_DEFAULTS.get((section, key), defaults[keyword].default))
+        kwargs[keyword] = value
+    return kwargs
+
+
+def _usage(check, *args, **kwargs):
+    """check(*args, **kwargs), with its ValueError as a usage error."""
     try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise DataError(f"cannot read config {path}: {err}") from err
-    version = obj.get("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise DataError(f"unsupported config version {version}")
-    return obj
-
-
-def _setting(args_value, config: dict, section: str, key: str, default):
-    """Priority: explicit flag > config file section > default."""
-    if args_value is not None:
-        return args_value
-    return config.get(section, {}).get(key, default)
+        return check(*args, **kwargs)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
 
 
 def read_midi(path: str):
     try:
         return parse_smf(Path(path).read_bytes())
-    except FileNotFoundError as err:
-        raise DataError(f"no such file: {path}") from err
     except SMFParseError as err:
         raise DataError(f"{path}: {err}") from err
 
@@ -81,12 +144,7 @@ def read_midi(path: str):
 # Subcommands
 
 def cmd_demo_data(args, config) -> int:
-    spec = corpus_mod.SyntheticCorpusSpec(
-        n_pieces=_setting(args.pieces, config, "demo_data", "pieces", 8),
-        notes_per_piece=_setting(args.notes, config, "demo_data", "notes", 200),
-        n_performers=_setting(args.performers, config, "demo_data", "performers", 2),
-        seed=_setting(args.seed, config, "demo_data", "seed", 0),
-    )
+    spec = _usage(corpus_mod.SyntheticCorpusSpec, **resolve(args, config, "demo_data"))
     manifest = corpus_mod.generate_corpus(spec, args.out)
     log.info("wrote %d items under %s", len(manifest["items"]), args.out)
     print(f"demo-data: {len(manifest['items'])} performances in {args.out}")
@@ -108,6 +166,7 @@ def cmd_tokenize(args, config) -> int:
 
 
 def cmd_align(args, config) -> int:
+    _usage(check_gap_penalty, args.gap_penalty)
     score = resample_grid(read_midi(args.score))
     perf = resample_grid(read_midi(args.performance))
     amap = align_notes(score, perf, gap_penalty=args.gap_penalty)
@@ -121,12 +180,7 @@ def cmd_align(args, config) -> int:
 
 def _load_manifest(data_dir: Path) -> dict:
     path = data_dir / "manifest.json"
-    if not path.exists():
-        raise DataError(f"no manifest.json under {data_dir}")
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, ValueError) as err:
-        raise DataError(f"cannot read {path}: {err}") from err
+    manifest = _read_json(path)
     if not (isinstance(manifest, dict) and isinstance(manifest.get("items"), list)
             and all(isinstance(item, dict) for item in manifest["items"])
             and isinstance(manifest.get("n_performers"), int)):
@@ -149,40 +203,25 @@ def _dataset_from_manifest(data_dir: Path, manifest: dict, split: str):
             pairs.extend(
                 corpus_mod.build_training_pairs(score, perf, amap, item["performer_id"])
             )
-        except (OSError, KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise DataError(f"bad manifest item {item}: {err!r}") from err
     return pairs
 
 
 def cmd_train(args, config) -> int:
+    model_cfg = _usage(M2MConfig, **resolve(args, config, "model"))
+    train_cfg = _usage(TrainConfig, **resolve(args, config, "train"))
     data_dir = Path(args.data)
     manifest = _load_manifest(data_dir)
     dataset = _dataset_from_manifest(data_dir, manifest, args.split)
     if not dataset:
         raise DataError(f"no '{args.split}' items in {data_dir}")
 
-    model_cfg = M2MConfig(
-        n_layers=_setting(args.layers, config, "model", "n_layers", 2),
-        d_model=_setting(args.d_model, config, "model", "d_model", 64),
-        n_heads=_setting(None, config, "model", "n_heads", 4),
-        d_ff=_setting(None, config, "model", "d_ff", 256),
-        dropout=_setting(args.dropout, config, "model", "dropout", 0.1),
-        n_performers=max(manifest["n_performers"], 1),
-        seed=_setting(args.seed, config, "model", "seed", 0),
-    )
-    train_cfg = TrainConfig(
-        learning_rate=_setting(args.learning_rate, config, "train", "learning_rate", 2e-5),
-        warmup_steps=_setting(None, config, "train", "warmup_steps", 40),
-        max_epochs=_setting(args.epochs, config, "train", "max_epochs", 10),
-        batch_size=_setting(args.batch_size, config, "train", "batch_size", 4),
-        alpha=_setting(None, config, "train", "alpha", 1.5),
-        seed=_setting(args.seed, config, "train", "seed", 0),
-        gradnorm_lr=_setting(None, config, "train", "gradnorm_lr", 0.025),
-        early_stop_loss=_setting(None, config, "train", "early_stop_loss", None),
-    )
-
-    model = init_model(model_cfg)
-    model, training_log = train(model, dataset, train_cfg)
+    model = init_model(replace(model_cfg, n_performers=max(manifest["n_performers"], 1)))
+    try:
+        model, training_log = train(model, dataset, train_cfg)
+    except (TrainingDivergedError, FloatingPointError) as err:
+        raise DataError(f"training diverged: {err}") from err
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(save_checkpoint(model))
@@ -197,30 +236,30 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_render(args, config) -> int:
+    sampling = resolve(args, config, "sampling")
+    _usage(check_sampling, sampling["temperature"], sampling["top_p"])
+    rng = _usage(np.random.default_rng, sampling["seed"])
     try:
         model = load_checkpoint(Path(args.checkpoint).read_bytes())
-    except (OSError, ValueError) as err:
+    except ValueError as err:
         raise DataError(f"cannot load checkpoint {args.checkpoint}: {err}") from err
     score = read_midi(args.score)
-    temperature = _setting(args.temperature, config, "sampling", "temperature", 1.0)
-    top_p = _setting(args.top_p, config, "sampling", "top_p", 0.9)
-    seed = _setting(args.seed, config, "sampling", "seed", 0)
     try:
-        perf = predict_performance(
-            model, score, args.performer_id, temperature, top_p, seed
-        )
+        perf = predict_performance(model, score, args.performer_id,
+                                   sampling["temperature"], sampling["top_p"], rng)
     except ValueError as err:
         raise DataError(str(err)) from err
     Path(args.out).write_bytes(write_smf(perf))
-    log.info("render: seed=%s temperature=%s top_p=%s", seed, temperature, top_p)
+    log.info("render: %s", sampling)
     print(f"render: {len(perf.notes)} notes -> {args.out}")
     return EXIT_OK
 
 
 def cmd_synth(args, config) -> int:
+    synth = resolve(args, config, "synth")
+    _usage(check_sample_rate, **synth)
     seq = read_midi(args.input)
-    sample_rate = _setting(args.sample_rate, config, "synth", "sample_rate", 24000)
-    audio = render_audio(seq, sample_rate)
+    audio = render_audio(seq, **synth)
     if len(audio.samples) == 0:
         print("synth: empty MIDI, writing zero-length WAV", file=sys.stderr)
     Path(args.out).write_bytes(write_wav(audio))
@@ -256,9 +295,9 @@ def cmd_evaluate(args, config) -> int:
             amap_path = Path(args.alignments) / (Path(name).stem + ".json")
             try:
                 amap = AlignmentMap.from_json(amap_path.read_text())
-            except (OSError, ValueError) as err:
+            except ValueError as err:
                 raise DataError(f"cannot read alignment {amap_path}: {err!r}") from err
-            if amap.pairs and (min(amap.pairs[0]) < 0 or amap.pairs[-1][0] >= len(pred.notes)
+            if amap.pairs and (amap.pairs[-1][0] >= len(pred.notes)
                                or amap.pairs[-1][1] >= len(target.notes)):
                 raise DataError(f"{amap_path}: pair index outside the notes of {name}")
         else:
@@ -319,17 +358,17 @@ def build_parser() -> _Parser:
     p.add_argument("--score", required=True)
     p.add_argument("--performance", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gap-penalty", type=float, default=0.5)
+    p.add_argument("--gap-penalty", type=float, default=DEFAULT_GAP_PENALTY)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("train", help="train the renderer on a demo-data corpus")
     p.add_argument("--data", required=True, help="demo-data output directory")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--split", default="train", choices=["train", "valid", "test", "all"])
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", dest="max_epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)
-    p.add_argument("--layers", type=int)
+    p.add_argument("--layers", dest="n_layers", type=int)
     p.add_argument("--d-model", type=int)
     p.add_argument("--dropout", type=float)
     p.add_argument("--seed", type=int)
@@ -363,16 +402,19 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("S2A_LOG_LEVEL", "WARNING"))
     parser = build_parser()
     try:
+        level = os.environ.get("S2A_LOG_LEVEL", "WARNING")
+        if not isinstance(logging.getLevelName(level), int):
+            raise UsageError(f"S2A_LOG_LEVEL: unknown level {level!r}")
+        logging.basicConfig(level=level)
         args = parser.parse_args(argv)
         config = load_config_file(args.config)
         return args.func(args, config)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as err:
+    except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

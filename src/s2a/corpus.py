@@ -65,6 +65,8 @@ class SyntheticCorpusSpec:
     profiles: tuple[PerformerProfile, ...] = DEFAULT_PROFILES
 
     def __post_init__(self):
+        if min(self.n_pieces, self.notes_per_piece, self.n_performers, self.seed) < 0:
+            raise ValueError("n_pieces, notes_per_piece, n_performers and seed must be >= 0")
         if self.n_performers > len(self.profiles):
             raise ValueError(
                 f"need a profile per performer: {self.n_performers} > {len(self.profiles)}"

@@ -108,10 +108,6 @@ class NoteSequence:
         object.__setattr__(self, "time_signatures", sigs)
         object.__setattr__(self, "sustain_events", sustain)
 
-    @property
-    def end_tick(self) -> int:
-        return max((n.offset_ticks for n in self.notes), default=0)
-
     def effective_time_signatures(self) -> tuple[TimeSignatureEvent, ...]:
         """Time signature map with the 4/4-at-tick-0 default applied."""
         sigs = self.time_signatures

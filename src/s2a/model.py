@@ -53,14 +53,20 @@ class M2MConfig:
     vocab: VocabSpec = field(default_factory=VocabSpec)
 
     def __post_init__(self):
+        if min(self.n_heads, self.d_model, self.d_ff, self.max_seq_len) < 1:
+            raise ValueError("n_heads, d_model, d_ff and max_seq_len must be >= 1")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.n_performers < 1:
             raise ValueError("need at least one performer")
+        if min(self.n_layers, self.seed) < 0:
+            raise ValueError("n_layers and seed must be >= 0")
         if self.d_embed == 0:
             object.__setattr__(self, "d_embed", self.d_model // 4)
+        if self.d_embed < 1:
+            raise ValueError("d_embed must be >= 1 (d_model >= 4 when d_embed is 0)")
 
     @property
     def d_head(self) -> int:
@@ -394,6 +400,14 @@ def forward(model: M2MModel, seg: TokenSegment) -> OutputDistributions:
 # ---------------------------------------------------------------------------
 # Decoding
 
+def check_sampling(temperature: float, top_p: float) -> None:
+    """ValueError unless top_p is in (0, 1] and temperature >= 0 (NaN is neither)."""
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError("top_p must be in (0, 1]")
+    if not temperature >= 0.0:
+        raise ValueError("temperature must be >= 0")
+
+
 def nucleus_sample(
     logits: np.ndarray,
     temperature: float,
@@ -412,10 +426,7 @@ def nucleus_sample(
     """
     if len(logits) == 0:  # as with no rows sampled one at a time: no checks, no draws
         return np.zeros(0, dtype=np.int64)
-    if not 0.0 < top_p <= 1.0:
-        raise ValueError("top_p must be in (0, 1]")
-    if not temperature >= 0.0:
-        raise ValueError("temperature must be >= 0")
+    check_sampling(temperature, top_p)
     if temperature < ARGMAX_TEMPERATURE:
         return np.argmax(logits, axis=-1)
     probs = softmax(logits / temperature)
@@ -485,7 +496,7 @@ def predict_performance(
     performer_id: int,
     temperature: float = 1.0,
     top_p: float = 0.9,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> NoteSequence:
     """Render an expressive performance of a score.
 
@@ -494,6 +505,7 @@ def predict_performance(
     temperature/nucleus sampling. Pitches come verbatim from the score;
     velocity, IOI, and duration come only from the model. The score's tempo
     map is carried over so the result plays back at the notated tempo.
+    A Generator given as seed is drawn from as it is.
     """
     grid = resample_grid(score) if score.ppq != 96 else score
     tokens = tokenize(grid, is_score=True)

@@ -144,6 +144,12 @@ def _render_pitch(pitch: int, members: list, sample_rate: int, mixed: np.ndarray
         tone *= env
 
 
+def check_sample_rate(sample_rate: int) -> None:
+    """ValueError unless sample_rate is > 0."""
+    if not sample_rate > 0:
+        raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
+
+
 def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
     """Additive-synthesis rendering of a NoteSequence.
 
@@ -157,8 +163,10 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     Every sample gets the same float operations, in the same order, as a
     note-by-note loop would apply: the attack and release factors are exactly
     1.0 outside the ranges they are applied over, and the notes are mixed
-    into the output in their original order.
+    into the output in their original order. ValueError for a sample_rate
+    that is not > 0.
     """
+    check_sample_rate(sample_rate)
     times = _note_times(seq)
     if not times:
         return Waveform(np.zeros(0), sample_rate)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .model import (
     M2MModel,
-    OutputDistributions,
     PREDICTED,
     backward_batch,
     forward_batch,
@@ -66,10 +65,12 @@ class TrainConfig:
     early_stop_loss: float | None = None  # stop once total weighted loss dips below
 
     def __post_init__(self):
-        if min(self.learning_rate, self.warmup_steps, self.batch_size, self.gradnorm_lr) <= 0:
-            raise ValueError("learning_rate, warmup_steps, batch_size, gradnorm_lr must be > 0")
-        if self.max_epochs < 0 or self.alpha < 0:
-            raise ValueError("max_epochs and alpha must be >= 0")
+        if not all(0 < v < math.inf for v in (self.learning_rate, self.warmup_steps,
+                                              self.batch_size, self.gradnorm_lr)):
+            raise ValueError("learning_rate, warmup_steps, batch_size, gradnorm_lr must be "
+                             "finite and > 0")
+        if not (self.max_epochs >= 0 and self.seed >= 0 and 0 <= self.alpha < math.inf):
+            raise ValueError("max_epochs, seed and alpha must be >= 0, alpha finite")
 
 
 @dataclass
@@ -121,22 +122,6 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray, nonpad: np.ndarray):
     )
     grad *= nonpad[..., None] / n
     return loss, grad
-
-
-def feature_loss(
-    dist: OutputDistributions, target: TokenSegment
-) -> tuple[float, float, float]:
-    """Per-feature mean cross-entropy of one segment against its aligned
-    performance targets; PAD positions are excluded entirely."""
-    nonpad = np.asarray(target.pad_mask, dtype=bool)
-    ids = np.array([t.as_tuple() for t in target.tuples], dtype=np.int64)
-    out = []
-    for feature in PREDICTED:
-        logits = dist.logits(feature)
-        targets = ids[:, FEATURE_COLUMN[feature]]
-        loss, _ = cross_entropy(logits[None], targets[None], nonpad[None])
-        out.append(loss)
-    return out[0], out[1], out[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from oracles import alignment_objective, brute_force_align
 from s2a.align import AlignmentMap, align_notes
 from s2a.midi_io import NoteEvent, NoteSequence
@@ -159,3 +161,22 @@ def test_alignment_json_round_trip():
     amap = AlignmentMap(pairs=((0, 0), (2, 1)), unmatched_score=(1,), unmatched_perf=())
     again = AlignmentMap.from_json(amap.to_json())
     assert again == amap
+
+
+@pytest.mark.parametrize("text", [
+    '{"pairs": [[0.9, 1.5]], "unmatched_score": [], "unmatched_perf": []}',
+    '{"pairs": [[0, 1.0]], "unmatched_score": [], "unmatched_perf": []}',
+    '{"pairs": [[true, 2]], "unmatched_score": [], "unmatched_perf": []}',
+    '{"pairs": [], "unmatched_score": ["3"], "unmatched_perf": []}',
+    '{"pairs": [], "unmatched_score": [], "unmatched_perf": [false]}',
+    '{"pairs": [], "unmatched_score": "01", "unmatched_perf": []}',
+    '{"pairs": [[0, 0]], "unmatched_score": [0], "unmatched_perf": []}',
+    '{"pairs": [[0, 0]], "unmatched_score": [], "unmatched_perf": [0]}',
+    '{"pairs": [], "unmatched_score": [1, 1], "unmatched_perf": []}',
+    '{"pairs": [], "unmatched_score": [], "unmatched_perf": [-1]}',
+], ids=["float-pair", "integral-float", "bool-pair", "numeric-string", "bool-unmatched",
+        "string-list", "score-index-twice", "perf-index-twice", "unmatched-twice",
+        "negative-unmatched"])
+def test_alignment_json_rejects_non_integers_and_repeats(text):
+    with pytest.raises(ValueError):
+        AlignmentMap.from_json(text)

@@ -1,13 +1,19 @@
 import json
 import struct
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from test_midi_io import smf, vlq
 from test_model import edit_manifest
+from s2a.align import DEFAULT_GAP_PENALTY
 from s2a.checkpoint import MAGIC, save_checkpoint
-from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, main
+from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, build_parser, main
 from s2a.midi_io import parse_smf
 from s2a.model import M2MConfig, init_model
 from s2a.synth import load_matrix, midi_spectrogram, read_wav, render_audio, write_wav
@@ -251,8 +257,13 @@ class TestEvaluate:
         '{"pairs": [[1, 1], [0, 0]], "unmatched_score": [], "unmatched_perf": []}',
         '{"pairs": [[0, 40]], "unmatched_score": [], "unmatched_perf": []}',
         '{"pairs": [[-1, 0]], "unmatched_score": [], "unmatched_perf": []}',
+        '{"pairs": [[0.9, 1.5]], "unmatched_score": [], "unmatched_perf": []}',
+        '{"pairs": [[true, 1]], "unmatched_score": [], "unmatched_perf": []}',
+        '{"pairs": [[0, 0]], "unmatched_score": ["1"], "unmatched_perf": []}',
+        '{"pairs": [[0, 0]], "unmatched_score": [0], "unmatched_perf": []}',
     ], ids=["missing", "not-json", "not-object", "missing-keys", "pairs-not-list",
-            "non-integer", "not-increasing", "index-past-end", "negative-index"])
+            "non-integer", "not-increasing", "index-past-end", "negative-index",
+            "float-index", "bool-index", "string-index", "index-twice"])
     def test_bad_alignment_is_data_error(self, tmp_path, text):
         corpus = make_corpus(tmp_path, pieces=1, notes=40, performers=1)
         aligns = tmp_path / "aligns"
@@ -341,3 +352,300 @@ class TestExitCodes:
         ckpt.write_bytes(edit_manifest(save_checkpoint(model), edit))
         assert run("render", "--score", str(corpus / "scores/piece_000.mid"),
                    "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.mid")) == EXIT_DATA
+
+
+# ---------------------------------------------------------------------------
+# Settings: one table, library-owned defaults and ranges, one exit code each
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """A 1-piece corpus, a checkpoint for it, and a regular file to write beneath."""
+    root = tmp_path_factory.mktemp("workspace")
+    make_corpus(root, pieces=1, notes=20, performers=1)
+    model = init_model(M2MConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32, n_performers=1))
+    (root / "m.ckpt").write_bytes(save_checkpoint(model))
+    (root / "file").write_text("")
+    return root
+
+
+SCORE = "{c}/scores/piece_000.mid"
+PERF = "{c}/performances/piece_000_p00.mid"
+TRAIN = ("train", "--data", "{c}", "--out", "{o}/m.ckpt", "--split", "all")
+RENDER = ("render", "--score", SCORE, "--checkpoint", "{w}/m.ckpt", "--out", "{o}/r.mid")
+SYNTH = ("synth", "--in", PERF, "--out", "{o}/s.wav")
+ALIGN = ("align", "--score", SCORE, "--performance", PERF, "--out", "{o}/a.json")
+
+
+def run_in(workspace, out_dir, argv, config=None):
+    """main() on argv with {w}, {c}, {o} filled in and config, if given, as --config."""
+    paths = {"w": workspace, "c": workspace / "corpus", "o": out_dir}
+    argv = [a.format(**paths) for a in argv]
+    if config is not None:
+        path = out_dir / "config.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv = ["--config", str(path)] + argv
+    return main(argv)
+
+
+class TestSettings:
+    @pytest.mark.parametrize("config, argv", [
+        ({"demo_data": {"pieces": "3"}}, ("demo-data", "--out", "{o}/d")),
+        ({"sampling": {"seed": 1.5}}, RENDER),
+        ({"model": {"n_heads": 0}}, TRAIN + ("--epochs", "1")),
+        ({"train": {"warmup_steps": 0}}, TRAIN + ("--epochs", "1")),
+        ({"train": {"learning-rate": 1e-3}}, TRAIN + ("--epochs", "1")),
+        ({"model": 5}, ("demo-data", "--out", "{o}/d", "--pieces", "0")),
+        ({"tokenize": {}}, ("demo-data", "--out", "{o}/d", "--pieces", "0")),
+        ({"model": {"d_model": 3, "n_heads": 1}}, TRAIN + ("--epochs", "1")),
+        ('{"train": {"learning_rate": 1e400}}', TRAIN + ("--epochs", "1")),
+        ({"train": {"learning_rate": 10**400}}, TRAIN + ("--epochs", "1")),
+        ({"train": {"max_epochs": True}}, TRAIN),
+        (None, TRAIN + ("--epochs", "-1")),
+        (None, TRAIN + ("--epochs", "1", "--batch-size", "0")),
+        (None, TRAIN + ("--epochs", "1", "--d-model", "7")),
+        (None, TRAIN + ("--epochs", "1", "--dropout", "1.5")),
+        (None, TRAIN + ("--epochs", "1", "--learning-rate", "nan")),
+        (None, TRAIN + ("--epochs", "1", "--layers", "-1")),
+        (None, TRAIN + ("--epochs", "1", "--seed", "-1")),
+        (None, ("demo-data", "--out", "{o}/d", "--performers", "9")),
+        (None, ("demo-data", "--out", "{o}/d", "--pieces", "-1")),
+        (None, SYNTH + ("--sample-rate", "0")),
+        (None, SYNTH + ("--sample-rate", "-3")),
+        (None, RENDER + ("--top-p", "2")),
+        (None, RENDER + ("--temperature", "nan")),
+        (None, RENDER + ("--seed", "-1")),
+        (None, ALIGN + ("--gap-penalty", "nan")),
+        (None, ALIGN + ("--gap-penalty", "inf")),
+    ], ids=["string-pieces", "float-seed", "zero-heads", "zero-warmup", "unknown-key",
+            "section-not-object", "unknown-section", "zero-embedding", "infinite-number",
+            "number-past-float", "bool-integer", "negative-epochs", "zero-batch",
+            "d-model-not-divisible", "dropout-past-one", "nan-learning-rate", "negative-layers",
+            "negative-train-seed", "performers-past-profiles", "negative-pieces",
+            "zero-sample-rate", "negative-sample-rate", "top-p-past-one", "nan-temperature",
+            "negative-sampling-seed", "nan-gap-penalty", "infinite-gap-penalty"])
+    def test_bad_setting_is_usage_error(self, workspace, tmp_path, capsys, config, argv):
+        assert run_in(workspace, tmp_path, argv, config) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "d").exists() and not (tmp_path / "m.ckpt").exists()
+
+    def test_settings_checked_before_data(self, workspace, tmp_path):
+        missing = ("train", "--data", "{o}/missing", "--out", "{o}/m.ckpt")
+        assert run_in(workspace, tmp_path, missing + ("--epochs", "-1")) == EXIT_USAGE
+        assert run_in(workspace, tmp_path, missing) == EXIT_DATA
+
+    def test_unknown_log_level_is_usage_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("S2A_LOG_LEVEL", "bogus")
+        assert run("demo-data", "--out", str(tmp_path / "d"), "--pieces", "0") == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: S2A_LOG_LEVEL: unknown level 'bogus'\n"
+
+    @pytest.mark.parametrize("config, argv", [
+        (None, ("tokenize", "--in", "{c}")),
+        (None, ("synth", "--in", "{c}", "--out", "{o}/s.wav")),
+        (None, ("synth", "--in", PERF, "--out", "{w}/file/s.wav")),
+        (None, ("align", "--score", SCORE, "--performance", PERF, "--out", "{w}/file/a.json")),
+        (None, ("tokenize", "--in", SCORE, "--out", "{w}/file/t.tsv")),
+        (None, ("train", "--data", "{c}", "--out", "{w}/file/m.ckpt", "--split", "all",
+                "--epochs", "1")),
+        (None, ("demo-data", "--out", "{w}/file/d", "--pieces", "1", "--notes", "5")),
+        (None, ("render", "--score", SCORE, "--checkpoint", "{w}/m.ckpt",
+                "--out", "{w}/file/r.mid")),
+        (None, ("evaluate", "--pred", "{c}/performances", "--target", "{c}/performances",
+                "--out-dir", "{w}/file")),
+        (None, TRAIN + ("--epochs", "3", "--learning-rate", "1e300")),
+        ("[]", ("demo-data", "--out", "{o}/d")),
+        ({"version": True}, ("demo-data", "--out", "{o}/d")),
+        ('{"version": 1, "model": ' * 2000 + "}" * 2000, ("demo-data", "--out", "{o}/d")),
+    ], ids=["tokenize-dir", "synth-dir", "synth-out", "align-out", "tokenize-out", "train-out",
+            "demo-data-out", "render-out", "evaluate-out-dir", "training-diverges",
+            "config-not-object", "config-version-bool", "config-nested-deep"])
+    def test_os_and_data_problems_are_data_errors(self, workspace, tmp_path, capsys,
+                                                  config, argv):
+        assert run_in(workspace, tmp_path, argv, config) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert not (tmp_path / "d").exists()
+
+    def test_bad_alignment_in_manifest_is_data_error(self, tmp_path):
+        data = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
+        (data / "alignments/piece_000_p00.json").write_text(
+            '{"pairs": [[0.9, 1.5]], "unmatched_score": [], "unmatched_perf": []}')
+        assert run("train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                   "--split", "all", "--epochs", "1") == EXIT_DATA
+
+    def test_flag_then_file_then_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"demo_data": {"pieces": 1, "notes": 15}}))
+        out = tmp_path / "c"
+        assert run("--config", str(cfg), "demo-data", "--out", str(out), "--pieces", "2") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["n_pieces"], manifest["notes_per_piece"]) == (2, 15)
+        assert manifest["n_performers"] == 2  # SyntheticCorpusSpec's default
+
+    def test_defaults_given_explicitly_give_the_same_bytes(self, workspace, tmp_path):
+        corpus = str(workspace / "corpus")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "model": {"n_layers": 2, "d_model": 64, "n_heads": 4, "d_ff": 256,
+                      "dropout": 0.1, "seed": 0},
+            "train": {"learning_rate": 2e-5, "warmup_steps": 40, "max_epochs": 1,
+                      "batch_size": 4, "alpha": 1.5, "seed": 0, "gradnorm_lr": 0.025,
+                      "early_stop_loss": None},
+        }))
+        runs = {
+            "default": ["train", "--epochs", "1"],
+            "flags": ["train", "--epochs", "1", "--batch-size", "4", "--learning-rate", "2e-5",
+                      "--layers", "2", "--d-model", "64", "--dropout", "0.1", "--seed", "0"],
+            "file": ["--config", str(config), "train"],
+        }
+        outputs = set()
+        for name, argv in runs.items():
+            ckpt = tmp_path / f"{name}.ckpt"
+            assert main(argv + ["--data", corpus, "--out", str(ckpt), "--split", "all"]) == 0
+            outputs.add((ckpt.read_bytes(), ckpt.with_suffix(".log.csv").read_bytes()))
+        assert len(outputs) == 1
+
+    def test_flags_are_unchanged(self):
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+        flags = {cmd: sorted(s for a in p._actions for s in a.option_strings if s != "-h")
+                 for cmd, p in subparsers.items()}
+        assert flags == {
+            "demo-data": ["--help", "--notes", "--out", "--performers", "--pieces", "--seed"],
+            "tokenize": ["--as-score", "--help", "--in", "--out"],
+            "align": ["--gap-penalty", "--help", "--out", "--performance", "--score"],
+            "train": ["--batch-size", "--d-model", "--data", "--dropout", "--epochs", "--help",
+                      "--layers", "--learning-rate", "--out", "--seed", "--split"],
+            "render": ["--checkpoint", "--help", "--out", "--performer-id", "--score", "--seed",
+                       "--temperature", "--top-p"],
+            "synth": ["--dump-features", "--help", "--in", "--out", "--sample-rate"],
+            "evaluate": ["--alignments", "--help", "--out-dir", "--pred", "--target"],
+        }
+        args = build_parser().parse_args(["align", "--score", "a", "--performance", "b",
+                                          "--out", "c"])
+        assert args.gap_penalty == DEFAULT_GAP_PENALTY
+
+
+# Flag and config values: accepted values stay tiny (epochs <= 2, pieces <= 2,
+# notes <= 40, d_model <= 16, sample rate <= 8000, on a 1-piece corpus); the
+# odd ones are out of range, non-finite, or not numbers at all.
+ODD_FLAG = st.sampled_from(["0", "-1", "-3", "nan", "inf", "-inf", "1e999", "1.5", "True", "x",
+                            ""])
+ODD_KEY = st.sampled_from([None, True, False, "3", 1.5, -1, 0, float("nan"), float("inf"),
+                           -float("inf"), 10**400, [], {}, [1]])
+ints = st.integers
+VALID = {
+    "pieces": ints(0, 2), "notes": ints(0, 40), "performers": ints(0, 4), "seed": ints(0, 3),
+    "max_epochs": ints(0, 2), "batch_size": ints(1, 4), "n_layers": ints(0, 2),
+    "d_model": st.sampled_from([4, 8, 16]), "n_heads": st.sampled_from([1, 2, 4]),
+    "d_ff": ints(1, 32), "warmup_steps": ints(1, 5), "sample_rate": ints(1, 8000),
+    "performer_id": ints(0, 1), "dropout": st.sampled_from([0.0, 0.5]),
+    "learning_rate": st.sampled_from([1e-3, 2e-5, 1e300]), "alpha": st.sampled_from([0.0, 1.5]),
+    "gradnorm_lr": st.sampled_from([0.025, 1e300]), "early_stop_loss": st.sampled_from(
+        [None, 0.0, 100.0]), "temperature": st.sampled_from([0.0, 1e-7, 1.0, 2.0]),
+    "top_p": st.sampled_from([0.05, 0.9, 1.0]), "gap_penalty": st.sampled_from([0.0, 0.5, 2.0]),
+}
+FLAG_KEYS = {"--pieces": "pieces", "--notes": "notes", "--performers": "performers",
+             "--seed": "seed", "--epochs": "max_epochs", "--batch-size": "batch_size",
+             "--layers": "n_layers", "--d-model": "d_model", "--learning-rate": "learning_rate",
+             "--dropout": "dropout", "--performer-id": "performer_id",
+             "--temperature": "temperature", "--top-p": "top_p", "--sample-rate": "sample_rate",
+             "--gap-penalty": "gap_penalty"}
+OPTIONAL = {
+    "demo-data": ["--pieces", "--notes", "--performers", "--seed"],
+    "tokenize": ["--as-score"],
+    "align": ["--gap-penalty"],
+    "train": ["--epochs", "--batch-size", "--learning-rate", "--layers", "--d-model",
+              "--dropout", "--seed"],
+    "render": ["--performer-id", "--temperature", "--top-p", "--seed"],
+    "synth": ["--sample-rate", "--dump-features"],
+    "evaluate": ["--alignments"],
+}
+
+
+def path(good, *bad):
+    """The good path three times as often as each bad one."""
+    return st.sampled_from([good] * 3 + list(bad))
+
+
+OUT = path("{o}/out", "{w}/file/out")
+REQUIRED = {
+    "demo-data": {"--out": OUT},
+    "tokenize": {"--in": path(SCORE, "{c}", "{o}/none.mid"),
+                 "--out": path("{o}/t.tsv", "{w}/file/t.tsv")},
+    "align": {"--score": path(SCORE, "{c}"), "--performance": path(PERF, "{c}"), "--out": OUT},
+    "train": {"--data": path("{c}", "{o}"), "--out": OUT, "--split": path("all", "test")},
+    "render": {"--score": path(SCORE, "{c}"), "--checkpoint": path("{w}/m.ckpt", PERF),
+               "--out": OUT},
+    "synth": {"--in": path(PERF, "{c}"), "--out": OUT},
+    "evaluate": {"--pred": path("{c}/performances", "{o}"),
+                 "--target": st.just("{c}/performances"), "--out-dir": OUT},
+}
+SECTIONS = {  # the config keys README.md documents
+    "model": ["n_layers", "d_model", "n_heads", "d_ff", "dropout", "seed"],
+    "train": ["learning_rate", "warmup_steps", "max_epochs", "batch_size", "alpha", "seed",
+              "gradnorm_lr", "early_stop_loss"],
+    "sampling": ["temperature", "top_p", "seed"],
+    "synth": ["sample_rate"],
+    "demo_data": ["pieces", "notes", "performers", "seed"],
+}
+# Small leaves only: a document drawn here can still name a real section and key.
+json_doc = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
+    | st.sampled_from([float("nan"), float("inf")]) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def config_docs(draw):
+    """Objects of the config's sections and keys (a few unknown), or any JSON document."""
+    doc = {}
+    names = st.sampled_from(list(SECTIONS) + ["bogus"])
+    for section in draw(st.lists(names, max_size=3, unique=True)):
+        keys = st.sampled_from(SECTIONS.get(section, ["seed"]) + ["bogus-key"])
+        doc[section] = {key: draw(st.one_of(VALID.get(key, ODD_KEY), ODD_KEY))
+                        for key in draw(st.lists(keys, max_size=4, unique=True))}
+    if draw(st.booleans()):
+        doc["version"] = draw(st.sampled_from([1, 1, 1, 2, "1", True, 1.0]))
+    return draw(st.one_of(st.just(doc), json_doc))
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(list(REQUIRED)))
+    argv = [command]
+    for flag, value in REQUIRED[command].items():
+        argv += [flag, draw(value)]
+    for flag in draw(st.lists(st.sampled_from(OPTIONAL[command]), unique=True)):
+        if flag == "--alignments":
+            argv += [flag, draw(path("{c}/alignments", "{c}/scores", "{o}"))]
+        elif flag not in FLAG_KEYS:  # a switch
+            argv += [flag]
+        else:
+            value = draw(st.one_of(VALID[FLAG_KEYS[flag]].map(str), ODD_FLAG))
+            argv += [f"{flag}={value}"]
+    config = draw(st.one_of(st.none(), config_docs()))
+    return argv, config
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(invocation=invocations())
+@example(invocation=(["demo-data", "--out", "{o}/out", "--pieces=1", "--notes=5"], None))
+@example(invocation=(["tokenize", "--in", SCORE, "--out", "{o}/t.tsv", "--as-score"], None))
+@example(invocation=(list(ALIGN) + ["--gap-penalty=1"], None))
+@example(invocation=(list(TRAIN) + ["--epochs=2", "--d-model=8"],
+                     {"version": 1, "model": {"n_heads": 2, "d_ff": 8},
+                      "train": {"early_stop_loss": None}}))
+@example(invocation=(list(RENDER) + ["--temperature=0.5"], {"sampling": {"top_p": 0.5}}))
+@example(invocation=(list(SYNTH) + ["--dump-features"], {"synth": {"sample_rate": 8000}}))
+@example(invocation=(["evaluate", "--pred", "{c}/performances", "--target", "{c}/performances",
+                      "--out-dir", "{o}/r", "--alignments", "{c}/alignments"], None))
+def test_any_flags_and_config_give_a_contract_exit_code(workspace, tmp_path, invocation):
+    argv, config = invocation
+    out_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # evaluate warns on length mismatches
+        code = run_in(workspace, out_dir, argv, None if config is None else json.dumps(config))
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_EMPTY)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import softmax_cross_entropy
-from s2a.model import M2MConfig, OutputDistributions, init_model
+from s2a.model import M2MConfig, init_model
 from s2a.tokenizer import PAD_TUPLE, SEGMENT_LEN, TokenSegment, TokenTuple
 from s2a.trainer import (
     TaskWeights,
     TrainConfig,
     TrainingDivergedError,
     cross_entropy,
-    feature_loss,
     gradnorm_step,
     token_accuracy,
     train,
@@ -48,34 +47,39 @@ def toy_dataset(n_segments=2, n_notes=32, seed=1):
     return data
 
 
+def segment_ce(logits, targets):
+    """cross_entropy of one [256, V] segment whose first len(targets) positions are real."""
+    ids = np.zeros(256, dtype=np.int64)
+    ids[:len(targets)] = targets
+    nonpad = np.arange(256) < len(targets)
+    loss, _ = cross_entropy(logits[None], ids[None], nonpad[None])
+    return loss
+
+
 class TestFeatureLoss:
     def test_certain_prediction_zero_loss(self):
-        target = build_segment([10, 11], [4, 8], [20, 30])
         vel = np.zeros((256, 68))
         ioi = np.zeros((256, 772))
         dur = np.zeros((256, 1156))
         vel[0, 10] = vel[1, 11] = 1000.0
         ioi[0, 4] = ioi[1, 8] = 1000.0
         dur[0, 20] = dur[1, 30] = 1000.0
-        losses = feature_loss(OutputDistributions(vel, ioi, dur), target)
+        losses = [segment_ce(vel, [10, 11]), segment_ce(ioi, [4, 8]), segment_ce(dur, [20, 30])]
         assert all(l < 1e-12 for l in losses)
 
     def test_uniform_logits_log_vocab(self):
-        target = build_segment([10, 11, 12], [4, 4, 4], [20, 20, 20])
-        dist = OutputDistributions(np.zeros((256, 68)), np.zeros((256, 772)),
-                                   np.zeros((256, 1156)))
-        l_vel, l_ioi, l_dur = feature_loss(dist, target)
+        l_vel = segment_ce(np.zeros((256, 68)), [10, 11, 12])
+        l_ioi = segment_ce(np.zeros((256, 772)), [4, 4, 4])
+        l_dur = segment_ce(np.zeros((256, 1156)), [20, 20, 20])
         assert l_vel == pytest.approx(math.log(68), abs=1e-12)
         assert l_ioi == pytest.approx(math.log(772), abs=1e-12)
         assert l_dur == pytest.approx(math.log(1156), abs=1e-12)
 
     def test_two_position_hand_case(self):
-        target = build_segment([10, 11], [4, 4], [20, 20])
         vel = np.zeros((256, 68))
         vel[0, 10] = 2.0
         vel[1, 4] = 1.0
-        dist = OutputDistributions(vel, np.zeros((256, 772)), np.zeros((256, 1156)))
-        l_vel, _, _ = feature_loss(dist, target)
+        l_vel = segment_ce(vel, [10, 11])
         # position 0: -log(e^2 / (67 + e^2)); position 1: -log(1 / (66 + e + 1))
         expected = 0.5 * (
             -(2.0 - math.log(67 + math.exp(2.0)))
@@ -84,12 +88,12 @@ class TestFeatureLoss:
         assert l_vel == pytest.approx(expected, abs=1e-9)
 
     def test_pad_positions_excluded(self):
-        # identical real content, different amounts of padding
-        t1 = build_segment([10, 11], [4, 4], [20, 20])
+        # identical real content, different logits at the PAD positions
         vel = np.zeros((256, 68))
         vel[:, 10] = 3.0
-        dist = OutputDistributions(vel, np.zeros((256, 772)), np.zeros((256, 1156)))
-        l1 = feature_loss(dist, t1)
+        noisy = vel.copy()
+        noisy[2:] = np.random.default_rng(0).normal(size=(254, 68))
+        assert segment_ce(noisy, [10, 11]) == segment_ce(vel, [10, 11])
         # duplicating the batch leaves the mean unchanged (via cross_entropy)
         logits = np.stack([vel, vel])
         targets = np.full((2, 256), 10)
