@@ -37,6 +37,14 @@ class AlignmentMap:
                 raise ValueError("each note index must be >= 0 and appear once "
                                  "across pairs and unmatched notes")
 
+    def check_covers(self, n_score: int, n_perf: int) -> None:
+        """ValueError unless each side's pair and unmatched indices are
+        exactly 0..n-1 for that side's note count."""
+        for side, unmatched, n, name in ((0, self.unmatched_score, n_score, "score"),
+                                         (1, self.unmatched_perf, n_perf, "performance")):
+            if sorted([pair[side] for pair in self.pairs] + list(unmatched)) != list(range(n)):
+                raise ValueError(f"alignment does not cover the {n} {name} notes exactly once")
+
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -200,6 +200,7 @@ def _dataset_from_manifest(data_dir: Path, manifest: dict, split: str):
             score = resample_grid(read_midi(str(data_dir / item["score"])))
             perf = resample_grid(read_midi(str(data_dir / item["performance"])))
             amap = AlignmentMap.from_json((data_dir / item["alignment"]).read_text())
+            amap.check_covers(len(score.notes), len(perf.notes))
             pairs.extend(
                 corpus_mod.build_training_pairs(score, perf, amap, item["performer_id"])
             )
@@ -295,11 +296,9 @@ def cmd_evaluate(args, config) -> int:
             amap_path = Path(args.alignments) / (Path(name).stem + ".json")
             try:
                 amap = AlignmentMap.from_json(amap_path.read_text())
+                amap.check_covers(len(pred.notes), len(target.notes))
             except ValueError as err:
-                raise DataError(f"cannot read alignment {amap_path}: {err!r}") from err
-            if amap.pairs and (amap.pairs[-1][0] >= len(pred.notes)
-                               or amap.pairs[-1][1] >= len(target.notes)):
-                raise DataError(f"{amap_path}: pair index outside the notes of {name}")
+                raise DataError(f"bad alignment {amap_path}: {err!r}") from err
         else:
             amap = align_notes(pred, target)
         triples.append((pred, target, amap))

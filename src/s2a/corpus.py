@@ -226,20 +226,8 @@ def build_training_pairs(
     """
     if not alignment.pairs:
         return []
-    score_sub = NoteSequence(
-        ppq=score.ppq,
-        notes=tuple(score.notes[i] for i, _ in alignment.pairs),
-        tempi=score.tempi,
-        time_signatures=score.time_signatures,
-    )
-    perf_sub = NoteSequence(
-        ppq=perf.ppq,
-        notes=tuple(perf.notes[j] for _, j in alignment.pairs),
-        tempi=perf.tempi,
-        time_signatures=perf.time_signatures,
-    )
-    score_toks = tokenize(score_sub, is_score=True)
-    perf_toks = tokenize(perf_sub, is_score=False)
+    score_toks = tokenize(score.subset(i for i, _ in alignment.pairs), is_score=True)
+    perf_toks = tokenize(perf.subset(j for _, j in alignment.pairs), is_score=False)
     score_segs = segment_tokens(score_toks, performer_id)
     perf_segs = segment_tokens(perf_toks, performer_id)
     return list(zip(score_segs, perf_segs))

@@ -22,11 +22,9 @@ import numpy as np
 from .align import AlignmentMap
 from .midi_io import NoteSequence
 from .synth import Chromagram, Spectrogram
-from .tokenizer import N_SPECIALS, SEGMENT_LEN, VocabSpec, tokenize
+from .tokenizer import N_SPECIALS, PREDICTED, SEGMENT_LEN, VocabSpec, tokenize
 
 KLD_EPSILON = 1e-6
-
-PREDICTED_FEATURES = ("velocity", "ioi", "duration")
 
 
 class ConstantSequenceError(ValueError):
@@ -42,7 +40,7 @@ class FeatureSeq:
     vocab_size: int
 
     def __post_init__(self):
-        if self.feature not in PREDICTED_FEATURES:
+        if self.feature not in PREDICTED:
             raise ValueError(f"unknown feature {self.feature!r}")
         for v in self.values:
             if not N_SPECIALS <= v < self.vocab_size:
@@ -129,7 +127,7 @@ class MetricReport:
             f"{'KLD (seg)':>16}{'Corr (seg)':>16}{'DTWD (seg)':>16}"
         ]
         names = {"velocity": "Velocity", "ioi": "Inter-Onset Interval", "duration": "Duration"}
-        for feat in PREDICTED_FEATURES:
+        for feat in PREDICTED:
             p = self.performance_wise.get(feat, {})
             s = self.segment_wise.get(feat, {})
             lines.append(
@@ -152,19 +150,17 @@ def _check_compatible(pred: FeatureSeq, target: FeatureSeq) -> None:
         raise ValueError("sequences must share feature and vocabulary")
 
 
-def kld(pred: FeatureSeq, target: FeatureSeq, reference: str = "target") -> float:
-    """Smoothed KL divergence between value-token histograms.
+def kld(pred: FeatureSeq, target: FeatureSeq) -> float:
+    """Smoothed KL divergence KL(target || pred) between value-token histograms.
 
-    Default direction is KL(target || pred): how surprising the prediction's
-    distribution is with the target as reference. Both histograms get 1e-6
-    added to every bin and are renormalized, so disjoint supports stay
-    finite.
+    It measures how surprising the prediction's distribution is with the
+    target as reference; swap the arguments for the other direction. Both
+    histograms get 1e-6 added to every bin and are renormalized, so disjoint
+    supports stay finite.
     """
     _check_compatible(pred, target)
     if not pred.values or not target.values:
         raise ValueError("cannot compute KLD of an empty sequence")
-    if reference not in ("target", "pred"):
-        raise ValueError("reference must be 'target' or 'pred'")
     n_bins = pred.vocab_size - N_SPECIALS
     p = np.bincount([v - N_SPECIALS for v in pred.values], minlength=n_bins).astype(float)
     q = np.bincount([v - N_SPECIALS for v in target.values], minlength=n_bins).astype(float)
@@ -172,9 +168,7 @@ def kld(pred: FeatureSeq, target: FeatureSeq, reference: str = "target") -> floa
     q /= q.sum()
     p = (p + KLD_EPSILON) / (1.0 + n_bins * KLD_EPSILON)
     q = (q + KLD_EPSILON) / (1.0 + n_bins * KLD_EPSILON)
-    if reference == "target":
-        return float(np.sum(q * np.log(q / p)))
-    return float(np.sum(p * np.log(p / q)))
+    return float(np.sum(q * np.log(q / p)))
 
 
 def pearson(pred: FeatureSeq, target: FeatureSeq) -> float:
@@ -296,12 +290,10 @@ def matched_feature_sequences(
         if seq.ppq != 96:
             raise ValueError(f"{name} must be on the 96-tick grid; apply resample_grid first")
     vocab = VocabSpec()
-    pred_idx = [i for i, _ in alignment.pairs]
-    targ_idx = [j for _, j in alignment.pairs]
-    pred_toks = _subset_tokens(pred, pred_idx)
-    targ_toks = _subset_tokens(target, targ_idx)
+    pred_toks = tokenize(pred.subset(i for i, _ in alignment.pairs), is_score=False)
+    targ_toks = tokenize(target.subset(j for _, j in alignment.pairs), is_score=False)
     out = {}
-    for feature in PREDICTED_FEATURES:
+    for feature in PREDICTED:
         attr = f"{feature}_tok"
         size = vocab.size(feature)
         out[feature] = (
@@ -309,16 +301,6 @@ def matched_feature_sequences(
             FeatureSeq(tuple(getattr(t, attr) for t in targ_toks), feature, size),
         )
     return out
-
-
-def _subset_tokens(seq: NoteSequence, indices: list[int]):
-    sub = NoteSequence(
-        ppq=seq.ppq,
-        notes=tuple(seq.notes[i] for i in indices),
-        tempi=seq.tempi,
-        time_signatures=seq.time_signatures,
-    )
-    return tokenize(sub, is_score=False)
 
 
 def evaluate_m2m(
@@ -332,10 +314,10 @@ def evaluate_m2m(
     partial window included). Constant sequences make correlation undefined
     and are counted as missing rather than zero.
     """
-    perf_values = {f: {"kld": [], "correlation": [], "dtwd": []} for f in PREDICTED_FEATURES}
-    seg_values = {f: {"kld": [], "correlation": [], "dtwd": []} for f in PREDICTED_FEATURES}
-    perf_missing = {f: 0 for f in PREDICTED_FEATURES}
-    seg_missing = {f: 0 for f in PREDICTED_FEATURES}
+    perf_values = {f: {"kld": [], "correlation": [], "dtwd": []} for f in PREDICTED}
+    seg_values = {f: {"kld": [], "correlation": [], "dtwd": []} for f in PREDICTED}
+    perf_missing = {f: 0 for f in PREDICTED}
+    seg_missing = {f: 0 for f in PREDICTED}
     labels = labels or [f"item_{i:04d}" for i in range(len(pairs))]
     item_rows = []
 
@@ -363,7 +345,7 @@ def evaluate_m2m(
                 _accumulate(metrics, seg_values[feature], seg_missing, feature)
 
     report = MetricReport(item_rows=item_rows)
-    for feature in PREDICTED_FEATURES:
+    for feature in PREDICTED:
         report.performance_wise[feature] = _aggregate_row(
             perf_values[feature], perf_missing[feature]
         )
@@ -375,7 +357,7 @@ def _window_metrics(p: FeatureSeq, q: FeatureSeq) -> tuple[float, float, float |
     """(kld, dtwd, correlation) of one window; correlation None when undefined."""
     try:
         correlation = pearson(p, q)
-    except (ConstantSequenceError, ValueError):
+    except ValueError:
         correlation = None
     return kld(p, q), dtwd(p, q), correlation
 

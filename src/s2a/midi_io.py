@@ -108,6 +108,15 @@ class NoteSequence:
         object.__setattr__(self, "time_signatures", sigs)
         object.__setattr__(self, "sustain_events", sustain)
 
+    def subset(self, indices) -> NoteSequence:
+        """The notes at indices, under this tempo and time-signature map."""
+        return NoteSequence(
+            ppq=self.ppq,
+            notes=tuple(self.notes[i] for i in indices),
+            tempi=self.tempi,
+            time_signatures=self.time_signatures,
+        )
+
     def effective_time_signatures(self) -> tuple[TimeSignatureEvent, ...]:
         """Time signature map with the 4/4-at-tick-0 default applied."""
         sigs = self.time_signatures

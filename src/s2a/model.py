@@ -5,7 +5,9 @@ combined with sinusoidal positions, and run through a bidirectional post-norm
 encoder whose attention masks PAD keys. A performer embedding of the model
 width is summed with the final hidden state at every real position, and
 three linear heads emit categorical logits over the velocity, IOI, and
-duration vocabularies.
+duration vocabularies. `forward` takes one segment's [256, 6] id array and
+returns {feature: logits [256, V]}, the per-segment slice of what
+`forward_batch` returns for a batch.
 
 Everything is numpy float64 with hand-written backpropagation: gradients are
 exact enough to verify against central finite differences, and all
@@ -23,6 +25,7 @@ from .midi_io import NoteSequence, resample_grid
 from .tokenizer import (
     FEATURE_NAMES,
     N_SPECIALS,
+    PREDICTED,
     SEGMENT_LEN,
     TokenSegment,
     VocabSpec,
@@ -31,7 +34,6 @@ from .tokenizer import (
     tokenize,
 )
 
-PREDICTED = ("velocity", "ioi", "duration")
 HEAD_KEYS = {"velocity": "head_vel", "ioi": "head_ioi", "duration": "head_dur"}
 
 ARGMAX_TEMPERATURE = 1e-6
@@ -83,17 +85,6 @@ class M2MModel:
         for name, value in self.params.items():
             if not np.all(np.isfinite(value)):
                 raise FloatingPointError(f"non-finite values in parameter {name}")
-
-
-@dataclass(frozen=True)
-class OutputDistributions:
-    vel_logits: np.ndarray  # [T, 68]
-    ioi_logits: np.ndarray  # [T, 772]
-    dur_logits: np.ndarray  # [T, 1156]
-
-    def logits(self, feature: str) -> np.ndarray:
-        return {"velocity": self.vel_logits, "ioi": self.ioi_logits,
-                "duration": self.dur_logits}[feature]
 
 
 def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
@@ -196,16 +187,11 @@ def _dropout_mask(rng, shape, rate):
 # ---------------------------------------------------------------------------
 # Forward / backward over batched id arrays
 
-def prepare_batch(segments: list[TokenSegment], config: M2MConfig):
+def prepare_batch(segments: list[TokenSegment]):
     """Stack segments into (ids [B,T,6], nonpad [B,T], performer [B])."""
-    ids = np.zeros((len(segments), SEGMENT_LEN, 6), dtype=np.int64)
-    nonpad = np.zeros((len(segments), SEGMENT_LEN), dtype=bool)
-    performer = np.zeros(len(segments), dtype=np.int64)
-    for i, seg in enumerate(segments):
-        ids[i] = [t.as_tuple() for t in seg.tuples]
-        nonpad[i] = seg.pad_mask
-        performer[i] = seg.performer_id
-    validate_inputs(ids, performer, config)
+    ids = np.stack([seg.ids for seg in segments])
+    nonpad = np.arange(SEGMENT_LEN) < np.array([[seg.n_real] for seg in segments])
+    performer = np.array([seg.performer_id for seg in segments], dtype=np.int64)
     return ids, nonpad, performer
 
 
@@ -386,15 +372,10 @@ def backward_batch(
     return grads
 
 
-def forward(model: M2MModel, seg: TokenSegment) -> OutputDistributions:
-    """Per-note categorical logits for one 256-note segment (inference)."""
-    ids, nonpad, performer = prepare_batch([seg], model.config)
-    logits, _ = forward_batch(model, ids, nonpad, performer)
-    return OutputDistributions(
-        vel_logits=logits["velocity"][0],
-        ioi_logits=logits["ioi"][0],
-        dur_logits=logits["duration"][0],
-    )
+def forward(model: M2MModel, seg: TokenSegment) -> dict[str, np.ndarray]:
+    """Per-note categorical logits {feature: [256, V]} for one segment (inference)."""
+    logits, _ = forward_batch(model, *prepare_batch([seg]))
+    return {feature: value[0] for feature, value in logits.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +452,13 @@ def nucleus_sample_row(
 
 
 def sample(
-    dist: OutputDistributions,
+    dist: dict[str, np.ndarray],
     temperature: float,
     top_p: float,
     seed: int | np.random.Generator,
 ) -> tuple[list[int], list[int], list[int]]:
-    """Draw (velocity, ioi, duration) token ids at every position.
+    """Draw (velocity, ioi, duration) token ids at every position of
+    forward's {feature: logits [T, V]}.
 
     Special ids 0..3 are masked out before sampling; draws consume the
     generator feature by feature, positions in order.
@@ -484,7 +466,7 @@ def sample(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     out = []
     for feature in PREDICTED:
-        logits = dist.logits(feature).copy()
+        logits = dist[feature].copy()
         logits[:, :N_SPECIALS] = NEG_MASK
         out.append(nucleus_sample(logits, temperature, top_p, rng).tolist())
     return out[0], out[1], out[2]
@@ -515,7 +497,7 @@ def predict_performance(
     vel: list[int] = []
     ioi: list[int] = []
     dur: list[int] = []
-    for seg in sorted(segment_tokens(tokens, performer_id), key=lambda s: s.source_offset):
+    for seg in segment_tokens(tokens, performer_id):
         dist = forward(model, seg)
         v, i, d = sample(dist, temperature, top_p, rng)
         vel.extend(v[:seg.n_real])

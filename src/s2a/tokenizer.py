@@ -16,11 +16,16 @@ feature is the unique count that makes all of them self-consistent. Out of
 range duration/IOI/position/bar values clamp rather than error so long
 fermatas or very long pieces survive tokenization; out of range pitches are
 an error (not a piano note).
+
+A segment is a [256, 6] int64 id array in FEATURE_NAMES column order: the
+first n_real rows are notes, the rest PAD rows of zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .midi_io import NoteEvent, NoteSequence, TimeSignatureEvent
 
@@ -34,6 +39,7 @@ PITCH_MIN, PITCH_MAX = 21, 108
 SCORE_VELOCITY = 60
 
 FEATURE_NAMES = ("pitch", "velocity", "duration", "ioi", "position", "bar")
+PREDICTED = ("velocity", "ioi", "duration")  # the features the model renders
 
 
 @dataclass(frozen=True)
@@ -85,28 +91,21 @@ class TokenTuple:
         )
 
 
-PAD_TUPLE = TokenTuple(PAD, PAD, PAD, PAD, PAD, PAD)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TokenSegment:
-    """A fixed 256-slot window of token tuples, PAD-filled at the tail."""
+    """A fixed 256-note window: int64 ids [256, 6] in FEATURE_NAMES column
+    order, whose first n_real rows are notes and the rest PAD rows."""
 
-    tuples: tuple[TokenTuple, ...]
-    pad_mask: tuple[bool, ...]  # True where the slot is real (non-PAD)
+    ids: np.ndarray
+    n_real: int
     performer_id: int
     source_offset: int
 
     def __post_init__(self):
-        if len(self.tuples) != SEGMENT_LEN or len(self.pad_mask) != SEGMENT_LEN:
-            raise ValueError(f"segment must hold exactly {SEGMENT_LEN} slots")
-        n_real = sum(self.pad_mask)
-        if not all(self.pad_mask[:n_real]) or any(self.pad_mask[n_real:]):
-            raise ValueError("non-pad positions must form a prefix")
-
-    @property
-    def n_real(self) -> int:
-        return sum(self.pad_mask)
+        if self.ids.shape != (SEGMENT_LEN, len(FEATURE_NAMES)):
+            raise ValueError(f"segment ids must have shape ({SEGMENT_LEN}, {len(FEATURE_NAMES)})")
+        if not 0 <= self.n_real <= SEGMENT_LEN:
+            raise ValueError(f"n_real must be in 0..{SEGMENT_LEN}, got {self.n_real}")
 
 
 def bar_length_ticks(sig: TimeSignatureEvent, ticks_per_beat: int = TICKS_PER_BEAT) -> int:
@@ -213,22 +212,16 @@ def detokenize(
 
 
 def segment(tuples: list[TokenTuple], performer_id: int) -> list[TokenSegment]:
-    """Cut a token stream into consecutive 256-note windows, PAD-filling the
-    last one. source_offset records each window's first note index."""
+    """Cut a token stream into consecutive 256-note windows, in stream order,
+    PAD-filling the last one. source_offset records each window's first note
+    index."""
+    rows = np.array([t.as_tuple() for t in tuples], dtype=np.int64).reshape(-1, len(FEATURE_NAMES))
     segments = []
-    for start in range(0, len(tuples), SEGMENT_LEN):
-        window = tuples[start:start + SEGMENT_LEN]
-        n_real = len(window)
-        window = window + [PAD_TUPLE] * (SEGMENT_LEN - n_real)
-        mask = (True,) * n_real + (False,) * (SEGMENT_LEN - n_real)
-        segments.append(
-            TokenSegment(
-                tuples=tuple(window),
-                pad_mask=mask,
-                performer_id=performer_id,
-                source_offset=start,
-            )
-        )
+    for start in range(0, len(rows), SEGMENT_LEN):
+        window = rows[start:start + SEGMENT_LEN]
+        ids = np.full((SEGMENT_LEN, len(FEATURE_NAMES)), PAD, dtype=np.int64)
+        ids[:len(window)] = window
+        segments.append(TokenSegment(ids, len(window), performer_id, start))
     return segments
 
 

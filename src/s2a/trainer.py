@@ -17,14 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    M2MModel,
-    PREDICTED,
-    backward_batch,
-    forward_batch,
-    prepare_batch,
-)
-from .tokenizer import TokenSegment
+from .model import M2MModel, backward_batch, forward_batch, prepare_batch
+from .tokenizer import FEATURE_NAMES, PREDICTED, TokenSegment
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -32,7 +26,7 @@ ADAM_EPS = 1e-8
 WEIGHT_FLOOR = 1e-4
 WEIGHT_SUM = 3.0
 
-FEATURE_COLUMN = {"velocity": 1, "ioi": 3, "duration": 2}  # column in the id tuple
+FEATURE_COLUMN = {feature: FEATURE_NAMES.index(feature) for feature in PREDICTED}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -184,10 +178,8 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
 
-    score_ids, score_nonpad, performers = prepare_batch([s for s, _ in dataset], model.config)
-    target_ids = np.stack(
-        [np.array([t.as_tuple() for t in perf.tuples], dtype=np.int64) for _, perf in dataset]
-    )
+    score_ids, score_nonpad, performers = prepare_batch([s for s, _ in dataset])
+    target_ids = np.stack([perf.ids for _, perf in dataset])
 
     weights = TaskWeights(alpha=cfg.alpha)
     adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
@@ -263,10 +255,8 @@ def greedy_predictions(
     model: M2MModel, dataset: list[tuple[TokenSegment, TokenSegment]]
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-feature (argmax prediction, target) ids over all non-pad slots."""
-    ids, nonpad, performers = prepare_batch([s for s, _ in dataset], model.config)
-    target_ids = np.stack(
-        [np.array([t.as_tuple() for t in perf.tuples], dtype=np.int64) for _, perf in dataset]
-    )
+    ids, nonpad, performers = prepare_batch([s for s, _ in dataset])
+    target_ids = np.stack([perf.ids for _, perf in dataset])
     logits, _ = forward_batch(model, ids, nonpad, performers)
     out = {}
     for feature in PREDICTED:

@@ -11,7 +11,6 @@ from s2a.model import (
     NEG_MASK,
     N_SPECIALS,
     PREDICTED,
-    OutputDistributions,
     softmax,
 )
 from s2a.synth import (
@@ -25,6 +24,7 @@ from s2a.synth import (
     _note_times,
     midi_pitch_hz,
 )
+from s2a.tokenizer import PAD, SEGMENT_LEN, TokenTuple
 
 
 def scalar_dtw_path_cost(x: list[float], y: list[float]) -> tuple[float, int]:
@@ -176,12 +176,31 @@ def scalar_nucleus_sample_row(
 
 
 def loop_sample(
-    dist: OutputDistributions, temperature: float, top_p: float, rng: np.random.Generator
+    dist: dict[str, np.ndarray], temperature: float, top_p: float, rng: np.random.Generator
 ) -> tuple[list[int], list[int], list[int]]:
     """model.sample one row at a time: specials masked, features in order."""
     out = []
     for feature in PREDICTED:
-        logits = dist.logits(feature).copy()
+        logits = dist[feature].copy()
         logits[:, :N_SPECIALS] = NEG_MASK
         out.append([scalar_nucleus_sample_row(row, temperature, top_p, rng) for row in logits])
     return out[0], out[1], out[2]
+
+
+def tuple_prepare_batch(
+    tokens: list[TokenTuple], performer_id: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """model.prepare_batch(tokenizer.segment(tokens, performer_id)) one tuple at
+    a time: each 256-note window is PAD-filled with PAD tuples, its ids are
+    stacked tuple by tuple, and its mask is one bool per slot."""
+    pad = TokenTuple(PAD, PAD, PAD, PAD, PAD, PAD)
+    windows = [tokens[start:start + SEGMENT_LEN] for start in range(0, len(tokens), SEGMENT_LEN)]
+    ids = np.zeros((len(windows), SEGMENT_LEN, 6), dtype=np.int64)
+    nonpad = np.zeros((len(windows), SEGMENT_LEN), dtype=bool)
+    performer = np.zeros(len(windows), dtype=np.int64)
+    for i, window in enumerate(windows):
+        n_real = len(window)
+        ids[i] = [t.as_tuple() for t in window + [pad] * (SEGMENT_LEN - n_real)]
+        nonpad[i] = (True,) * n_real + (False,) * (SEGMENT_LEN - n_real)
+        performer[i] = performer_id
+    return ids, nonpad, performer

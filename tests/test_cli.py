@@ -261,9 +261,12 @@ class TestEvaluate:
         '{"pairs": [[true, 1]], "unmatched_score": [], "unmatched_perf": []}',
         '{"pairs": [[0, 0]], "unmatched_score": ["1"], "unmatched_perf": []}',
         '{"pairs": [[0, 0]], "unmatched_score": [0], "unmatched_perf": []}',
+        '{"pairs": [[0, 0]], "unmatched_score": [500], "unmatched_perf": []}',
+        '{"pairs": [[0, 0]], "unmatched_score": [], "unmatched_perf": []}',
     ], ids=["missing", "not-json", "not-object", "missing-keys", "pairs-not-list",
             "non-integer", "not-increasing", "index-past-end", "negative-index",
-            "float-index", "bool-index", "string-index", "index-twice"])
+            "float-index", "bool-index", "string-index", "index-twice",
+            "unmatched-past-end", "notes-left-out"])
     def test_bad_alignment_is_data_error(self, tmp_path, text):
         corpus = make_corpus(tmp_path, pieces=1, notes=40, performers=1)
         aligns = tmp_path / "aligns"
@@ -472,6 +475,18 @@ class TestSettings:
             '{"pairs": [[0.9, 1.5]], "unmatched_score": [], "unmatched_perf": []}')
         assert run("train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
                    "--split", "all", "--epochs", "1") == EXIT_DATA
+
+    @pytest.mark.parametrize("text", [
+        '{"pairs": [[500, 500]], "unmatched_score": [], "unmatched_perf": []}',
+        '{"pairs": [[0, 0]], "unmatched_score": [500], "unmatched_perf": []}',
+        '{"pairs": [[0, 0]], "unmatched_score": [], "unmatched_perf": []}',
+    ], ids=["pair-past-end", "unmatched-past-end", "notes-left-out"])
+    def test_alignment_not_covering_the_notes_is_data_error(self, tmp_path, capsys, text):
+        data = make_corpus(tmp_path, pieces=1, notes=20, performers=1)
+        (data / "alignments/piece_000_p00.json").write_text(text)
+        assert run("train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                   "--split", "all", "--epochs", "1") == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: bad manifest item")
 
     def test_flag_then_file_then_default(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -15,7 +15,6 @@ from s2a.midi_io import NoteEvent, NoteSequence, write_smf
 from s2a.model import (
     NEG_MASK,
     M2MConfig,
-    OutputDistributions,
     forward,
     init_model,
     nucleus_sample_row,
@@ -23,7 +22,7 @@ from s2a.model import (
     sample,
     softmax,
 )
-from s2a.tokenizer import PAD_TUPLE, SEGMENT_LEN, TokenSegment, TokenTuple
+from s2a.tokenizer import PAD, SEGMENT_LEN, TokenSegment
 
 
 def toy_config(**overrides):
@@ -39,27 +38,26 @@ def small_model():
 
 
 def make_segment(n_real=10, performer_id=0, fill=5):
-    tuples = [TokenTuple(4 + i % 88, 4 + i % 64, 4 + i % 1152, 4 + i % 768,
-                         4 + i % 384, 4 + i % 3000) for i in range(n_real)]
-    pad = [PAD_TUPLE] * (SEGMENT_LEN - n_real) if fill is None else [
-        TokenTuple(fill, fill, fill, fill, fill, fill)] * (SEGMENT_LEN - n_real)
-    mask = (True,) * n_real + (False,) * (SEGMENT_LEN - n_real)
-    return TokenSegment(tuples=tuple(tuples + pad), pad_mask=mask,
-                        performer_id=performer_id, source_offset=0)
+    """n_real patterned notes, then pad rows of fill (PAD when fill is None)."""
+    ids = np.full((SEGMENT_LEN, 6), PAD if fill is None else fill, dtype=np.int64)
+    i = np.arange(n_real)
+    ids[:n_real] = np.stack([4 + i % 88, 4 + i % 64, 4 + i % 1152, 4 + i % 768,
+                             4 + i % 384, 4 + i % 3000], axis=1)
+    return TokenSegment(ids=ids, n_real=n_real, performer_id=performer_id, source_offset=0)
 
 
 class TestForward:
     def test_output_shapes(self):
         model = small_model()
         dist = forward(model, make_segment())
-        assert dist.vel_logits.shape == (256, 68)
-        assert dist.ioi_logits.shape == (256, 772)
-        assert dist.dur_logits.shape == (256, 1156)
+        assert dist["velocity"].shape == (256, 68)
+        assert dist["ioi"].shape == (256, 772)
+        assert dist["duration"].shape == (256, 1156)
 
     def test_softmax_normalization(self):
         model = small_model()
         dist = forward(model, make_segment(n_real=30))
-        for logits in (dist.vel_logits, dist.ioi_logits, dist.dur_logits):
+        for logits in dist.values():
             sums = softmax(logits).sum(axis=-1)
             assert np.all(np.abs(sums[:30] - 1.0) < 1e-6)
 
@@ -67,15 +65,15 @@ class TestForward:
         model = small_model()
         a = forward(model, make_segment(n_real=12, fill=5))
         b = forward(model, make_segment(n_real=12, fill=9))
-        assert np.array_equal(a.vel_logits[:12], b.vel_logits[:12])
-        assert np.array_equal(a.ioi_logits[:12], b.ioi_logits[:12])
-        assert np.array_equal(a.dur_logits[:12], b.dur_logits[:12])
+        assert np.array_equal(a["velocity"][:12], b["velocity"][:12])
+        assert np.array_equal(a["ioi"][:12], b["ioi"][:12])
+        assert np.array_equal(a["duration"][:12], b["duration"][:12])
 
     def test_performer_changes_logits(self):
         model = small_model()
         a = forward(model, make_segment(performer_id=0))
         b = forward(model, make_segment(performer_id=1))
-        assert not np.array_equal(a.vel_logits[:10], b.vel_logits[:10])
+        assert not np.array_equal(a["velocity"][:10], b["velocity"][:10])
 
     def test_performer_row_permutation(self):
         model = small_model()
@@ -86,14 +84,14 @@ class TestForward:
         for j in range(4):
             a = forward(permuted, make_segment(performer_id=j))
             b = forward(model, make_segment(performer_id=perm[j]))
-            assert np.array_equal(a.vel_logits, b.vel_logits)
+            assert np.array_equal(a["velocity"], b["velocity"])
 
     def test_bad_token_id_rejected(self):
         model = small_model()
         seg = make_segment()
-        bad = list(seg.tuples)
-        bad[0] = TokenTuple(95, 4, 4, 4, 4, 4)  # pitch vocab is 92
-        seg = TokenSegment(tuple(bad), seg.pad_mask, 0, 0)
+        bad = seg.ids.copy()
+        bad[0] = (95, 4, 4, 4, 4, 4)  # pitch vocab is 92
+        seg = TokenSegment(bad, seg.n_real, 0, 0)
         with pytest.raises(ValueError, match="pitch"):
             forward(model, seg)
 
@@ -107,7 +105,7 @@ class TestForward:
         seg = make_segment()
         a = forward(model, seg)
         b = forward(model, seg)
-        assert np.array_equal(a.vel_logits, b.vel_logits)
+        assert np.array_equal(a["velocity"], b["velocity"])
 
 
 class TestGradients:
@@ -203,7 +201,7 @@ class TestSamplerMatchesLoop:
     def test_sample(self, rows, widths, kind, temperature, top_p, seed):
         data_rng = np.random.default_rng(seed)
         vel, ioi, dur = (random_logits(data_rng, kind, rows, w) for w in widths)
-        dist = OutputDistributions(vel_logits=vel, ioi_logits=ioi, dur_logits=dur)
+        dist = {"velocity": vel, "ioi": ioi, "duration": dur}
         fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         assert sample(dist, temperature, top_p, fast) == loop_sample(dist, temperature, top_p, slow)
         assert fast.bit_generator.state == slow.bit_generator.state
@@ -225,7 +223,7 @@ class TestSamplerMatchesLoop:
     ])
     def test_invalid_settings_raise_the_same_error(self, temperature, top_p):
         logits = np.random.default_rng(0).normal(size=(3, 10))
-        dist = OutputDistributions(vel_logits=logits, ioi_logits=logits, dur_logits=logits)
+        dist = {"velocity": logits, "ioi": logits, "duration": logits}
         with pytest.raises(ValueError) as want:
             loop_sample(dist, temperature, top_p, np.random.default_rng(0))
         with pytest.raises(ValueError) as got:
@@ -303,7 +301,7 @@ class TestCheckpoint:
         seg = make_segment(n_real=20)
         a = forward(load_checkpoint(save_checkpoint(model)), seg)
         b = forward(again, seg)
-        assert np.array_equal(a.vel_logits, b.vel_logits)
+        assert np.array_equal(a["velocity"], b["velocity"])
 
     @pytest.mark.parametrize("edit", [
         lambda ts: [t for t in ts if t["name"] != "emb_pitch"],

@@ -1,11 +1,16 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import tuple_prepare_batch
 from s2a.midi_io import NoteEvent, NoteSequence, TimeSignatureEvent
+from s2a.model import prepare_batch
 from s2a.tokenizer import (
     FEATURE_NAMES,
-    PAD_TUPLE,
+    PAD,
     SEGMENT_LEN,
     TokenTuple,
     VocabSpec,
@@ -162,8 +167,8 @@ def test_segment_concatenation_reproduces_piece():
     segments = segment(toks, performer_id=0)
     rebuilt = []
     for s in sorted(segments, key=lambda s: s.source_offset):
-        rebuilt.extend(t for t, real in zip(s.tuples, s.pad_mask) if real)
-    assert rebuilt == toks
+        rebuilt.extend(tuple(row) for row in s.ids[:s.n_real].tolist())
+    assert rebuilt == [t.as_tuple() for t in toks]
 
 
 class TestSegment:
@@ -177,7 +182,7 @@ class TestSegment:
         segs = segment([TokenTuple(4, 4, 4, 4, 4, 4)], performer_id=0)
         assert len(segs) == 1
         assert segs[0].n_real == 1
-        assert segs[0].tuples[1:] == (PAD_TUPLE,) * 255
+        assert segs[0].ids[1:].tolist() == [[PAD] * 6] * 255
 
     def test_300_tuples(self):
         toks = [TokenTuple(4 + i % 88, 4, 4, 4, 4, 4) for i in range(300)]
@@ -187,6 +192,33 @@ class TestSegment:
 
     def test_empty_stream(self):
         assert segment([], performer_id=0) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 700), performer_id=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=0, performer_id=0, seed=0)
+@example(n=256, performer_id=1, seed=1)
+@example(n=257, performer_id=2, seed=2)
+@example(n=700, performer_id=3, seed=3)
+def test_segment_ids_are_the_stream(n, performer_id, seed):
+    """Rows in stream order, PAD rows of 0 after n_real, and prepare_batch
+    equal to stacking the tuples one at a time."""
+    rng = np.random.default_rng(seed)
+    toks = [TokenTuple(*row) for row in rng.integers(0, VocabSpec().sizes(), size=(n, 6)).tolist()]
+    segs = segment(toks, performer_id)
+    assert [s.source_offset for s in segs] == list(range(0, n, SEGMENT_LEN))
+    assert [s.n_real for s in segs] == [min(SEGMENT_LEN, n - start)
+                                        for start in range(0, n, SEGMENT_LEN)]
+    for s in segs:
+        assert s.ids.dtype == np.int64 and s.ids.shape == (SEGMENT_LEN, 6)
+        window = toks[s.source_offset:s.source_offset + s.n_real]
+        assert s.ids[:s.n_real].tolist() == [list(t.as_tuple()) for t in window]
+        assert not s.ids[s.n_real:].any()
+        assert s.performer_id == performer_id
+    if segs:
+        got, want = prepare_batch(segs), tuple_prepare_batch(toks, performer_id)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_token_dump_round_trip():

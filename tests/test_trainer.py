@@ -5,7 +5,7 @@ import pytest
 
 from oracles import softmax_cross_entropy
 from s2a.model import M2MConfig, init_model
-from s2a.tokenizer import PAD_TUPLE, SEGMENT_LEN, TokenSegment, TokenTuple
+from s2a.tokenizer import PAD, SEGMENT_LEN, TokenSegment
 from s2a.trainer import (
     TaskWeights,
     TrainConfig,
@@ -24,11 +24,9 @@ def tiny_model(seed=0):
 
 def build_segment(vel, ioi, dur, performer_id=0):
     n = len(vel)
-    tuples = [TokenTuple(4 + i % 88, vel[i], dur[i], ioi[i], 4 + i % 384, 4)
-              for i in range(n)]
-    tuples += [PAD_TUPLE] * (SEGMENT_LEN - n)
-    mask = (True,) * n + (False,) * (SEGMENT_LEN - n)
-    return TokenSegment(tuple(tuples), mask, performer_id, 0)
+    ids = np.full((SEGMENT_LEN, 6), PAD, dtype=np.int64)
+    ids[:n] = [(4 + i % 88, vel[i], dur[i], ioi[i], 4 + i % 384, 4) for i in range(n)]
+    return TokenSegment(ids, n, performer_id, 0)
 
 
 def toy_dataset(n_segments=2, n_notes=32, seed=1):
