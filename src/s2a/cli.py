@@ -24,7 +24,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .align import DEFAULT_GAP_PENALTY, AlignmentMap, align_notes, check_gap_penalty
 from .checkpoint import load_checkpoint, save_checkpoint
-from .metrics import aggregate, chroma_mse, evaluate_m2m, spectrogram_mse
+from .metrics import evaluate_m2m
 from .midi_io import SMFParseError, parse_smf, resample_grid, write_smf
 from .model import M2MConfig, check_sampling, init_model, predict_performance
 from .synth import (check_sample_rate, chromagram, midi_spectrogram, render_audio, save_matrix,
@@ -183,7 +183,7 @@ def _load_manifest(data_dir: Path) -> dict:
     manifest = _read_json(path)
     if not (isinstance(manifest, dict) and isinstance(manifest.get("items"), list)
             and all(isinstance(item, dict) for item in manifest["items"])
-            and isinstance(manifest.get("n_performers"), int)):
+            and type(manifest.get("n_performers")) is int):
         raise DataError(f"{path}: need an 'items' list of objects and an integer 'n_performers'")
     return manifest
 
@@ -195,8 +195,8 @@ def _dataset_from_manifest(data_dir: Path, manifest: dict, split: str):
         if split != "all" and item.get("split", "train") != split:
             continue
         try:
-            if not 0 <= item["performer_id"] < n_performers:
-                raise ValueError(f"performer_id outside 0..{n_performers - 1}")
+            if not (type(item["performer_id"]) is int and 0 <= item["performer_id"] < n_performers):
+                raise ValueError(f"performer_id is not an integer in 0..{n_performers - 1}")
             score = resample_grid(read_midi(str(data_dir / item["score"])))
             perf = resample_grid(read_midi(str(data_dir / item["performance"])))
             amap = AlignmentMap.from_json((data_dir / item["alignment"]).read_text())
@@ -288,7 +288,6 @@ def cmd_evaluate(args, config) -> int:
         return EXIT_EMPTY
 
     triples = []
-    audio_pairs = []
     for name in matched:
         pred = resample_grid(read_midi(str(pred_dir / name)))
         target = resample_grid(read_midi(str(target_dir / name)))
@@ -302,23 +301,10 @@ def cmd_evaluate(args, config) -> int:
         else:
             amap = align_notes(pred, target)
         triples.append((pred, target, amap))
-        audio_pairs.append((pred, target))
-
-    report = evaluate_m2m(triples, labels=[Path(n).stem for n in matched])
-
-    chroma_values = []
-    spec_values = []
-    for row, (pred, target) in zip(report.item_rows, audio_pairs):
-        spec_p = midi_spectrogram(render_audio(pred))
-        spec_t = midi_spectrogram(render_audio(target))
-        s_mse = spectrogram_mse(spec_p, spec_t)
-        c_mse = chroma_mse(chromagram(spec_p), chromagram(spec_t))
-        row["chroma_mse"] = c_mse
-        row["spectrogram_mse"] = s_mse
-        chroma_values.append(c_mse)
-        spec_values.append(s_mse)
-    report.chroma_mse = aggregate(chroma_values)
-    report.spectrogram_mse = aggregate(spec_values)
+    try:
+        report = evaluate_m2m(triples, labels=[Path(n).stem for n in matched])
+    except ValueError as err:
+        raise DataError(str(err)) from err
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,8 +4,9 @@ Per-feature metrics over matched note pairs (token-id space): smoothed KL
 divergence of value histograms, Pearson correlation, and a dynamic time
 warping distance averaged over the warping path and normalized by the
 feature's vocabulary size. Audio-side metrics are plain mean square errors
-over chromagram and MIDI-spectrogram cells. Aggregation reports means with
-normal-approximation 95% confidence intervals.
+over chromagram and MIDI-spectrogram cells of both sides as the synthesizer
+renders them. Aggregation reports means with normal-approximation 95%
+confidence intervals.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .align import AlignmentMap
 from .midi_io import NoteSequence
-from .synth import Chromagram, Spectrogram
-from .tokenizer import N_SPECIALS, PREDICTED, SEGMENT_LEN, VocabSpec, tokenize
+from .synth import Chromagram, Spectrogram, chromagram, midi_spectrogram, render_audio
+from .tokenizer import N_SPECIALS, PREDICTED, SEGMENT_LEN, VOCAB, tokenize
 
 KLD_EPSILON = 1e-6
 
@@ -76,9 +77,7 @@ class MetricReport:
 
     def to_json(self) -> str:
         def enc(agg):
-            if agg is None:
-                return None
-            return {"mean": agg.mean, "ci95": agg.ci95, "n": agg.n, "n_missing": agg.n_missing}
+            return None if agg is None else asdict(agg)
 
         return json.dumps(
             {
@@ -263,10 +262,11 @@ def _matrix_mse(fa, fb, ra, rb, what: str) -> float:
 
 
 def aggregate(values: list[float]) -> Aggregate:
-    """Mean and 1.96 * standard-error 95% CI half-width (n >= 2)."""
+    """Mean and 1.96 * standard-error 95% CI half-width (n >= 2); the mean is
+    NaN when there are no values."""
     n = len(values)
     if n == 0:
-        raise ValueError("cannot aggregate zero values")
+        return Aggregate(mean=float("nan"), ci95=None, n=0)
     mean = float(np.mean(values))
     if n < 2:
         return Aggregate(mean=mean, ci95=None, n=n)
@@ -289,13 +289,12 @@ def matched_feature_sequences(
     for name, seq in (("pred", pred), ("target", target)):
         if seq.ppq != 96:
             raise ValueError(f"{name} must be on the 96-tick grid; apply resample_grid first")
-    vocab = VocabSpec()
     pred_toks = tokenize(pred.subset(i for i, _ in alignment.pairs), is_score=False)
     targ_toks = tokenize(target.subset(j for _, j in alignment.pairs), is_score=False)
     out = {}
     for feature in PREDICTED:
         attr = f"{feature}_tok"
-        size = vocab.size(feature)
+        size = VOCAB.size(feature)
         out[feature] = (
             FeatureSeq(tuple(getattr(t, attr) for t in pred_toks), feature, size),
             FeatureSeq(tuple(getattr(t, attr) for t in targ_toks), feature, size),
@@ -307,50 +306,54 @@ def evaluate_m2m(
     pairs: list[tuple[NoteSequence, NoteSequence, AlignmentMap]],
     labels: list[str] | None = None,
 ) -> MetricReport:
-    """Feature metrics over (predicted, target, alignment) triples.
+    """The report over (predicted, target, alignment) triples: every
+    ITEM_COLUMNS column of each item, and their aggregates.
 
-    Performance-wise values use each piece's full matched sequence;
-    segment-wise values use consecutive 256-note windows of it (final
-    partial window included). Constant sequences make correlation undefined
-    and are counted as missing rather than zero.
+    Feature metrics: performance-wise values use each piece's full matched
+    sequence; segment-wise values use consecutive 256-note windows of it
+    (final partial window included). Constant sequences make correlation
+    undefined and are counted as missing rather than zero. Audio metrics:
+    chroma and spectrogram MSE between both sides rendered by render_audio.
+    An item that cannot be scored (a side without notes, a matched pitch off
+    the piano) raises ValueError naming the item.
     """
-    perf_values = {f: {"kld": [], "correlation": [], "dtwd": []} for f in PREDICTED}
-    seg_values = {f: {"kld": [], "correlation": [], "dtwd": []} for f in PREDICTED}
-    perf_missing = {f: 0 for f in PREDICTED}
-    seg_missing = {f: 0 for f in PREDICTED}
     labels = labels or [f"item_{i:04d}" for i in range(len(pairs))]
-    item_rows = []
-
+    windows = {f: ([], []) for f in PREDICTED}  # (kld, dtwd, correlation) per window
+    report = MetricReport()
     for label, (pred, target, alignment) in zip(labels, pairs):
-        row: dict = {"item": label}
-        item_rows.append(row)
-        if not alignment.pairs:
-            continue
-        features = matched_feature_sequences(pred, target, alignment)
-        for feature, (p, q) in features.items():
+        try:
+            row = _item_row(pred, target, alignment, windows)
+        except ValueError as err:
+            raise ValueError(f"{label}: {err}") from err
+        report.item_rows.append({"item": label, **row})
+    for feature, (perf, seg) in windows.items():
+        report.performance_wise[feature] = _aggregate_row(perf)
+        report.segment_wise[feature] = _aggregate_row(seg)
+    report.chroma_mse = aggregate([row["chroma_mse"] for row in report.item_rows])
+    report.spectrogram_mse = aggregate([row["spectrogram_mse"] for row in report.item_rows])
+    return report
+
+
+def _item_row(pred, target, alignment, windows) -> dict:
+    """One item's metric columns; its windows are appended to windows."""
+    row = {}
+    if alignment.pairs:
+        for feature, (p, q) in matched_feature_sequences(pred, target, alignment).items():
             whole = _window_metrics(p, q)
             row[f"{feature}_kld"], row[f"{feature}_dtwd"], row[f"{feature}_correlation"] = whole
-            _accumulate(whole, perf_values[feature], perf_missing, feature)
-            if len(p.values) <= SEGMENT_LEN:
-                windows = [whole]
-            else:
-                windows = [
-                    _window_metrics(
-                        FeatureSeq(p.values[start:start + SEGMENT_LEN], feature, p.vocab_size),
-                        FeatureSeq(q.values[start:start + SEGMENT_LEN], feature, q.vocab_size),
-                    )
-                    for start in range(0, len(p.values), SEGMENT_LEN)
-                ]
-            for metrics in windows:
-                _accumulate(metrics, seg_values[feature], seg_missing, feature)
-
-    report = MetricReport(item_rows=item_rows)
-    for feature in PREDICTED:
-        report.performance_wise[feature] = _aggregate_row(
-            perf_values[feature], perf_missing[feature]
-        )
-        report.segment_wise[feature] = _aggregate_row(seg_values[feature], seg_missing[feature])
-    return report
+            perf, seg = windows[feature]
+            perf.append(whole)
+            seg.extend([whole] if len(p.values) <= SEGMENT_LEN else (
+                _window_metrics(
+                    FeatureSeq(p.values[start:start + SEGMENT_LEN], feature, p.vocab_size),
+                    FeatureSeq(q.values[start:start + SEGMENT_LEN], feature, q.vocab_size),
+                )
+                for start in range(0, len(p.values), SEGMENT_LEN)
+            ))
+    spec_p, spec_t = (midi_spectrogram(render_audio(seq)) for seq in (pred, target))
+    row["chroma_mse"] = chroma_mse(chromagram(spec_p), chromagram(spec_t))
+    row["spectrogram_mse"] = spectrogram_mse(spec_p, spec_t)
+    return row
 
 
 def _window_metrics(p: FeatureSeq, q: FeatureSeq) -> tuple[float, float, float | None]:
@@ -362,25 +365,12 @@ def _window_metrics(p: FeatureSeq, q: FeatureSeq) -> tuple[float, float, float |
     return kld(p, q), dtwd(p, q), correlation
 
 
-def _accumulate(metrics: tuple, sink: dict, missing: dict, feature: str) -> None:
-    kld_value, dtwd_value, correlation = metrics
-    sink["kld"].append(kld_value)
-    sink["dtwd"].append(dtwd_value)
-    if correlation is None:
-        missing[feature] += 1
-    else:
-        sink["correlation"].append(correlation)
-
-
-def _aggregate_row(values: dict, n_missing: int) -> dict[str, Aggregate]:
-    row = {}
-    for metric, vals in values.items():
-        if not vals:
-            row[metric] = Aggregate(mean=float("nan"), ci95=None, n=0,
-                                    n_missing=n_missing if metric == "correlation" else 0)
-            continue
-        agg = aggregate(vals)
-        if metric == "correlation":
-            agg = Aggregate(agg.mean, agg.ci95, agg.n, n_missing)
-        row[metric] = agg
-    return row
+def _aggregate_row(windows: list[tuple[float, float, float | None]]) -> dict[str, Aggregate]:
+    """kld, correlation and dtwd aggregates; undefined correlations count as missing."""
+    correlations = [c for _, _, c in windows if c is not None]
+    return {
+        "kld": aggregate([k for k, _, _ in windows]),
+        "correlation": replace(aggregate(correlations),
+                               n_missing=len(windows) - len(correlations)),
+        "dtwd": aggregate([d for _, d, _ in windows]),
+    }

@@ -71,6 +71,9 @@ class VocabSpec:
         return tuple(getattr(self, name) for name in FEATURE_NAMES)
 
 
+VOCAB = VocabSpec()  # the only spec __post_init__ accepts
+
+
 @dataclass(frozen=True)
 class TokenTuple:
     pitch_tok: int
@@ -133,13 +136,12 @@ def _clamp(value: int, lo: int, hi: int) -> int:
     return max(lo, min(hi, value))
 
 
-def tokenize(seq: NoteSequence, is_score: bool, vocab: VocabSpec | None = None) -> list[TokenTuple]:
+def tokenize(seq: NoteSequence, is_score: bool) -> list[TokenTuple]:
     """Tokenize a 96-ticks-per-beat NoteSequence in canonical note order.
 
     Score sequences get their velocity forced to the constant 60 so notation
     without dynamics tokenizes identically to exported score MIDI.
     """
-    vocab = vocab or VocabSpec()
     if seq.ppq != TICKS_PER_BEAT:
         raise ValueError(
             f"sequence must be resampled to {TICKS_PER_BEAT} ticks per beat, got ppq={seq.ppq}"
@@ -158,10 +160,10 @@ def tokenize(seq: NoteSequence, is_score: bool, vocab: VocabSpec | None = None) 
             TokenTuple(
                 pitch_tok=N_SPECIALS + (note.pitch - PITCH_MIN),
                 velocity_tok=N_SPECIALS + velocity // 2,
-                duration_tok=N_SPECIALS + _clamp(note.duration_ticks, 1, vocab.n_values("duration")) - 1,
-                ioi_tok=N_SPECIALS + _clamp(ioi, 0, vocab.n_values("ioi") - 1),
-                position_tok=N_SPECIALS + _clamp(position, 0, vocab.n_values("position") - 1),
-                bar_tok=N_SPECIALS + _clamp(bar, 0, vocab.n_values("bar") - 1),
+                duration_tok=N_SPECIALS + _clamp(note.duration_ticks, 1, VOCAB.n_values("duration")) - 1,
+                ioi_tok=N_SPECIALS + _clamp(ioi, 0, VOCAB.n_values("ioi") - 1),
+                position_tok=N_SPECIALS + _clamp(position, 0, VOCAB.n_values("position") - 1),
+                bar_tok=N_SPECIALS + _clamp(bar, 0, VOCAB.n_values("bar") - 1),
             )
         )
         prev_onset = note.onset_ticks

@@ -14,7 +14,7 @@ from test_model import edit_manifest
 from s2a.align import DEFAULT_GAP_PENALTY
 from s2a.checkpoint import MAGIC, save_checkpoint
 from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, build_parser, main
-from s2a.midi_io import parse_smf
+from s2a.midi_io import NoteEvent, NoteSequence, parse_smf, write_smf
 from s2a.model import M2MConfig, init_model
 from s2a.synth import load_matrix, midi_spectrogram, read_wav, render_audio, write_wav
 from s2a.tokenizer import SCORE_VELOCITY
@@ -185,6 +185,15 @@ class TestSynth:
         assert (tmp_path / "out.chroma.f32").exists()
 
 
+def evaluate_pair(root, pred, target):
+    """s2a evaluate of one file of pred notes against one of target notes, under root."""
+    for side, notes in (("pred", pred), ("target", target)):
+        (root / side).mkdir()
+        (root / side / "x.mid").write_bytes(write_smf(NoteSequence(96, tuple(notes))))
+    return run("evaluate", "--pred", str(root / "pred"), "--target", str(root / "target"),
+               "--out-dir", str(root / "r"))
+
+
 class TestEvaluate:
     def test_pred_equals_target_perfect(self, tmp_path):
         corpus = make_corpus(tmp_path, pieces=2, notes=50)
@@ -278,6 +287,30 @@ class TestEvaluate:
                    "--out-dir", str(tmp_path / "report"), "--alignments", str(aligns))
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("pred, target", [
+        ([], [NoteEvent(i * 96, 96, 60, 64) for i in range(10)]),
+        ([NoteEvent(0, 96, 10, 64), NoteEvent(96, 96, 60, 64)],
+         [NoteEvent(0, 96, 10, 64), NoteEvent(96, 96, 60, 64)]),
+    ], ids=["empty-side", "pitch-off-piano"])
+    def test_unscorable_item_is_data_error(self, tmp_path, capsys, pred, target):
+        assert evaluate_pair(tmp_path, pred, target) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: x: ")
+        assert not (tmp_path / "r").exists()
+
+
+notes_lists = st.lists(st.builds(NoteEvent, st.integers(0, 400), st.integers(1, 400),
+                                 st.integers(0, 127), st.integers(1, 127)), max_size=6)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pred=notes_lists, target=notes_lists)
+def test_evaluate_any_short_notes_gives_ok_or_data_error(tmp_path, pred, target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # evaluate warns on length mismatches
+        code = evaluate_pair(Path(tempfile.mkdtemp(dir=tmp_path)), pred, target)
+    assert code in (EXIT_OK, EXIT_DATA)
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self):
@@ -310,9 +343,12 @@ class TestExitCodes:
         lambda m: {**m, "items": [{k: v for k, v in m["items"][0].items() if k != "alignment"}]},
         lambda m: {**m, "items": [{**m["items"][0], "alignment": "none.json"}]},
         lambda m: {**m, "items": [{**m["items"][0], "performer_id": m["n_performers"]}]},
+        lambda m: {**m, "n_performers": True},
+        lambda m: {**m, "items": [{**m["items"][0], "performer_id": 0.5}]},
+        lambda m: {**m, "n_performers": 2, "items": [{**m["items"][0], "performer_id": True}]},
     ], ids=["not-json", "not-object", "no-items", "no-performers", "performers-not-int",
             "items-not-list", "item-not-object", "item-missing-key", "alignment-missing",
-            "performer-out-of-range"])
+            "performer-out-of-range", "performers-bool", "performer-float", "performer-bool"])
     def test_bad_manifest_is_data_error(self, tmp_path, edit):
         data = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
         manifest = edit(json.loads((data / "manifest.json").read_text()))

@@ -24,7 +24,7 @@ from s2a.metrics import (
 )
 from s2a.tokenizer import SEGMENT_LEN
 from s2a.midi_io import NoteEvent, NoteSequence
-from s2a.synth import Chromagram, Spectrogram
+from s2a.synth import Chromagram, Spectrogram, chromagram, midi_spectrogram, render_audio
 
 
 def fseq(values, feature="velocity", vocab_size=68):
@@ -255,6 +255,11 @@ class TestAggregate:
         assert agg.mean == 5.0
         assert agg.ci95 is None
 
+    def test_no_values_nan_mean(self):
+        agg = aggregate([])
+        assert math.isnan(agg.mean)
+        assert (agg.ci95, agg.n, agg.n_missing) == (None, 0, 0)
+
 
 def grid_seq(notes):
     return NoteSequence(ppq=96, notes=tuple(notes))
@@ -344,6 +349,14 @@ def test_report_equals_direct_computation_of_every_window():
         for k, metric in enumerate(("kld", "dtwd", "correlation")):
             assert report.performance_wise[feature][metric] == aggregate([v[k] for v in perf])
             assert report.segment_wise[feature][metric] == aggregate([v[k] for v in seg])
+    chroma, spec = [], []
+    for row, (pred, target, _) in zip(report.item_rows, triples):
+        spec_p, spec_t = (midi_spectrogram(render_audio(seq)) for seq in (pred, target))
+        spec.append(spectrogram_mse(spec_p, spec_t))
+        chroma.append(chroma_mse(chromagram(spec_p), chromagram(spec_t)))
+        assert (row["chroma_mse"], row["spectrogram_mse"]) == (chroma[-1], spec[-1])
+    assert report.chroma_mse == aggregate(chroma)
+    assert report.spectrogram_mse == aggregate(spec)
 
 
 def test_matched_feature_sequences_requires_grid():
