@@ -1,22 +1,18 @@
 """Note-wise score/performance alignment.
 
 Global sequence alignment (Needleman-Wunsch) over the canonical note orders:
-a pair may only match notes of equal pitch, every skipped note costs a gap
-penalty, and among equal-score alignments the one minimizing the summed
-onset distance (in beats) over matched pairs wins. The result is monotone
-and crossing-free by construction.
+of the alignments that match the most pairs of equal-pitch notes, the one
+with the least summed onset distance (in beats) over its pairs wins. The
+result is monotone and crossing-free by construction.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain
 
 from .midi_io import NoteSequence
-
-DEFAULT_GAP_PENALTY = 0.5
 
 
 @dataclass(frozen=True)
@@ -68,79 +64,46 @@ class AlignmentMap:
         return cls(pairs, *unmatched)
 
 
-def check_gap_penalty(gap_penalty: float) -> None:
-    """ValueError unless gap_penalty is finite."""
-    if not math.isfinite(gap_penalty):
-        raise ValueError(f"gap_penalty must be finite, got {gap_penalty}")
-
-
-def align_notes(
-    score: NoteSequence, perf: NoteSequence, gap_penalty: float = DEFAULT_GAP_PENALTY
-) -> AlignmentMap:
+def align_notes(score: NoteSequence, perf: NoteSequence) -> AlignmentMap:
     """Align score notes to performance notes.
 
-    Cell values are (score, -onset_cost) compared lexicographically: maximize
-    the number of matches minus gap costs first, then minimize the summed
-    |onset difference| in beats over the matched pairs. Traceback prefers
-    diagonal, then score-gap, then perf-gap when still tied. ValueError for
-    a non-finite gap_penalty.
+    The result matches the most pairs of equal-pitch notes and, among such
+    alignments, has the least summed |onset difference| in beats over its
+    pairs. Cell values are (matches, -onset_cost) compared as tuples; when
+    still tied, the traceback prefers a match, then skipping the score note,
+    then skipping the performance note.
     """
-    check_gap_penalty(gap_penalty)
     s_notes, p_notes = score.notes, perf.notes
     n, m = len(s_notes), len(p_notes)
-    if n == 0 or m == 0:
-        return AlignmentMap(
-            pairs=(),
-            unmatched_score=tuple(range(n)),
-            unmatched_perf=tuple(range(m)),
-        )
-
     s_beats = [note.onset_ticks / score.ppq for note in s_notes]
     p_beats = [note.onset_ticks / perf.ppq for note in p_notes]
 
-    NEG = float("-inf")
-    # score[i][j], cost[i][j]: best over alignments of s[:i] vs p[:j]
-    best = [[NEG] * (m + 1) for _ in range(n + 1)]
-    cost = [[0.0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        best[i][0] = -gap_penalty * i
-    for j in range(m + 1):
-        best[0][j] = -gap_penalty * j
-
+    # best[i][j]: (matches, -onset_cost) of the best alignment of s[:i] vs p[:j]
+    best = [[(0, 0.0)] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         row, prev = best[i], best[i - 1]
-        crow, cprev = cost[i], cost[i - 1]
-        si = s_notes[i - 1].pitch
-        sb = s_beats[i - 1]
+        pitch, beat = s_notes[i - 1].pitch, s_beats[i - 1]
         for j in range(1, m + 1):
-            b, c = prev[j] - gap_penalty, cprev[j]  # skip score note
-            b2, c2 = row[j - 1] - gap_penalty, crow[j - 1]  # skip perf note
-            if (b2, -c2) > (b, -c):
-                b, c = b2, c2
-            if si == p_notes[j - 1].pitch:
-                b3 = prev[j - 1] + 1.0
-                c3 = cprev[j - 1] + abs(sb - p_beats[j - 1])
-                if (b3, -c3) > (b, -c):
-                    b, c = b3, c3
-            row[j], crow[j] = b, c
+            key = max(prev[j], row[j - 1])
+            if pitch == p_notes[j - 1].pitch:
+                k, c = prev[j - 1]
+                key = max(key, (k + 1, c - abs(beat - p_beats[j - 1])))
+            row[j] = key
 
     pairs = []
     i, j = n, m
     while i > 0 and j > 0:
-        here = (best[i][j], -cost[i][j])
+        here = best[i][j]
         if s_notes[i - 1].pitch == p_notes[j - 1].pitch:
-            diag = (
-                best[i - 1][j - 1] + 1.0,
-                -(cost[i - 1][j - 1] + abs(s_beats[i - 1] - p_beats[j - 1])),
-            )
-            if diag == here:
+            k, c = best[i - 1][j - 1]
+            if (k + 1, c - abs(s_beats[i - 1] - p_beats[j - 1])) == here:
                 pairs.append((i - 1, j - 1))
                 i, j = i - 1, j - 1
                 continue
-        if (best[i - 1][j] - gap_penalty, -cost[i - 1][j]) == here:
+        if best[i - 1][j] == here:
             i -= 1
-            continue
-        j -= 1
+        else:
+            j -= 1
     pairs.reverse()
 
     matched_s = {i for i, _ in pairs}

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus as corpus_mod
-from .align import DEFAULT_GAP_PENALTY, AlignmentMap, align_notes, check_gap_penalty
+from .align import AlignmentMap, align_notes
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import evaluate_m2m
 from .midi_io import SMFParseError, parse_smf, resample_grid, write_smf
@@ -54,7 +54,6 @@ SETTINGS = {
                                                        seed=INT)),
 }
 KEYWORDS = {"pieces": "n_pieces", "notes": "notes_per_piece", "performers": "n_performers"}
-CLI_DEFAULTS = {("train", "max_epochs"): 10}  # TrainConfig's is 1
 
 log = logging.getLogger("s2a")
 
@@ -119,8 +118,7 @@ def resolve(args, config: dict, section: str) -> dict:
         keyword = KEYWORDS.get(key, key)
         value = getattr(args, key, None)
         if value is None:
-            value = config.get(section, {}).get(
-                key, CLI_DEFAULTS.get((section, key), defaults[keyword].default))
+            value = config.get(section, {}).get(key, defaults[keyword].default)
         kwargs[keyword] = value
     return kwargs
 
@@ -166,10 +164,9 @@ def cmd_tokenize(args, config) -> int:
 
 
 def cmd_align(args, config) -> int:
-    _usage(check_gap_penalty, args.gap_penalty)
     score = resample_grid(read_midi(args.score))
     perf = resample_grid(read_midi(args.performance))
-    amap = align_notes(score, perf, gap_penalty=args.gap_penalty)
+    amap = align_notes(score, perf)
     Path(args.out).write_text(amap.to_json())
     print(
         f"align: {len(amap.pairs)} matched, {len(amap.unmatched_score)} score-only, "
@@ -343,7 +340,6 @@ def build_parser() -> _Parser:
     p.add_argument("--score", required=True)
     p.add_argument("--performance", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gap-penalty", type=float, default=DEFAULT_GAP_PENALTY)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("train", help="train the renderer on a demo-data corpus")

@@ -21,6 +21,7 @@ import numpy as np
 
 from .align import AlignmentMap
 from .midi_io import (
+    TICKS_PER_BEAT,
     NoteEvent,
     NoteSequence,
     TempoEvent,
@@ -29,7 +30,6 @@ from .midi_io import (
 )
 from .tokenizer import (
     SCORE_VELOCITY,
-    TICKS_PER_BEAT,
     TokenSegment,
     segment as segment_tokens,
     tokenize,

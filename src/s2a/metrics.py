@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .align import AlignmentMap
-from .midi_io import NoteSequence
+from .midi_io import TICKS_PER_BEAT, NoteSequence
 from .synth import Chromagram, Spectrogram, chromagram, midi_spectrogram, render_audio
 from .tokenizer import N_SPECIALS, PREDICTED, SEGMENT_LEN, VOCAB, tokenize
 
@@ -287,7 +287,7 @@ def matched_feature_sequences(
     measured between consecutive matched notes on each side.
     """
     for name, seq in (("pred", pred), ("target", target)):
-        if seq.ppq != 96:
+        if seq.ppq != TICKS_PER_BEAT:
             raise ValueError(f"{name} must be on the 96-tick grid; apply resample_grid first")
     pred_toks = tokenize(pred.subset(i for i, _ in alignment.pairs), is_score=False)
     targ_toks = tokenize(target.subset(j for _, j in alignment.pairs), is_score=False)

@@ -12,6 +12,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 
+TICKS_PER_BEAT = 96  # the grid every sequence is resampled onto
 DEFAULT_TEMPO_US = 500000  # microseconds per quarter note (120 bpm)
 SUSTAIN_CONTROLLER = 64
 MAX_VLQ = 0x0FFFFFFF
@@ -402,16 +403,17 @@ def _round_half_up(x: float) -> int:
     return int(x + 0.5)
 
 
-def resample_grid(seq: NoteSequence, target_ticks_per_beat: int = 96) -> NoteSequence:
-    """Rescale all tick values onto a new beats grid (quarter note = beat).
+def resample_grid(seq: NoteSequence) -> NoteSequence:
+    """Rescale all tick values onto the TICKS_PER_BEAT grid (quarter note = beat).
 
-    Onsets and durations are scaled by target/ppq with round-half-up;
+    Onsets and durations are scaled by TICKS_PER_BEAT/ppq with round-half-up;
     durations are clamped to >= 1. Tempo, time-signature, and sustain ticks
-    are rescaled the same way so bar arithmetic stays consistent.
+    are rescaled the same way so bar arithmetic stays consistent. A sequence
+    already on the grid is returned as it is.
     """
-    if target_ticks_per_beat <= 0:
-        raise ValueError("target_ticks_per_beat must be > 0")
-    scale = target_ticks_per_beat / seq.ppq
+    if seq.ppq == TICKS_PER_BEAT:
+        return seq
+    scale = TICKS_PER_BEAT / seq.ppq
     notes = tuple(
         NoteEvent(
             onset_ticks=_round_half_up(n.onset_ticks * scale),
@@ -431,7 +433,7 @@ def resample_grid(seq: NoteSequence, target_ticks_per_beat: int = 96) -> NoteSeq
     )
     sustain = tuple((_round_half_up(t * scale), v) for t, v in seq.sustain_events)
     return NoteSequence(
-        ppq=target_ticks_per_beat,
+        ppq=TICKS_PER_BEAT,
         notes=notes,
         tempi=tempi,
         time_signatures=sigs,

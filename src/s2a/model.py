@@ -489,10 +489,10 @@ def predict_performance(
     map is carried over so the result plays back at the notated tempo.
     A Generator given as seed is drawn from as it is.
     """
-    grid = resample_grid(score) if score.ppq != 96 else score
+    grid = resample_grid(score)
     tokens = tokenize(grid, is_score=True)
     if not tokens:
-        return NoteSequence(ppq=96, tempi=grid.tempi, time_signatures=grid.time_signatures)
+        return NoteSequence(ppq=grid.ppq, tempi=grid.tempi, time_signatures=grid.time_signatures)
     rng = np.random.default_rng(seed)
     vel: list[int] = []
     ioi: list[int] = []

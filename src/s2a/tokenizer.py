@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .midi_io import NoteEvent, NoteSequence, TimeSignatureEvent
+from .midi_io import TICKS_PER_BEAT, NoteEvent, NoteSequence, TimeSignatureEvent
 
 PAD, BOS, EOS, MASK = 0, 1, 2, 3
 N_SPECIALS = 4
 
-TICKS_PER_BEAT = 96
 SEGMENT_LEN = 256
 
 PITCH_MIN, PITCH_MAX = 21, 108

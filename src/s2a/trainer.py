@@ -51,7 +51,7 @@ class TaskWeights:
 class TrainConfig:
     learning_rate: float = 2e-5
     warmup_steps: int = 40
-    max_epochs: int = 1
+    max_epochs: int = 10
     batch_size: int = 4
     alpha: float = 1.5
     seed: int = 0

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from s2a.align import DEFAULT_GAP_PENALTY, AlignmentMap
+from s2a.align import AlignmentMap
 from s2a.midi_io import NoteSequence
 from s2a.model import (
     ARGMAX_TEMPERATURE,
@@ -48,60 +50,49 @@ def scalar_dtw_path_cost(x: list[float], y: list[float]) -> tuple[float, int]:
     return float(cost[n, m]), int(length[n, m])
 
 
+def _onset_distance(score: NoteSequence, perf: NoteSequence, i: int, j: int) -> Fraction:
+    return abs(Fraction(score.notes[i].onset_ticks, score.ppq)
+               - Fraction(perf.notes[j].onset_ticks, perf.ppq))
+
+
 def brute_force_align(
-    score: NoteSequence, perf: NoteSequence, gap_penalty: float = DEFAULT_GAP_PENALTY
-) -> tuple[tuple[float, float], list[tuple[tuple[int, int], ...]]]:
+    score: NoteSequence, perf: NoteSequence
+) -> tuple[tuple[int, Fraction], list[tuple[tuple[int, int], ...]]]:
     """Exhaustive optimum over all monotone pitch-preserving matchings.
 
-    Returns the best (score, onset_cost) under the same lexicographic
-    objective as align_notes, together with every matching achieving it.
-    Exponential; only for short sequences.
+    Returns the best (matches, onset_cost) under the objective of
+    align_notes (most matches, then least onset cost), computed exactly in
+    Fractions, together with every matching achieving it. Exponential; only
+    for short sequences.
     """
-    s_notes, p_notes = score.notes, perf.notes
-    s_beats = [note.onset_ticks / score.ppq for note in s_notes]
-    p_beats = [note.onset_ticks / perf.ppq for note in p_notes]
-    n, m = len(s_notes), len(p_notes)
+    n, m = len(score.notes), len(perf.notes)
 
     def matchings(i: int, j: int):
-        if i == n or j == m:
-            gaps = (n - i) + (m - j)
-            yield ((-gap_penalty * gaps, 0.0), ())
+        """Each matching of score[i:] to perf[j:] once: note i unmatched, or
+        paired with a later performance note of its pitch."""
+        if i == n:
+            yield ()
             return
-        for (b, c), pairs in matchings(i + 1, j):
-            yield ((b - gap_penalty, c), pairs)
-        for (b, c), pairs in matchings(i, j + 1):
-            yield ((b - gap_penalty, c), pairs)
-        if s_notes[i].pitch == p_notes[j].pitch:
-            d = abs(s_beats[i] - p_beats[j])
-            for (b, c), pairs in matchings(i + 1, j + 1):
-                yield ((b + 1.0, c + d), ((i, j),) + pairs)
+        yield from matchings(i + 1, j)
+        for k in range(j, m):
+            if score.notes[i].pitch == perf.notes[k].pitch:
+                for pairs in matchings(i + 1, k + 1):
+                    yield ((i, k),) + pairs
 
-    best_key = None
-    optima: set[tuple[tuple[int, int], ...]] = set()
-    for (b, c), pairs in matchings(0, 0):
-        key = (b, -c)
-        if best_key is None or key > best_key:
-            best_key = key
-            optima = {pairs}
-        elif key == best_key:
-            optima.add(pairs)
-    assert best_key is not None
-    return (best_key[0], -best_key[1]), sorted(optima)
+    by_key: dict[tuple[int, Fraction], set] = {}
+    for pairs in matchings(0, 0):
+        cost = sum((_onset_distance(score, perf, i, j) for i, j in pairs), Fraction(0))
+        by_key.setdefault((-len(pairs), cost), set()).add(pairs)
+    key = min(by_key)
+    return (-key[0], key[1]), sorted(by_key[key])
 
 
 def alignment_objective(
-    score: NoteSequence,
-    perf: NoteSequence,
-    alignment: AlignmentMap,
-    gap_penalty: float = DEFAULT_GAP_PENALTY,
-) -> tuple[float, float]:
-    """(score, onset_cost) achieved by a given alignment."""
-    total = len(alignment.unmatched_score) + len(alignment.unmatched_perf)
-    onset_cost = sum(
-        abs(score.notes[i].onset_ticks / score.ppq - perf.notes[j].onset_ticks / perf.ppq)
-        for i, j in alignment.pairs
-    )
-    return (len(alignment.pairs) - gap_penalty * total, onset_cost)
+    score: NoteSequence, perf: NoteSequence, alignment: AlignmentMap
+) -> tuple[int, Fraction]:
+    """(matches, onset_cost) achieved by a given alignment, exactly."""
+    cost = sum((_onset_distance(score, perf, i, j) for i, j in alignment.pairs), Fraction(0))
+    return (len(alignment.pairs), cost)
 
 
 def scalar_render_audio(seq: NoteSequence, sample_rate: int) -> Waveform:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import alignment_objective, brute_force_align
 from s2a.align import AlignmentMap, align_notes
@@ -132,6 +134,32 @@ def test_matches_brute_force_on_short_sequences():
         assert achieved[0] == best[0]
         assert abs(achieved[1] - best[1]) < 1e-12
         assert result.pairs in optima
+
+
+def test_equal_match_counts_tie_break_on_onset_distance():
+    # two performance 61s, 1 and 0 beats from the score's: the closer one wins
+    score = seq_of([NoteEvent(192, 48, 61, 60)])
+    perf = seq_of(NoteEvent(t, 48, p, 60) for t, p in ((0, 50), (0, 52), (96, 61), (192, 61)))
+    assert align_notes(score, perf).pairs == ((0, 3),)
+
+
+@st.composite
+def short_sequence(draw, pitches):
+    ppq = draw(st.sampled_from([7, 96, 384, 480]))
+    notes = draw(st.lists(st.builds(NoteEvent, st.integers(0, 4 * ppq), st.just(1),
+                                    st.sampled_from(pitches), st.just(60)), max_size=7))
+    return seq_of(notes, ppq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reaches_the_exact_optimum(data):
+    pitches = list(range(60, 60 + data.draw(st.integers(1, 4))))
+    score, perf = data.draw(short_sequence(pitches)), data.draw(short_sequence(pitches))
+    result = align_notes(score, perf)
+    best, optima = brute_force_align(score, perf)
+    assert alignment_objective(score, perf, result) == best
+    assert result.pairs in optima
 
 
 class TestInvariants:

@@ -1,5 +1,6 @@
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -276,6 +277,20 @@ class TestResampleGrid:
         seq = NoteSequence(ppq=480, notes=(NoteEvent(0, 1, 60, 80),))
         out = resample_grid(seq)
         assert out.notes[0].duration_ticks == 1
+
+    def test_on_grid_is_unchanged(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            seq = replace(random_sequence(rng), ppq=96)
+            doubled = NoteSequence(
+                ppq=192,
+                notes=tuple(replace(n, onset_ticks=2 * n.onset_ticks,
+                                    duration_ticks=2 * n.duration_ticks) for n in seq.notes),
+                tempi=tuple(replace(e, tick=2 * e.tick) for e in seq.tempi),
+                time_signatures=tuple(replace(e, tick=2 * e.tick) for e in seq.time_signatures),
+                sustain_events=tuple((2 * t, v) for t, v in seq.sustain_events),
+            )
+            assert resample_grid(seq) == seq == resample_grid(doubled)
 
     def test_preserves_count_pitch_velocity(self):
         rng = random.Random(99)
