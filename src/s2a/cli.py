@@ -257,7 +257,10 @@ def cmd_synth(args, config) -> int:
     synth = resolve(args, config, "synth")
     _usage(check_sample_rate, **synth)
     seq = read_midi(args.input)
-    audio = render_audio(seq, **synth)
+    try:
+        audio = render_audio(seq, **synth)
+    except ValueError as err:
+        raise DataError(f"{args.input}: {err}") from err
     if len(audio.samples) == 0:
         print("synth: empty MIDI, writing zero-length WAV", file=sys.stderr)
     Path(args.out).write_bytes(write_wav(audio))

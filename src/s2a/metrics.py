@@ -16,7 +16,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -67,43 +67,26 @@ ITEM_COLUMNS = (
 
 @dataclass
 class MetricReport:
-    """Per-item metric rows plus aggregates at two granularities."""
+    """Aggregates at two granularities plus per-item metric rows, in the
+    order report.json lists them."""
 
-    item_rows: list[dict] = field(default_factory=list)
-    performance_wise: dict[str, dict[str, Aggregate]] = field(default_factory=dict)
-    segment_wise: dict[str, dict[str, Aggregate]] = field(default_factory=dict)
-    chroma_mse: Aggregate | None = None
-    spectrogram_mse: Aggregate | None = None
+    performance_wise: dict[str, dict[str, Aggregate]]
+    segment_wise: dict[str, dict[str, Aggregate]]
+    chroma_mse: Aggregate
+    spectrogram_mse: Aggregate
+    items: list[dict]
 
     def to_json(self) -> str:
-        def enc(agg):
-            return None if agg is None else asdict(agg)
-
-        return json.dumps(
-            {
-                "performance_wise": {
-                    f: {m: enc(a) for m, a in row.items()}
-                    for f, row in self.performance_wise.items()
-                },
-                "segment_wise": {
-                    f: {m: enc(a) for m, a in row.items()}
-                    for f, row in self.segment_wise.items()
-                },
-                "chroma_mse": enc(self.chroma_mse),
-                "spectrogram_mse": enc(self.spectrogram_mse),
-                "items": self.item_rows,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     def to_csv(self) -> str:
         """One row per evaluated item; missing metrics are left blank."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(ITEM_COLUMNS)
-        for row in self.item_rows:
+        for row in self.items:
             writer.writerow(
-                [row.get("item", "")]
+                [row["item"]]
                 + [
                     "" if row.get(col) is None else repr(row[col])
                     for col in ITEM_COLUMNS[1:]
@@ -115,7 +98,7 @@ class MetricReport:
         """Text summary shaped like the usual feature-by-metric table."""
 
         def cell(agg):
-            if agg is None or agg.n == 0:
+            if agg.n == 0:
                 return "-"
             if agg.ci95 is None:
                 return f"{agg.mean:.3f}"
@@ -127,17 +110,16 @@ class MetricReport:
         ]
         names = {"velocity": "Velocity", "ioi": "Inter-Onset Interval", "duration": "Duration"}
         for feat in PREDICTED:
-            p = self.performance_wise.get(feat, {})
-            s = self.segment_wise.get(feat, {})
+            p = self.performance_wise[feat]
+            s = self.segment_wise[feat]
             lines.append(
                 f"{names[feat]:<22}"
-                f"{cell(p.get('kld')):>16}{cell(p.get('correlation')):>16}{cell(p.get('dtwd')):>16}"
-                f"{cell(s.get('kld')):>16}{cell(s.get('correlation')):>16}{cell(s.get('dtwd')):>16}"
+                f"{cell(p['kld']):>16}{cell(p['correlation']):>16}{cell(p['dtwd']):>16}"
+                f"{cell(s['kld']):>16}{cell(s['correlation']):>16}{cell(s['dtwd']):>16}"
             )
-        if self.chroma_mse is not None or self.spectrogram_mse is not None:
-            lines.append("")
-            lines.append(f"{'Chroma MSE':<22}{cell(self.chroma_mse):>16}")
-            lines.append(f"{'Spectrogram MSE':<22}{cell(self.spectrogram_mse):>16}")
+        lines.append("")
+        lines.append(f"{'Chroma MSE':<22}{cell(self.chroma_mse):>16}")
+        lines.append(f"{'Spectrogram MSE':<22}{cell(self.spectrogram_mse):>16}")
         return "\n".join(lines)
 
 
@@ -319,19 +301,20 @@ def evaluate_m2m(
     """
     labels = labels or [f"item_{i:04d}" for i in range(len(pairs))]
     windows = {f: ([], []) for f in PREDICTED}  # (kld, dtwd, correlation) per window
-    report = MetricReport()
+    items = []
     for label, (pred, target, alignment) in zip(labels, pairs):
         try:
             row = _item_row(pred, target, alignment, windows)
         except ValueError as err:
             raise ValueError(f"{label}: {err}") from err
-        report.item_rows.append({"item": label, **row})
-    for feature, (perf, seg) in windows.items():
-        report.performance_wise[feature] = _aggregate_row(perf)
-        report.segment_wise[feature] = _aggregate_row(seg)
-    report.chroma_mse = aggregate([row["chroma_mse"] for row in report.item_rows])
-    report.spectrogram_mse = aggregate([row["spectrogram_mse"] for row in report.item_rows])
-    return report
+        items.append({"item": label, **row})
+    return MetricReport(
+        performance_wise={f: _aggregate_row(perf) for f, (perf, _) in windows.items()},
+        segment_wise={f: _aggregate_row(seg) for f, (_, seg) in windows.items()},
+        chroma_mse=aggregate([row["chroma_mse"] for row in items]),
+        spectrogram_mse=aggregate([row["spectrogram_mse"] for row in items]),
+        items=items,
+    )
 
 
 def _item_row(pred, target, alignment, windows) -> dict:

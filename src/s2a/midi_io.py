@@ -208,8 +208,8 @@ def parse_smf(data: bytes) -> NoteSequence:
     if division == 0:
         raise SMFParseError("zero ticks per quarter note", 12)
 
-    # (tick, track_idx, event_idx, kind, ...payload) rows; merge order is the
-    # stable sort over the first three fields.
+    # (tick, kind, ...payload) rows, appended track by track in event order;
+    # merge order is the stable sort on the tick.
     rows = []
     final_tick = 0
     for track_idx in range(n_tracks):
@@ -225,9 +225,9 @@ def parse_smf(data: bytes) -> NoteSequence:
             raise SMFParseError("track chunk extends past end of file", chunk_start)
         base = r.pos
         r.pos += chunk_len
-        final_tick = max(final_tick, _parse_track(body, base, track_idx, rows))
+        final_tick = max(final_tick, _parse_track(body, base, rows))
 
-    rows.sort(key=lambda row: (row[0], row[1], row[2]))
+    rows.sort(key=lambda row: row[0])
 
     notes: list[NoteEvent] = []
     tempi: list[TempoEvent] = []
@@ -236,23 +236,23 @@ def parse_smf(data: bytes) -> NoteSequence:
     open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     for row in rows:
-        tick, _, _, kind = row[:4]
+        tick, kind = row[:2]
         if kind == "on":
-            _, _, _, _, channel, pitch, velocity = row
+            _, _, channel, pitch, velocity = row
             open_notes.setdefault((channel, pitch), []).append((tick, velocity))
         elif kind == "off":
-            _, _, _, _, channel, pitch = row
+            _, _, channel, pitch = row
             queue = open_notes.get((channel, pitch))
             if queue:
                 onset, velocity = queue.pop(0)
                 notes.append(NoteEvent(onset, max(1, tick - onset), pitch, velocity, channel))
             # note-off without a matching note-on is silently dropped
         elif kind == "tempo":
-            tempi.append(TempoEvent(tick, row[4]))
+            tempi.append(TempoEvent(tick, row[2]))
         elif kind == "timesig":
-            sigs.append(TimeSignatureEvent(tick, row[4], row[5]))
+            sigs.append(TimeSignatureEvent(tick, row[2], row[3]))
         elif kind == "sustain":
-            sustain.append((tick, row[4]))
+            sustain.append((tick, row[2]))
 
     for (channel, pitch), queue in sorted(open_notes.items()):
         for onset, velocity in queue:
@@ -273,10 +273,9 @@ def parse_smf(data: bytes) -> NoteSequence:
     )
 
 
-def _parse_track(body: _Reader, base_offset: int, track_idx: int, rows: list) -> int:
+def _parse_track(body: _Reader, base_offset: int, rows: list) -> int:
     tick = 0
     running_status = None
-    event_idx = 0
     while body.remaining() > 0:
         tick += body.read_vlq()
         status = body.read_u8()
@@ -295,12 +294,12 @@ def _parse_track(body: _Reader, base_offset: int, track_idx: int, rows: list) ->
                 if length != 3 or not any(payload):
                     raise SMFParseError("tempo meta event must carry 3 bytes, not all zero",
                                         base_offset + body.pos)
-                rows.append((tick, track_idx, event_idx, "tempo", int.from_bytes(payload, "big")))
+                rows.append((tick, "tempo", int.from_bytes(payload, "big")))
             elif meta_type == 0x58:
                 if length < 2 or payload[0] < 1 or payload[1] > 6:
                     raise SMFParseError("time signature meta event too short or out of range",
                                         base_offset + body.pos)
-                rows.append((tick, track_idx, event_idx, "timesig", payload[0], payload[1]))
+                rows.append((tick, "timesig", payload[0], payload[1]))
             elif meta_type == 0x2F:
                 break
         elif status in (0xF0, 0xF7):
@@ -319,12 +318,11 @@ def _parse_track(body: _Reader, base_offset: int, track_idx: int, rows: list) ->
                     raise SMFParseError(f"data byte 0x{byte:02X} has the high bit set",
                                         base_offset + body.pos - len(data) + k)
             if kind == 0x90 and data[1] > 0:
-                rows.append((tick, track_idx, event_idx, "on", channel, data[0], data[1]))
+                rows.append((tick, "on", channel, data[0], data[1]))
             elif kind == 0x80 or (kind == 0x90 and data[1] == 0):
-                rows.append((tick, track_idx, event_idx, "off", channel, data[0]))
+                rows.append((tick, "off", channel, data[0]))
             elif kind == 0xB0 and data[0] == SUSTAIN_CONTROLLER:
-                rows.append((tick, track_idx, event_idx, "sustain", data[1]))
-        event_idx += 1
+                rows.append((tick, "sustain", data[1]))
     return tick
 
 

@@ -142,10 +142,10 @@ def init_model(config: M2MConfig) -> M2MModel:
 # ---------------------------------------------------------------------------
 # Numeric primitives
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def _layernorm_forward(x, gamma, beta):
@@ -317,9 +317,7 @@ def backward_batch(
         dsum, dg, db = _layernorm_backward(dh, lc["ln2"])
         grads[pre + "ln2_g"] += dg
         grads[pre + "ln2_b"] += db
-        dff_out = dsum.copy()
-        if "drop_ff" in lc:
-            dff_out *= lc["drop_ff"]
+        dff_out = dsum * lc["drop_ff"] if "drop_ff" in lc else dsum
         flat = dff_out.reshape(-1, cfg.d_model)
         grads[pre + "ff_w2"] += lc["act"].reshape(-1, cfg.d_ff).T @ flat
         grads[pre + "ff_b2"] += flat.sum(axis=0)
@@ -333,9 +331,7 @@ def backward_batch(
         dsum, dg, db = _layernorm_backward(dh, lc["ln1"])
         grads[pre + "ln1_g"] += dg
         grads[pre + "ln1_b"] += db
-        dout = dsum.copy()
-        if "drop_attn" in lc:
-            dout *= lc["drop_attn"]
+        dout = dsum * lc["drop_attn"] if "drop_attn" in lc else dsum
         flat = dout.reshape(-1, cfg.d_model)
         grads[pre + "wo"] += lc["ctx"].reshape(-1, cfg.d_model).T @ flat
         grads[pre + "bo"] += flat.sum(axis=0)
@@ -463,7 +459,7 @@ def sample(
     Special ids 0..3 are masked out before sampling; draws consume the
     generator feature by feature, positions in order.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     out = []
     for feature in PREDICTED:
         logits = dist[feature].copy()
@@ -487,8 +483,11 @@ def predict_performance(
     temperature/nucleus sampling. Pitches come verbatim from the score;
     velocity, IOI, and duration come only from the model. The score's tempo
     map is carried over so the result plays back at the notated tempo.
-    A Generator given as seed is drawn from as it is.
+    A Generator given as seed is drawn from as it is. ValueError for a
+    performer_id outside 0..n_performers - 1.
     """
+    if not 0 <= performer_id < model.config.n_performers:
+        raise ValueError(f"performer id outside 0..{model.config.n_performers - 1}: {performer_id}")
     grid = resample_grid(score)
     tokens = tokenize(grid, is_score=True)
     if not tokens:

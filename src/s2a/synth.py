@@ -2,9 +2,10 @@
 
 Additive synthesis stands in for a neural synthesizer: 8 harmonics per note
 with a 1/h^1.3 rolloff, pitch-dependent exponential decay, linear attack and
-release ramps, and peak normalization. The analysis side provides piano
-rolls, a 128-bin semitone-spaced (MIDI-scale) spectrogram, chromagrams, and
-9.6 s segmentation / cross-correlation stitching for audio produced in
+release ramps, and peak normalization; a render may last at most one hour.
+The analysis side provides a 128-bin semitone-spaced (MIDI-scale)
+spectrogram over 2048-sample Hann frames at a 512-sample hop, chromagrams,
+and 9.6 s segmentation / cross-correlation stitching for audio produced in
 fixed-length windows (render_audio has no window, so `s2a synth` uses none).
 """
 
@@ -34,9 +35,10 @@ SEGMENT_SECONDS = 9.6
 # an equal-power fade and by (1 - rho) / 2 for an equal-gain one, which
 # break even at rho = 1/3.
 EQUAL_GAIN_CORRELATION = 1 / 3
+MAX_AUDIO_SECONDS = 3600
 
-DEFAULT_FRAME_LEN = 2048
-DEFAULT_HOP = 512
+FRAME_LEN = 2048
+HOP = 512
 
 
 @dataclass(frozen=True)
@@ -96,24 +98,6 @@ def _note_times(seq: NoteSequence) -> list[tuple[float, float, int, int]]:
     ]
 
 
-def piano_roll(seq: NoteSequence, frame_rate: float) -> np.ndarray:
-    """T x 128 matrix: velocity/127 wherever a note sounds (max over overlaps)."""
-    if frame_rate <= 0:
-        raise ValueError("frame_rate must be > 0")
-    times = _note_times(seq)
-    if not times:
-        return np.zeros((0, 128))
-    end = max(off for _, off, _, _ in times)
-    n_frames = int(np.ceil(end * frame_rate))
-    roll = np.zeros((n_frames, 128))
-    for onset, offset, pitch, velocity in times:
-        first = int(np.floor(onset * frame_rate))
-        last = int(np.ceil(offset * frame_rate))
-        value = velocity / 127.0
-        roll[first:last, pitch] = np.maximum(roll[first:last, pitch], value)
-    return roll
-
-
 def _render_pitch(pitch: int, members: list, sample_rate: int, mixed: np.ndarray) -> None:
     """Write tone * envelope of each (start, n_samples, at, held, velocity)
     note of one pitch into mixed[at:at + n_samples]."""
@@ -164,13 +148,15 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     note-by-note loop would apply: the attack and release factors are exactly
     1.0 outside the ranges they are applied over, and the notes are mixed
     into the output in their original order. ValueError for a sample_rate
-    that is not > 0.
+    that is not > 0, or for a last release that ends past MAX_AUDIO_SECONDS.
     """
     check_sample_rate(sample_rate)
     times = _note_times(seq)
     if not times:
         return Waveform(np.zeros(0), sample_rate)
     total = max(off for _, off, _, _ in times) + RELEASE_SECONDS
+    if total > MAX_AUDIO_SECONDS:
+        raise ValueError(f"audio would last {total:.6g} s, past the {MAX_AUDIO_SECONDS} s limit")
     out = np.zeros(int(np.ceil(total * sample_rate)) + 1)
     notes = []  # (start, n_samples, at, held, velocity); at: offset into `mixed`
     by_pitch: dict[int, list[tuple]] = {}
@@ -196,23 +182,23 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
 # ---------------------------------------------------------------------------
 # Analysis
 
-def _stft_magnitude(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    if len(samples) < frame_len:
-        samples = np.pad(samples, (0, frame_len - len(samples)))
-    window = np.hanning(frame_len)
-    frames = np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop]
+def _stft_magnitude(samples: np.ndarray) -> np.ndarray:
+    if len(samples) < FRAME_LEN:
+        samples = np.pad(samples, (0, FRAME_LEN - len(samples)))
+    window = np.hanning(FRAME_LEN)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN)[::HOP]
     return np.abs(np.fft.rfft(frames * window, axis=1))
 
 
-def midi_filterbank(sample_rate: int, frame_len: int) -> np.ndarray:
+def midi_filterbank(sample_rate: int) -> np.ndarray:
     """[128, n_fft_bins] triangular filters, one per MIDI pitch.
 
     Each triangle peaks at its pitch's center frequency and reaches zero at
     the neighboring semitone centers, so any STFT bin feeds at most two
     adjacent filters. Filters centered at or above Nyquist stay all-zero.
     """
-    n_bins = frame_len // 2 + 1
-    freqs = np.fft.rfftfreq(frame_len, d=1.0 / sample_rate)
+    n_bins = FRAME_LEN // 2 + 1
+    freqs = np.fft.rfftfreq(FRAME_LEN, d=1.0 / sample_rate)
     bank = np.zeros((128, n_bins))
     nyquist = sample_rate / 2
     for m in range(128):
@@ -227,17 +213,14 @@ def midi_filterbank(sample_rate: int, frame_len: int) -> np.ndarray:
     return bank
 
 
-def midi_spectrogram(
-    w: Waveform, frame_len: int = DEFAULT_FRAME_LEN, hop: int = DEFAULT_HOP
-) -> Spectrogram:
-    """Magnitude STFT through the semitone filterbank, log(1+x) compressed."""
-    if not frame_len >= hop > 0:
-        raise ValueError("need frame_len >= hop > 0")
+def midi_spectrogram(w: Waveform) -> Spectrogram:
+    """Magnitude STFT (FRAME_LEN Hann frames every HOP samples) through the
+    semitone filterbank, log(1+x) compressed."""
     if len(w.samples) == 0:
-        return Spectrogram(np.zeros((0, 128)), w.sample_rate / hop)
-    mag = _stft_magnitude(w.samples, frame_len, hop)
-    bank = midi_filterbank(w.sample_rate, frame_len)
-    return Spectrogram(np.log1p(mag @ bank.T), w.sample_rate / hop)
+        return Spectrogram(np.zeros((0, 128)), w.sample_rate / HOP)
+    mag = _stft_magnitude(w.samples)
+    bank = midi_filterbank(w.sample_rate)
+    return Spectrogram(np.log1p(mag @ bank.T), w.sample_rate / HOP)
 
 
 def chromagram(s: Spectrogram) -> Chromagram:

@@ -101,7 +101,6 @@ class TokenSegment:
     ids: np.ndarray
     n_real: int
     performer_id: int
-    source_offset: int
 
     def __post_init__(self):
         if self.ids.shape != (SEGMENT_LEN, len(FEATURE_NAMES)):
@@ -214,15 +213,14 @@ def detokenize(
 
 def segment(tuples: list[TokenTuple], performer_id: int) -> list[TokenSegment]:
     """Cut a token stream into consecutive 256-note windows, in stream order,
-    PAD-filling the last one. source_offset records each window's first note
-    index."""
+    PAD-filling the last one."""
     rows = np.array([t.as_tuple() for t in tuples], dtype=np.int64).reshape(-1, len(FEATURE_NAMES))
     segments = []
     for start in range(0, len(rows), SEGMENT_LEN):
         window = rows[start:start + SEGMENT_LEN]
         ids = np.full((SEGMENT_LEN, len(FEATURE_NAMES)), PAD, dtype=np.int64)
         ids[:len(window)] = window
-        segments.append(TokenSegment(ids, len(window), performer_id, start))
+        segments.append(TokenSegment(ids, len(window), performer_id))
     return segments
 
 

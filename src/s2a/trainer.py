@@ -200,8 +200,7 @@ def train(
             perf_ids = performers[batch]
             targets = target_ids[batch]
 
-            rng = dropout_rng if model.config.dropout > 0 else None
-            logits, cache = forward_batch(model, ids, nonpad, perf_ids, train_rng=rng)
+            logits, cache = forward_batch(model, ids, nonpad, perf_ids, train_rng=dropout_rng)
 
             losses = []
             task_grads = []

@@ -1,15 +1,19 @@
-"""The s2a names the benchmark harness in perfbench/ reads still exist.
+"""The s2a names the benchmark harness in perfbench/ reads still exist, and
+each workload's op passes the harness's correctness check.
 
 perfbench/spans.py rebinds each TRACED (layer, function) pair and
 perfbench/workloads.py imports s2a names directly; a rename in src/ would
-only show when the benchmark runs. Both files are loaded by path and only
-read.
+only show when the benchmark runs. The perfbench files are loaded by path
+and only read.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,3 +49,18 @@ def test_guard_sees_a_renamed_function(monkeypatch):
 
     monkeypatch.delattr(s2a.synth, "segment_audio")
     assert missing_traced(load("spans").TRACED) == ["synth.segment_audio"]
+
+
+@pytest.mark.parametrize("name", load("run").WORKLOAD_NAMES)
+def test_op_zero_passes_the_benchmark_check(tmp_path, name):
+    """Op 0 at seed 0 reports no problem, and its values (train losses,
+    report.json numbers) are within tolerance of perfbench/reference.json.
+    Values, not sha256: the train bytes depend on the BLAS thread count."""
+    run = load("run")
+    reference = json.loads(run.REFERENCE.read_text())
+    assert reference["seed"] == 0
+    workload = load("workloads").WORKLOADS[name](tmp_path, 0)
+    workload.run(0)
+    result = workload.check(0)
+    assert result.problems == []
+    assert run.values_differ(result.values, reference["workloads"][name][0]["values"]) == []

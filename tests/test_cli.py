@@ -33,6 +33,15 @@ def make_corpus(tmp_path, pieces=2, notes=60, performers=2, seed=11):
     return out
 
 
+def far_note_midi() -> bytes:
+    """64 bytes: ppq 1 and tempo 0xFFFFFF (16.8 s a tick), with notes at ticks
+    0 and 0x0FFFFFF0, about 143 years apart."""
+    conductor = [vlq(0) + b"\xff\x51\x03\xff\xff\xff"]
+    notes = [vlq(0) + bytes([0x90, 60, 64]), vlq(1) + bytes([0x80, 60, 0]),
+             vlq(0x0FFFFFEF) + bytes([0x90, 60, 64]), vlq(1) + bytes([0x80, 60, 0])]
+    return smf([conductor, notes], ppq=1)
+
+
 def checkpoint_tail(header: bytes, tensors: bytes = b"") -> bytes:
     """Checkpoint bytes after the magic string: header length, header, tensors."""
     return struct.pack("<Q", len(header)) + header + tensors
@@ -184,6 +193,15 @@ class TestSynth:
         assert meta["shape"][1] == 128
         assert (tmp_path / "out.chroma.f32").exists()
 
+    def test_audio_past_an_hour_is_data_error(self, tmp_path, capsys):
+        midi = tmp_path / "far.mid"
+        midi.write_bytes(far_note_midi())
+        wav = tmp_path / "out.wav"
+        assert run("synth", "--in", str(midi), "--out", str(wav)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3600 s" in err
+        assert not wav.exists()
+
 
 def evaluate_pair(root, pred, target):
     """s2a evaluate of one file of pred notes against one of target notes, under root."""
@@ -295,6 +313,16 @@ class TestEvaluate:
     def test_unscorable_item_is_data_error(self, tmp_path, capsys, pred, target):
         assert evaluate_pair(tmp_path, pred, target) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: x: ")
+        assert not (tmp_path / "r").exists()
+
+    def test_audio_past_an_hour_is_data_error(self, tmp_path, capsys):
+        for side in ("pred", "target"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "x.mid").write_bytes(far_note_midi())
+        assert run("evaluate", "--pred", str(tmp_path / "pred"), "--target",
+                   str(tmp_path / "target"), "--out-dir", str(tmp_path / "r")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: x: ") and "3600 s" in err
         assert not (tmp_path / "r").exists()
 
 
@@ -490,12 +518,14 @@ class TestSettings:
         (None, ("evaluate", "--pred", "{c}/performances", "--target", "{c}/performances",
                 "--out-dir", "{w}/file")),
         (None, TRAIN + ("--epochs", "3", "--learning-rate", "1e300")),
+        (None, RENDER + ("--performer-id", "99999999999999999999")),
         ("[]", ("demo-data", "--out", "{o}/d")),
         ({"version": True}, ("demo-data", "--out", "{o}/d")),
         ('{"version": 1, "model": ' * 2000 + "}" * 2000, ("demo-data", "--out", "{o}/d")),
     ], ids=["tokenize-dir", "synth-dir", "synth-out", "align-out", "tokenize-out", "train-out",
             "demo-data-out", "render-out", "evaluate-out-dir", "training-diverges",
-            "config-not-object", "config-version-bool", "config-nested-deep"])
+            "performer-id-past-int64", "config-not-object", "config-version-bool",
+            "config-nested-deep"])
     def test_os_and_data_problems_are_data_errors(self, workspace, tmp_path, capsys,
                                                   config, argv):
         assert run_in(workspace, tmp_path, argv, config) == EXIT_DATA

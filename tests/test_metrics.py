@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -335,7 +336,7 @@ def test_report_equals_direct_computation_of_every_window():
     report = evaluate_m2m(triples, labels=["short", "long"])
     for feature in PREDICTED:
         perf, seg = [], []
-        for row, (pred, target, amap) in zip(report.item_rows, triples):
+        for row, (pred, target, amap) in zip(report.items, triples):
             p, q = matched_feature_sequences(pred, target, amap)[feature]
             whole = direct_window_metrics(p, q)
             assert tuple(row[f"{feature}_{m}"] for m in ("kld", "dtwd", "correlation")) == whole
@@ -350,7 +351,7 @@ def test_report_equals_direct_computation_of_every_window():
             assert report.performance_wise[feature][metric] == aggregate([v[k] for v in perf])
             assert report.segment_wise[feature][metric] == aggregate([v[k] for v in seg])
     chroma, spec = [], []
-    for row, (pred, target, _) in zip(report.item_rows, triples):
+    for row, (pred, target, _) in zip(report.items, triples):
         spec_p, spec_t = (midi_spectrogram(render_audio(seq)) for seq in (pred, target))
         spec.append(spectrogram_mse(spec_p, spec_t))
         chroma.append(chroma_mse(chromagram(spec_p), chromagram(spec_t)))
@@ -378,3 +379,13 @@ def test_report_serialization_round_trips_structurally():
     assert len(csv_lines) == 1 + 3  # one row per item
     table = report.summary_table()
     assert "Inter-Onset Interval" in table
+
+
+def test_report_json_key_order():
+    rng = random.Random(8)
+    pieces = [make_piece(rng, 20) for _ in range(2)]
+    report = evaluate_m2m([(p, p, align_notes(p, p)) for p in pieces])
+    doc = json.loads(report.to_json())
+    assert list(doc) == ["performance_wise", "segment_wise", "chroma_mse", "spectrogram_mse",
+                         "items"]
+    assert list(doc["chroma_mse"]) == ["mean", "ci95", "n", "n_missing"]

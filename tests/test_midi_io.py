@@ -1,5 +1,6 @@
 import random
 import struct
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -103,6 +104,16 @@ class TestParse:
         t2 = [vlq(0) + bytes([0x90, 50, 90]), vlq(50) + bytes([0x80, 50, 0])]
         seq = parse_smf(smf([t1, t2]))
         assert [n.pitch for n in seq.notes] == [50, 70]
+
+    def test_same_tick_events_merge_in_track_order(self):
+        # the note-on in track 0 and its note-off in track 1 share tick 100;
+        # taking the note-off first would leave the note open at end of file
+        t0 = [vlq(100) + bytes([0x90, 60, 80])]
+        t1 = [vlq(100) + bytes([0x80, 60, 0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = parse_smf(smf([t0, t1]))
+        assert seq.notes == (NoteEvent(100, 1, 60, 80),)
 
     def test_unmatched_note_on_closed_at_final_tick(self):
         track = [

@@ -43,7 +43,7 @@ def make_segment(n_real=10, performer_id=0, fill=5):
     i = np.arange(n_real)
     ids[:n_real] = np.stack([4 + i % 88, 4 + i % 64, 4 + i % 1152, 4 + i % 768,
                              4 + i % 384, 4 + i % 3000], axis=1)
-    return TokenSegment(ids=ids, n_real=n_real, performer_id=performer_id, source_offset=0)
+    return TokenSegment(ids=ids, n_real=n_real, performer_id=performer_id)
 
 
 class TestForward:
@@ -91,7 +91,7 @@ class TestForward:
         seg = make_segment()
         bad = seg.ids.copy()
         bad[0] = (95, 4, 4, 4, 4, 4)  # pitch vocab is 92
-        seg = TokenSegment(bad, seg.n_real, 0, 0)
+        seg = TokenSegment(bad, seg.n_real, 0)
         with pytest.raises(ValueError, match="pitch"):
             forward(model, seg)
 

@@ -7,6 +7,7 @@ from oracles import scalar_render_audio
 from s2a.corpus import SyntheticCorpusSpec, generate_corpus
 from s2a.midi_io import NoteEvent, NoteSequence, TempoEvent, parse_smf
 from s2a.synth import (
+    MAX_AUDIO_SECONDS,
     PEAK_LEVEL,
     Waveform,
     chromagram,
@@ -14,7 +15,6 @@ from s2a.synth import (
     midi_filterbank,
     midi_pitch_hz,
     midi_spectrogram,
-    piano_roll,
     read_wav,
     render_audio,
     segment_audio,
@@ -31,27 +31,6 @@ def one_note_seq(pitch=69, seconds=1.0, velocity=127):
         notes=(NoteEvent(0, ticks, pitch, velocity),),
         tempi=(TempoEvent(0, 500000),),
     )
-
-
-class TestPianoRoll:
-    def test_empty(self):
-        roll = piano_roll(NoteSequence(ppq=96), frame_rate=100)
-        assert roll.shape == (0, 128)
-
-    def test_one_second_note(self):
-        roll = piano_roll(one_note_seq(pitch=60, seconds=1.0), frame_rate=100)
-        assert roll.shape == (100, 128)
-        assert np.all(roll[:, 60] == 1.0)
-        assert roll.sum() == 100.0
-
-    def test_overlap_max_rule(self):
-        seq = NoteSequence(
-            ppq=96,
-            notes=(NoteEvent(0, 192, 60, 64), NoteEvent(0, 192, 60, 127)),
-            tempi=(TempoEvent(0, 500000),),
-        )
-        roll = piano_roll(seq, frame_rate=50)
-        assert np.all(roll[:, 60] == 1.0)
 
 
 class TestRenderAudio:
@@ -106,6 +85,17 @@ class TestRenderAudio:
         a = render_audio(seq)
         b = render_audio(seq)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_release_past_the_bound_is_rejected(self):
+        # 192 ticks per second: the note ends at the bound, its release 10 ms
+        # past it; a low sample rate keeps the render small if it ran
+        seq = NoteSequence(
+            ppq=96,
+            notes=(NoteEvent(MAX_AUDIO_SECONDS * 192 - 1, 1, 60, 64),),
+            tempi=(TempoEvent(0, 500000),),
+        )
+        with pytest.raises(ValueError, match="3600"):
+            render_audio(seq, sample_rate=100)
 
 
 @st.composite
@@ -188,12 +178,12 @@ class TestSpectrogram:
         assert np.all(s2.frames >= s1.frames - 1e-12)
 
     def test_filterbank_bins_touch_at_most_two_filters(self):
-        bank = midi_filterbank(24000, 2048)
+        bank = midi_filterbank(24000)
         touched = (bank > 0).sum(axis=0)
         assert touched.max() <= 2
 
     def test_filters_above_nyquist_are_zero(self):
-        bank = midi_filterbank(8000, 2048)
+        bank = midi_filterbank(8000)
         for m in range(128):
             if midi_pitch_hz(m) >= 4000:
                 assert np.all(bank[m] == 0)

@@ -166,7 +166,7 @@ def test_segment_concatenation_reproduces_piece():
     toks = tokenize(seq, is_score=False)
     segments = segment(toks, performer_id=0)
     rebuilt = []
-    for s in sorted(segments, key=lambda s: s.source_offset):
+    for s in segments:
         rebuilt.extend(tuple(row) for row in s.ids[:s.n_real].tolist())
     assert rebuilt == [t.as_tuple() for t in toks]
 
@@ -188,7 +188,10 @@ class TestSegment:
         toks = [TokenTuple(4 + i % 88, 4, 4, 4, 4, 4) for i in range(300)]
         segs = segment(toks, performer_id=0)
         assert [s.n_real for s in segs] == [256, 44]
-        assert [s.source_offset for s in segs] == [0, 256]
+        assert [s.ids[:s.n_real].tolist() for s in segs] == [
+            [list(t.as_tuple()) for t in toks[start:start + s.n_real]]
+            for start, s in zip((0, 256), segs)
+        ]
 
     def test_empty_stream(self):
         assert segment([], performer_id=0) == []
@@ -206,12 +209,11 @@ def test_segment_ids_are_the_stream(n, performer_id, seed):
     rng = np.random.default_rng(seed)
     toks = [TokenTuple(*row) for row in rng.integers(0, VocabSpec().sizes(), size=(n, 6)).tolist()]
     segs = segment(toks, performer_id)
-    assert [s.source_offset for s in segs] == list(range(0, n, SEGMENT_LEN))
-    assert [s.n_real for s in segs] == [min(SEGMENT_LEN, n - start)
-                                        for start in range(0, n, SEGMENT_LEN)]
-    for s in segs:
+    starts = range(0, n, SEGMENT_LEN)
+    assert [s.n_real for s in segs] == [min(SEGMENT_LEN, n - start) for start in starts]
+    for start, s in zip(starts, segs):
         assert s.ids.dtype == np.int64 and s.ids.shape == (SEGMENT_LEN, 6)
-        window = toks[s.source_offset:s.source_offset + s.n_real]
+        window = toks[start:start + s.n_real]
         assert s.ids[:s.n_real].tolist() == [list(t.as_tuple()) for t in window]
         assert not s.ids[s.n_real:].any()
         assert s.performer_id == performer_id

@@ -26,7 +26,7 @@ def build_segment(vel, ioi, dur, performer_id=0):
     n = len(vel)
     ids = np.full((SEGMENT_LEN, 6), PAD, dtype=np.int64)
     ids[:n] = [(4 + i % 88, vel[i], dur[i], ioi[i], 4 + i % 384, 4) for i in range(n)]
-    return TokenSegment(ids, n, performer_id, 0)
+    return TokenSegment(ids, n, performer_id)
 
 
 def toy_dataset(n_segments=2, n_notes=32, seed=1):
