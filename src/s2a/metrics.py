@@ -104,22 +104,23 @@ class MetricReport:
                 return f"{agg.mean:.3f}"
             return f"{agg.mean:.3f} +/- {agg.ci95:.3f}"
 
-        lines = [
-            f"{'Feature':<22}{'KLD (perf)':>16}{'Corr (perf)':>16}{'DTWD (perf)':>16}"
-            f"{'KLD (seg)':>16}{'Corr (seg)':>16}{'DTWD (seg)':>16}"
-        ]
+        def row(name, cells):
+            # Two spaces before every column keep a cell wider than 16
+            # characters apart from its neighbour.
+            return f"{name:<22}" + "".join(f"  {c:>16}" for c in cells)
+
+        metrics = ("kld", "correlation", "dtwd")
+        lines = [row("Feature", ["KLD (perf)", "Corr (perf)", "DTWD (perf)",
+                                 "KLD (seg)", "Corr (seg)", "DTWD (seg)"])]
         names = {"velocity": "Velocity", "ioi": "Inter-Onset Interval", "duration": "Duration"}
         for feat in PREDICTED:
             p = self.performance_wise[feat]
             s = self.segment_wise[feat]
-            lines.append(
-                f"{names[feat]:<22}"
-                f"{cell(p['kld']):>16}{cell(p['correlation']):>16}{cell(p['dtwd']):>16}"
-                f"{cell(s['kld']):>16}{cell(s['correlation']):>16}{cell(s['dtwd']):>16}"
-            )
+            lines.append(row(names[feat], [cell(p[m]) for m in metrics]
+                             + [cell(s[m]) for m in metrics]))
         lines.append("")
-        lines.append(f"{'Chroma MSE':<22}{cell(self.chroma_mse):>16}")
-        lines.append(f"{'Spectrogram MSE':<22}{cell(self.spectrogram_mse):>16}")
+        lines.append(row("Chroma MSE", [cell(self.chroma_mse)]))
+        lines.append(row("Spectrogram MSE", [cell(self.spectrogram_mse)]))
         return "\n".join(lines)
 
 

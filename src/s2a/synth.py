@@ -39,6 +39,7 @@ MAX_AUDIO_SECONDS = 3600
 
 FRAME_LEN = 2048
 HOP = 512
+SPECTROGRAM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -182,14 +183,6 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
 # ---------------------------------------------------------------------------
 # Analysis
 
-def _stft_magnitude(samples: np.ndarray) -> np.ndarray:
-    if len(samples) < FRAME_LEN:
-        samples = np.pad(samples, (0, FRAME_LEN - len(samples)))
-    window = np.hanning(FRAME_LEN)
-    frames = np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN)[::HOP]
-    return np.abs(np.fft.rfft(frames * window, axis=1))
-
-
 def midi_filterbank(sample_rate: int) -> np.ndarray:
     """[128, n_fft_bins] triangular filters, one per MIDI pitch.
 
@@ -215,12 +208,29 @@ def midi_filterbank(sample_rate: int) -> np.ndarray:
 
 def midi_spectrogram(w: Waveform) -> Spectrogram:
     """Magnitude STFT (FRAME_LEN Hann frames every HOP samples) through the
-    semitone filterbank, log(1+x) compressed."""
+    semitone filterbank, log(1+x) compressed.
+
+    Frames go through window, rFFT, magnitude and filterbank in blocks of
+    SPECTROGRAM_BLOCK to 2 * SPECTROGRAM_BLOCK - 1 rows, or as one block when
+    there are fewer, so memory is one block plus the result at any length.
+    No block is shorter: BLAS rounds a product of fewer than 8 rows
+    differently from the same rows inside a taller one, and the output must
+    not depend on where a block ends.
+    """
     if len(w.samples) == 0:
         return Spectrogram(np.zeros((0, 128)), w.sample_rate / HOP)
-    mag = _stft_magnitude(w.samples)
-    bank = midi_filterbank(w.sample_rate)
-    return Spectrogram(np.log1p(mag @ bank.T), w.sample_rate / HOP)
+    samples = w.samples
+    if len(samples) < FRAME_LEN:
+        samples = np.pad(samples, (0, FRAME_LEN - len(samples)))
+    frames = np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN)[::HOP]
+    window = np.hanning(FRAME_LEN)
+    bank_t = midi_filterbank(w.sample_rate).T
+    out = np.empty((len(frames), 128))
+    n_blocks = max(1, len(frames) // SPECTROGRAM_BLOCK)
+    for block, dest in zip(np.array_split(frames, n_blocks), np.array_split(out, n_blocks)):
+        dest[:] = np.abs(np.fft.rfft(block * window, axis=1)) @ bank_t
+    np.log1p(out, out=out)
+    return Spectrogram(out, w.sample_rate / HOP)
 
 
 def chromagram(s: Spectrogram) -> Chromagram:

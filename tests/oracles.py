@@ -18,12 +18,15 @@ from s2a.model import (
 from s2a.synth import (
     ATTACK_SECONDS,
     DECAY_SECONDS_AT_C4,
+    FRAME_LEN,
     HARMONIC_ROLLOFF,
+    HOP,
     N_HARMONICS,
     PEAK_LEVEL,
     RELEASE_SECONDS,
     Waveform,
     _note_times,
+    midi_filterbank,
     midi_pitch_hz,
 )
 from s2a.tokenizer import PAD, SEGMENT_LEN, TokenTuple
@@ -124,6 +127,17 @@ def scalar_render_audio(seq: NoteSequence, sample_rate: int) -> Waveform:
     if peak > 0:
         out *= PEAK_LEVEL / peak
     return Waveform(out, sample_rate)
+
+
+def whole_array_spectrogram(w: Waveform) -> np.ndarray:
+    """Every frame windowed, transformed and filtered in one array at once."""
+    samples = w.samples
+    if len(samples) < FRAME_LEN:
+        samples = np.pad(samples, (0, FRAME_LEN - len(samples)))
+    frames = np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN)[::HOP]
+    hann = np.hanning(FRAME_LEN)
+    bank = midi_filterbank(w.sample_rate)
+    return np.log1p(np.abs(np.fft.rfft(frames * hann, axis=1)) @ bank.T)
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray, nonpad: np.ndarray):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from oracles import scalar_dtw_path_cost
 from s2a.align import AlignmentMap, align_notes
 from s2a.metrics import (
     PREDICTED,
+    Aggregate,
     ConstantSequenceError,
     FeatureSeq,
+    MetricReport,
     aggregate,
     chroma_mse,
     dtw_path_cost,
@@ -379,6 +382,31 @@ def test_report_serialization_round_trips_structurally():
     assert len(csv_lines) == 1 + 3  # one row per item
     table = report.summary_table()
     assert "Inter-Onset Interval" in table
+
+
+def test_summary_table_splits_back_into_its_cells():
+    """Cells of 16 or more characters stay apart from their neighbours."""
+    aggs = [Aggregate(12.139, 0.024, 5), Aggregate(-0.061, 0.002, 5), Aggregate(0.254, 0.003, 5),
+            Aggregate(1234.5678, 12.3456, 5), Aggregate(1.5, None, 1), Aggregate(math.nan, None, 0)]
+    cells = ["12.139 +/- 0.024", "-0.061 +/- 0.002", "0.254 +/- 0.003",
+             "1234.568 +/- 12.346", "1.500", "-"]
+    metrics = ("kld", "correlation", "dtwd")
+    report = MetricReport(
+        performance_wise={f: dict(zip(metrics, aggs[:3])) for f in PREDICTED},
+        segment_wise={f: dict(zip(metrics, aggs[3:])) for f in PREDICTED},
+        chroma_mse=aggs[3], spectrogram_mse=aggs[0], items=[],
+    )
+    rows = [re.split(r" {2,}", line) for line in report.summary_table().splitlines()]
+    assert rows == [
+        ["Feature", "KLD (perf)", "Corr (perf)", "DTWD (perf)", "KLD (seg)", "Corr (seg)",
+         "DTWD (seg)"],
+        ["Velocity", *cells],
+        ["Inter-Onset Interval", *cells],
+        ["Duration", *cells],
+        [""],
+        ["Chroma MSE", cells[3]],
+        ["Spectrogram MSE", cells[0]],
+    ]
 
 
 def test_report_json_key_order():

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_render_audio
+from oracles import scalar_render_audio, whole_array_spectrogram
 from s2a.corpus import SyntheticCorpusSpec, generate_corpus
 from s2a.midi_io import NoteEvent, NoteSequence, TempoEvent, parse_smf
 from s2a.synth import (
+    FRAME_LEN,
+    HOP,
     MAX_AUDIO_SECONDS,
     PEAK_LEVEL,
     Waveform,
@@ -176,6 +180,39 @@ class TestSpectrogram:
         s1 = midi_spectrogram(Waveform(x))
         s2 = midi_spectrogram(Waveform(2 * x))
         assert np.all(s2.frames >= s1.frames - 1e-12)
+
+    # At 257 and 258 frames, blocks of exactly 256 rows would leave a 1- or 2-row tail.
+    @pytest.mark.parametrize("n_frames", [*range(1, 10), 255, 256, 257, 258, 511, 512, 513,
+                                          767, 768, 769])
+    def test_equals_whole_array_oracle(self, n_frames):
+        rng = np.random.default_rng(n_frames)
+        w = Waveform(rng.uniform(-1, 1, FRAME_LEN + (n_frames - 1) * HOP + n_frames % HOP))
+        s = midi_spectrogram(w)
+        assert s.frames.shape == (n_frames, 128)
+        assert np.array_equal(s.frames, whole_array_spectrogram(w))
+
+    @pytest.mark.parametrize("n_samples", [1, 511, 512, FRAME_LEN - 1])
+    def test_shorter_than_a_frame_equals_whole_array_oracle(self, n_samples):
+        w = Waveform(np.random.default_rng(n_samples).uniform(-1, 1, n_samples), 8000)
+        assert np.array_equal(midi_spectrogram(w).frames, whole_array_spectrogram(w))
+
+    def test_corpus_render_equals_whole_array_oracle(self, tmp_path):
+        spec = SyntheticCorpusSpec(n_pieces=1, notes_per_piece=200, n_performers=1, seed=3)
+        manifest = generate_corpus(spec, tmp_path)
+        w = render_audio(parse_smf((tmp_path / manifest["items"][0]["performance"]).read_bytes()))
+        assert np.array_equal(midi_spectrogram(w).frames, whole_array_spectrogram(w))
+
+    def test_memory_does_not_grow_with_length(self):
+        # 300 s is 14,059 frames: the result is 13.7 MiB, and the whole-array
+        # STFT would hold over 400 MiB.
+        w = Waveform(np.random.default_rng(0).uniform(-1, 1, 300 * 24000), 24000)
+        tracemalloc.start()
+        try:
+            midi_spectrogram(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_filterbank_bins_touch_at_most_two_filters(self):
         bank = midi_filterbank(24000)
