@@ -35,7 +35,7 @@ def load_checkpoint(data: bytes) -> M2MModel:
         raise ValueError("not a model checkpoint (bad magic string)")
     try:
         return _parse(data, len(MAGIC))
-    except (KeyError, TypeError, ArithmeticError, struct.error) as err:
+    except (KeyError, TypeError, ArithmeticError, RecursionError, struct.error) as err:
         raise ValueError(f"malformed checkpoint: {err!r}") from err
 
 
@@ -48,7 +48,7 @@ def _parse(data: bytes, pos: int) -> M2MModel:
     cfg_dict = dict(header["config"])
     cfg_dict["vocab"] = VocabSpec(**cfg_dict["vocab"])
     config = M2MConfig(**cfg_dict)
-    _check_manifest(header["tensors"], parameter_shapes(config))
+    _check_manifest(header["tensors"], config)
 
     params = {}
     for entry in header["tensors"]:
@@ -62,17 +62,19 @@ def _parse(data: bytes, pos: int) -> M2MModel:
     return model
 
 
-def _check_manifest(entries: list[dict], shapes: dict[str, tuple[int, ...]]) -> None:
-    """ValueError unless the tensors are exactly the config's, with its shapes."""
-    names = [entry["name"] for entry in entries]
-    if sorted(names) != sorted(shapes):
-        missing = sorted(set(shapes) - set(names))
-        unexpected = sorted(set(names) - set(shapes))
-        raise ValueError(f"tensors do not match the config: missing {missing}, "
-                         f"unexpected {unexpected} (or a name repeats)")
-    for entry in entries:
-        if tuple(entry["shape"]) != shapes[entry["name"]]:
-            raise ValueError(
-                f"tensor {entry['name']} has shape {entry['shape']}, "
-                f"the config needs {list(shapes[entry['name']])}"
-            )
+def _check_manifest(entries: list[dict], config: M2MConfig) -> None:
+    """ValueError unless the tensors are exactly the config's, with its shapes.
+
+    The config's names are walked only up to the first one the header lacks,
+    so a header that claims 10**9 layers costs no more than its own list."""
+    given = {entry["name"]: entry["shape"] for entry in entries}
+    if len(given) != len(entries):
+        raise ValueError("tensors do not match the config: a name repeats")
+    for name, shape in parameter_shapes(config):
+        if name not in given:
+            raise ValueError(f"tensors do not match the config: missing {name}")
+        listed = given.pop(name)
+        if tuple(listed) != shape:
+            raise ValueError(f"tensor {name} has shape {listed}, the config needs {list(shape)}")
+    if given:
+        raise ValueError(f"tensors do not match the config: unexpected {sorted(given)}")

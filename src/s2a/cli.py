@@ -5,7 +5,9 @@ Every subcommand is a pure function of its inputs and seeds: rerunning with
 the same arguments produces byte-identical outputs. A setting is its flag,
 else its `--config` value, else the default of the library code that takes
 it and checks its range. Exit codes: 0 success, 1 usage error (a bad flag or
-setting), 2 data error (also an unwritable output), 3 empty evaluation.
+setting), 2 data error, 3 empty evaluation. A data error is a ValueError from
+any layer, which is what each documents for bad input, or an OSError such as
+an unreadable input or an unwritable output; `main` alone maps both to exit 2.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract is 1
         raise UsageError(message)
@@ -75,7 +73,7 @@ def _read_json(path):
     try:
         return json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as err:
-        raise DataError(f"cannot read {path}: {err!r}") from err
+        raise ValueError(f"cannot read {path}: {err!r}") from err
 
 
 def load_config_file(path: str | None) -> dict:
@@ -84,10 +82,10 @@ def load_config_file(path: str | None) -> dict:
         return {}
     doc = _read_json(path)
     if not isinstance(doc, dict):
-        raise DataError(f"config {path} is not a JSON object")
+        raise ValueError(f"config {path} is not a JSON object")
     version = doc.pop("version", CONFIG_VERSION)
     if type(version) is not int or version != CONFIG_VERSION:
-        raise DataError(f"unsupported config version {version!r}")
+        raise ValueError(f"unsupported config version {version!r}")
     for section, values in doc.items():
         if not (section in SETTINGS and isinstance(values, dict)):
             raise UsageError(f"config: {section!r} is not one of the objects {', '.join(SETTINGS)}")
@@ -131,11 +129,28 @@ def _usage(check, *args, **kwargs):
         raise UsageError(str(err)) from err
 
 
-def read_midi(path: str):
+def read_midi(path: str | Path):
     try:
         return parse_smf(Path(path).read_bytes())
     except SMFParseError as err:
-        raise DataError(f"{path}: {err}") from err
+        raise ValueError(f"{path}: {err}") from err
+
+
+def read_aligned(score_path: str | Path, perf_path: str | Path,
+                 alignment_path: str | Path | None = None):
+    """Score and performance on the tokenizer grid, and their alignment: the
+    JSON at alignment_path, checked to hold each note of both once, else
+    align_notes of the two."""
+    score = resample_grid(read_midi(score_path))
+    perf = resample_grid(read_midi(perf_path))
+    if alignment_path is None:
+        return score, perf, align_notes(score, perf)
+    try:
+        amap = AlignmentMap.from_json(Path(alignment_path).read_text())
+        amap.check_covers(len(score.notes), len(perf.notes))
+    except ValueError as err:
+        raise ValueError(f"bad alignment {alignment_path}: {err!r}") from err
+    return score, perf, amap
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +165,7 @@ def cmd_demo_data(args, config) -> int:
 
 
 def cmd_tokenize(args, config) -> int:
-    seq = resample_grid(read_midi(args.input))
-    try:
-        tokens = tokenize(seq, is_score=args.as_score)
-    except ValueError as err:
-        raise DataError(str(err)) from err
-    text = dump_tokens(tokens)
+    text = dump_tokens(tokenize(resample_grid(read_midi(args.input)), is_score=args.as_score))
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -164,9 +174,7 @@ def cmd_tokenize(args, config) -> int:
 
 
 def cmd_align(args, config) -> int:
-    score = resample_grid(read_midi(args.score))
-    perf = resample_grid(read_midi(args.performance))
-    amap = align_notes(score, perf)
+    _, _, amap = read_aligned(args.score, args.performance)
     Path(args.out).write_text(amap.to_json())
     print(
         f"align: {len(amap.pairs)} matched, {len(amap.unmatched_score)} score-only, "
@@ -181,7 +189,11 @@ def _load_manifest(data_dir: Path) -> dict:
     if not (isinstance(manifest, dict) and isinstance(manifest.get("items"), list)
             and all(isinstance(item, dict) for item in manifest["items"])
             and type(manifest.get("n_performers")) is int):
-        raise DataError(f"{path}: need an 'items' list of objects and an integer 'n_performers'")
+        raise ValueError(f"{path}: need an 'items' list of objects and an integer 'n_performers'")
+    n_items = len(manifest["items"])
+    if 0 < n_items < manifest["n_performers"]:  # an empty corpus gets "no items" in cmd_train
+        raise ValueError(f"{path}: 'n_performers' is {manifest['n_performers']}, more "
+                         f"performers than its {n_items} items can train")
     return manifest
 
 
@@ -194,15 +206,12 @@ def _dataset_from_manifest(data_dir: Path, manifest: dict, split: str):
         try:
             if not (type(item["performer_id"]) is int and 0 <= item["performer_id"] < n_performers):
                 raise ValueError(f"performer_id is not an integer in 0..{n_performers - 1}")
-            score = resample_grid(read_midi(str(data_dir / item["score"])))
-            perf = resample_grid(read_midi(str(data_dir / item["performance"])))
-            amap = AlignmentMap.from_json((data_dir / item["alignment"]).read_text())
-            amap.check_covers(len(score.notes), len(perf.notes))
-            pairs.extend(
-                corpus_mod.build_training_pairs(score, perf, amap, item["performer_id"])
-            )
+            score, perf, amap = read_aligned(data_dir / item["score"],
+                                             data_dir / item["performance"],
+                                             data_dir / item["alignment"])
+            pairs.extend(corpus_mod.build_training_pairs(score, perf, amap, item["performer_id"]))
         except (KeyError, TypeError, ValueError) as err:
-            raise DataError(f"bad manifest item {item}: {err!r}") from err
+            raise ValueError(f"bad manifest item {item}: {err!r}") from err
     return pairs
 
 
@@ -213,13 +222,13 @@ def cmd_train(args, config) -> int:
     manifest = _load_manifest(data_dir)
     dataset = _dataset_from_manifest(data_dir, manifest, args.split)
     if not dataset:
-        raise DataError(f"no '{args.split}' items in {data_dir}")
+        raise ValueError(f"no '{args.split}' items in {data_dir}")
 
     model = init_model(replace(model_cfg, n_performers=max(manifest["n_performers"], 1)))
     try:
         model, training_log = train(model, dataset, train_cfg)
     except (TrainingDivergedError, FloatingPointError) as err:
-        raise DataError(f"training diverged: {err}") from err
+        raise ValueError(f"training diverged: {err}") from err
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(save_checkpoint(model))
@@ -240,13 +249,9 @@ def cmd_render(args, config) -> int:
     try:
         model = load_checkpoint(Path(args.checkpoint).read_bytes())
     except ValueError as err:
-        raise DataError(f"cannot load checkpoint {args.checkpoint}: {err}") from err
-    score = read_midi(args.score)
-    try:
-        perf = predict_performance(model, score, args.performer_id,
-                                   sampling["temperature"], sampling["top_p"], rng)
-    except ValueError as err:
-        raise DataError(str(err)) from err
+        raise ValueError(f"cannot load checkpoint {args.checkpoint}: {err}") from err
+    perf = predict_performance(model, read_midi(args.score), args.performer_id,
+                               sampling["temperature"], sampling["top_p"], rng)
     Path(args.out).write_bytes(write_smf(perf))
     log.info("render: %s", sampling)
     print(f"render: {len(perf.notes)} notes -> {args.out}")
@@ -260,7 +265,7 @@ def cmd_synth(args, config) -> int:
     try:
         audio = render_audio(seq, **synth)
     except ValueError as err:
-        raise DataError(f"{args.input}: {err}") from err
+        raise ValueError(f"{args.input}: {err}") from err
     if len(audio.samples) == 0:
         print("synth: empty MIDI, writing zero-length WAV", file=sys.stderr)
     Path(args.out).write_bytes(write_wav(audio))
@@ -287,24 +292,12 @@ def cmd_evaluate(args, config) -> int:
         print("evaluate: no matching filenames", file=sys.stderr)
         return EXIT_EMPTY
 
-    triples = []
-    for name in matched:
-        pred = resample_grid(read_midi(str(pred_dir / name)))
-        target = resample_grid(read_midi(str(target_dir / name)))
-        if args.alignments:
-            amap_path = Path(args.alignments) / (Path(name).stem + ".json")
-            try:
-                amap = AlignmentMap.from_json(amap_path.read_text())
-                amap.check_covers(len(pred.notes), len(target.notes))
-            except ValueError as err:
-                raise DataError(f"bad alignment {amap_path}: {err!r}") from err
-        else:
-            amap = align_notes(pred, target)
-        triples.append((pred, target, amap))
-    try:
-        report = evaluate_m2m(triples, labels=[Path(n).stem for n in matched])
-    except ValueError as err:
-        raise DataError(str(err)) from err
+    triples = [
+        read_aligned(pred_dir / name, target_dir / name,
+                     Path(args.alignments, Path(name).stem + ".json") if args.alignments else None)
+        for name in matched
+    ]
+    report = evaluate_m2m(triples, labels=[Path(n).stem for n in matched])
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -398,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -17,6 +17,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,8 +56,11 @@ class M2MConfig:
     vocab: VocabSpec = field(default_factory=VocabSpec)
 
     def __post_init__(self):
-        if min(self.n_heads, self.d_model, self.d_ff, self.max_seq_len) < 1:
-            raise ValueError("n_heads, d_model, d_ff and max_seq_len must be >= 1")
+        if min(self.n_heads, self.d_model, self.d_ff) < 1:
+            raise ValueError("n_heads, d_model and d_ff must be >= 1")
+        # forward_batch runs only T == max_seq_len, and a segment is SEGMENT_LEN long
+        if not 1 <= self.max_seq_len <= SEGMENT_LEN:
+            raise ValueError(f"max_seq_len must be in 1..{SEGMENT_LEN}")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout < 1.0:
@@ -97,31 +101,32 @@ def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def parameter_shapes(config: M2MConfig) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every parameter the config asks for, in init order."""
+def parameter_shapes(config: M2MConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter the config asks for, in init order,
+    one at a time: a reader can stop at the first one it lacks."""
     d, d_ff = config.d_model, config.d_ff
-    shapes: dict[str, tuple[int, ...]] = {}
     for name in FEATURE_NAMES:
-        shapes[f"emb_{name}"] = (config.vocab.size(name), config.d_embed)
-    shapes["proj_w"] = (6 * config.d_embed, d)
-    shapes["proj_b"] = (d,)
+        yield f"emb_{name}", (config.vocab.size(name), config.d_embed)
+    yield "proj_w", (6 * config.d_embed, d)
+    yield "proj_b", (d,)
     for layer in range(config.n_layers):
         pre = f"l{layer}."
         for mat in ("wq", "wk", "wv", "wo"):
-            shapes[pre + mat] = (d, d)
-            shapes[pre + mat.replace("w", "b")] = (d,)
-        shapes[pre + "ln1_g"] = shapes[pre + "ln1_b"] = (d,)
-        shapes[pre + "ff_w1"] = (d, d_ff)
-        shapes[pre + "ff_b1"] = (d_ff,)
-        shapes[pre + "ff_w2"] = (d_ff, d)
-        shapes[pre + "ff_b2"] = (d,)
-        shapes[pre + "ln2_g"] = shapes[pre + "ln2_b"] = (d,)
-    shapes["perf_emb"] = (config.n_performers, d)
+            yield pre + mat, (d, d)
+            yield pre + mat.replace("w", "b"), (d,)
+        yield pre + "ln1_g", (d,)
+        yield pre + "ln1_b", (d,)
+        yield pre + "ff_w1", (d, d_ff)
+        yield pre + "ff_b1", (d_ff,)
+        yield pre + "ff_w2", (d_ff, d)
+        yield pre + "ff_b2", (d,)
+        yield pre + "ln2_g", (d,)
+        yield pre + "ln2_b", (d,)
+    yield "perf_emb", (config.n_performers, d)
     for feature in PREDICTED:
         key = HEAD_KEYS[feature]
-        shapes[key + "_w"] = (d, config.vocab.size(feature))
-        shapes[key + "_b"] = (config.vocab.size(feature),)
-    return shapes
+        yield key + "_w", (d, config.vocab.size(feature))
+        yield key + "_b", (config.vocab.size(feature),)
 
 
 def init_model(config: M2MConfig) -> M2MModel:
@@ -129,7 +134,7 @@ def init_model(config: M2MConfig) -> M2MModel:
     identity layer norms."""
     rng = np.random.default_rng(config.seed)
     p: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(config).items():
+    for name, shape in parameter_shapes(config):
         if len(shape) == 2:
             p[name] = rng.normal(0.0, 0.02, size=shape)
         elif name.endswith("_g"):

@@ -36,6 +36,9 @@ SEGMENT_SECONDS = 9.6
 # break even at rho = 1/3.
 EQUAL_GAIN_CORRELATION = 1 / 3
 MAX_AUDIO_SECONDS = 3600
+# Above 2 * N_HARMONICS * 4,186 Hz, about 67 kHz, no partial of any key is
+# lost to Nyquist; the rate field of a WAV header ends at 2**32 - 1.
+MAX_SAMPLE_RATE = 192_000
 
 FRAME_LEN = 2048
 HOP = 512
@@ -130,9 +133,9 @@ def _render_pitch(pitch: int, members: list, sample_rate: int, mixed: np.ndarray
 
 
 def check_sample_rate(sample_rate: int) -> None:
-    """ValueError unless sample_rate is > 0."""
-    if not sample_rate > 0:
-        raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
+    """ValueError unless sample_rate is in 1..MAX_SAMPLE_RATE."""
+    if not 0 < sample_rate <= MAX_SAMPLE_RATE:
+        raise ValueError(f"sample_rate must be in 1..{MAX_SAMPLE_RATE}, got {sample_rate}")
 
 
 def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
@@ -149,7 +152,8 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     note-by-note loop would apply: the attack and release factors are exactly
     1.0 outside the ranges they are applied over, and the notes are mixed
     into the output in their original order. ValueError for a sample_rate
-    that is not > 0, or for a last release that ends past MAX_AUDIO_SECONDS.
+    outside 1..MAX_SAMPLE_RATE, or for a last release that ends past
+    MAX_AUDIO_SECONDS.
     """
     check_sample_rate(sample_rate)
     times = _note_times(seq)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from test_midi_io import smf, vlq
-from test_model import edit_manifest
+from test_model import edit_header, edit_manifest
 from s2a.checkpoint import MAGIC, save_checkpoint
 from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, build_parser, main
 from s2a.midi_io import NoteEvent, NoteSequence, parse_smf, write_smf
@@ -45,6 +45,19 @@ def far_note_midi() -> bytes:
 def checkpoint_tail(header: bytes, tensors: bytes = b"") -> bytes:
     """Checkpoint bytes after the magic string: header length, header, tensors."""
     return struct.pack("<Q", len(header)) + header + tensors
+
+
+def tiny_checkpoint() -> bytes:
+    return save_checkpoint(init_model(M2MConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32)))
+
+
+def render_with(tmp_path, checkpoint: bytes) -> int:
+    """s2a render of a corpus score with a checkpoint of these bytes."""
+    corpus = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(checkpoint)
+    return run("render", "--score", str(corpus / "scores/piece_000.mid"),
+               "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.mid"))
 
 
 class TestDemoData:
@@ -374,9 +387,11 @@ class TestExitCodes:
         lambda m: {**m, "n_performers": True},
         lambda m: {**m, "items": [{**m["items"][0], "performer_id": 0.5}]},
         lambda m: {**m, "n_performers": 2, "items": [{**m["items"][0], "performer_id": True}]},
+        lambda m: {**m, "n_performers": 10**12},
     ], ids=["not-json", "not-object", "no-items", "no-performers", "performers-not-int",
             "items-not-list", "item-not-object", "item-missing-key", "alignment-missing",
-            "performer-out-of-range", "performers-bool", "performer-float", "performer-bool"])
+            "performer-out-of-range", "performers-bool", "performer-float", "performer-bool",
+            "performers-past-items"])
     def test_bad_manifest_is_data_error(self, tmp_path, edit):
         data = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
         manifest = edit(json.loads((data / "manifest.json").read_text()))
@@ -397,14 +412,13 @@ class TestExitCodes:
                         b' "offset": 0, "dtype": "<f4"}]}'),
         checkpoint_tail(b'{"config": {"vocab": {}}, "tensors": [{"name": "x", "shape": [1],'
                         b' "offset": 0, "dtype": "<f4"}]}', struct.pack("<f", float("nan"))),
+        checkpoint_tail(b"[" * 100_000),
+        checkpoint_tail(b'{"config": {"n_layers": 1000000000, "vocab": {}}, "tensors": []}'),
     ], ids=["truncated", "not-json", "no-config", "empty-config", "unknown-vocab-key",
-            "config-not-object", "header-not-object", "tensor-past-end", "non-finite"])
+            "config-not-object", "header-not-object", "tensor-past-end", "non-finite",
+            "deeply-nested", "billion-layers"])
     def test_bad_checkpoint_is_data_error(self, tmp_path, tail):
-        corpus = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
-        ckpt = tmp_path / "bad.ckpt"
-        ckpt.write_bytes(MAGIC + tail)
-        assert run("render", "--score", str(corpus / "scores/piece_000.mid"),
-                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.mid")) == EXIT_DATA
+        assert render_with(tmp_path, MAGIC + tail) == EXIT_DATA
 
     @pytest.mark.parametrize("edit", [
         lambda ts: [t for t in ts if t["name"] != "emb_pitch"],
@@ -413,12 +427,12 @@ class TestExitCodes:
         lambda ts: ts + [{"name": "extra", "shape": [1], "offset": 0, "dtype": "<f4"}],
     ], ids=["missing-tensor", "wrong-shape", "extra-name"])
     def test_checkpoint_unlike_its_config_is_data_error(self, tmp_path, edit):
-        corpus = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
-        model = init_model(M2MConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32))
-        ckpt = tmp_path / "bad.ckpt"
-        ckpt.write_bytes(edit_manifest(save_checkpoint(model), edit))
-        assert run("render", "--score", str(corpus / "scores/piece_000.mid"),
-                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.mid")) == EXIT_DATA
+        assert render_with(tmp_path, edit_manifest(tiny_checkpoint(), edit)) == EXIT_DATA
+
+    def test_checkpoint_max_seq_len_past_a_segment_is_data_error(self, tmp_path):
+        blob = edit_header(tiny_checkpoint(),
+                           lambda h: {**h, "config": {**h["config"], "max_seq_len": 10**12}})
+        assert render_with(tmp_path, blob) == EXIT_DATA
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +492,8 @@ class TestSettings:
         (None, ("demo-data", "--out", "{o}/d", "--pieces", "-1")),
         (None, SYNTH + ("--sample-rate", "0")),
         (None, SYNTH + ("--sample-rate", "-3")),
+        (None, SYNTH + ("--sample-rate", "192001")),
+        (None, SYNTH + ("--sample-rate", "5000000000")),
         (None, RENDER + ("--top-p", "2")),
         (None, RENDER + ("--temperature", "nan")),
         (None, RENDER + ("--seed", "-1")),
@@ -486,7 +502,8 @@ class TestSettings:
             "number-past-float", "bool-integer", "negative-epochs", "zero-batch",
             "d-model-not-divisible", "dropout-past-one", "nan-learning-rate", "negative-layers",
             "negative-train-seed", "performers-past-profiles", "negative-pieces",
-            "zero-sample-rate", "negative-sample-rate", "top-p-past-one", "nan-temperature",
+            "zero-sample-rate", "negative-sample-rate", "sample-rate-past-192k",
+            "sample-rate-past-wav-header", "top-p-past-one", "nan-temperature",
             "negative-sampling-seed"])
     def test_bad_setting_is_usage_error(self, workspace, tmp_path, capsys, config, argv):
         assert run_in(workspace, tmp_path, argv, config) == EXIT_USAGE
@@ -532,6 +549,23 @@ class TestSettings:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (("tokenize", "--in", SCORE), "tokenize"),
+        (ALIGN, "align_notes"),
+        (TRAIN + ("--epochs", "1"), "train"),
+        (RENDER, "predict_performance"),
+        (SYNTH, "write_wav"),
+        (("evaluate", "--pred", "{c}/performances", "--target", "{c}/performances",
+          "--out-dir", "{o}/r"), "evaluate_m2m"),
+    ], ids=["tokenize", "align", "train", "render", "synth", "evaluate"])
+    def test_value_error_from_any_layer_is_data_error(self, workspace, tmp_path, capsys,
+                                                      monkeypatch, argv, name):
+        def reject(*args, **kwargs):
+            raise ValueError("no such input")
+        monkeypatch.setattr(f"s2a.cli.{name}", reject)
+        assert run_in(workspace, tmp_path, argv) == EXIT_DATA
+        assert capsys.readouterr().err == "error: no such input\n"
 
     def test_bad_alignment_in_manifest_is_data_error(self, tmp_path):
         data = make_corpus(tmp_path, pieces=1, notes=8, performers=1)

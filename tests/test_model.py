@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,14 +277,23 @@ class TestPredictPerformance:
         assert out.notes == ()
 
 
-def edit_manifest(blob: bytes, edit) -> bytes:
-    """Checkpoint bytes with edit applied to the header's tensor list."""
+def edit_header(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes with edit applied to the JSON header."""
     start = len(MAGIC) + 8
     (length,) = struct.unpack_from("<Q", blob, len(MAGIC))
-    header = json.loads(blob[start:start + length])
-    header["tensors"] = edit(header["tensors"])
-    text = json.dumps(header).encode()
+    text = json.dumps(edit(json.loads(blob[start:start + length]))).encode()
     return MAGIC + struct.pack("<Q", len(text)) + text + blob[start + length:]
+
+
+def edit_manifest(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes with edit applied to the header's tensor list."""
+    return edit_header(blob, lambda header: {**header, "tensors": edit(header["tensors"])})
+
+
+def test_max_seq_len_is_at_most_a_segment():
+    assert M2MConfig(max_seq_len=SEGMENT_LEN).max_seq_len == SEGMENT_LEN
+    with pytest.raises(ValueError, match="max_seq_len"):
+        M2MConfig(max_seq_len=SEGMENT_LEN + 1)
 
 
 class TestCheckpoint:
@@ -322,6 +332,19 @@ class TestCheckpoint:
         header = json.dumps({"config": {"vocab": {}}, "tensors": []}).encode()
         with pytest.raises(ValueError, match="missing"):
             load_checkpoint(MAGIC + struct.pack("<Q", len(header)) + header)
+
+    def test_claimed_layers_cost_nothing_before_they_are_checked(self):
+        # 10,000 layers would be 160,000 expected tensor names; the header lists none
+        header = json.dumps({"config": {"n_layers": 10_000, "vocab": {}},
+                             "tensors": []}).encode()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="missing"):
+                load_checkpoint(MAGIC + struct.pack("<Q", len(header)) + header)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_non_finite_tensor_rejected(self):
         model = small_model()

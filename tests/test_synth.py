@@ -12,8 +12,11 @@ from s2a.synth import (
     FRAME_LEN,
     HOP,
     MAX_AUDIO_SECONDS,
+    MAX_SAMPLE_RATE,
+    N_HARMONICS,
     PEAK_LEVEL,
     Waveform,
+    check_sample_rate,
     chromagram,
     concat_crosscorr,
     midi_filterbank,
@@ -100,6 +103,12 @@ class TestRenderAudio:
         )
         with pytest.raises(ValueError, match="3600"):
             render_audio(seq, sample_rate=100)
+
+    def test_sample_rate_range_keeps_every_partial_and_fits_a_wav_header(self):
+        check_sample_rate(MAX_SAMPLE_RATE)
+        with pytest.raises(ValueError, match="sample_rate"):
+            check_sample_rate(MAX_SAMPLE_RATE + 1)
+        assert 2 * N_HARMONICS * midi_pitch_hz(108) < MAX_SAMPLE_RATE < 2**32
 
 
 @st.composite
