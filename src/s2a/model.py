@@ -40,6 +40,9 @@ HEAD_KEYS = {"velocity": "head_vel", "ioi": "head_ioi", "duration": "head_dur"}
 ARGMAX_TEMPERATURE = 1e-6
 NEG_MASK = -1e30
 LN_EPS = 1e-5
+# perf_emb has a row per performer id: far above ATEPP's 49 pianists, and at
+# d_model 64 the rows take 5 MB, so a corpus keeps its own ids
+MAX_PERFORMERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,8 @@ class M2MConfig:
             raise ValueError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.n_performers < 1:
-            raise ValueError("need at least one performer")
+        if not 1 <= self.n_performers <= MAX_PERFORMERS:
+            raise ValueError(f"n_performers must be in 1..{MAX_PERFORMERS}, got {self.n_performers}")
         if min(self.n_layers, self.seed) < 0:
             raise ValueError("n_layers and seed must be >= 0")
         if self.d_embed == 0:

@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 import struct
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from test_midi_io import smf, vlq
 from test_model import edit_header, edit_manifest
-from s2a.checkpoint import MAGIC, save_checkpoint
+from s2a.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, build_parser, main
 from s2a.midi_io import NoteEvent, NoteSequence, parse_smf, write_smf
 from s2a.model import M2MConfig, init_model
@@ -391,7 +392,7 @@ class TestExitCodes:
     ], ids=["not-json", "not-object", "no-items", "no-performers", "performers-not-int",
             "items-not-list", "item-not-object", "item-missing-key", "alignment-missing",
             "performer-out-of-range", "performers-bool", "performer-float", "performer-bool",
-            "performers-past-items"])
+            "performers-past-max"])
     def test_bad_manifest_is_data_error(self, tmp_path, edit):
         data = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
         manifest = edit(json.loads((data / "manifest.json").read_text()))
@@ -399,6 +400,19 @@ class TestExitCodes:
             manifest if isinstance(manifest, str) else json.dumps(manifest))
         assert run("train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
                    "--split", "all", "--epochs", "1") == EXIT_DATA
+
+    def test_sparse_performer_ids_train(self, tmp_path):
+        """A performer id is a row of perf_emb, so a corpus that keeps its own
+        ids (here 0 and 3 of 4) trains, with fewer items than performers."""
+        data = make_corpus(tmp_path, pieces=1, notes=8, performers=2)
+        manifest = json.loads((data / "manifest.json").read_text())
+        for item in manifest["items"]:
+            item["performer_id"] *= 3
+        (data / "manifest.json").write_text(json.dumps({**manifest, "n_performers": 4}))
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", str(data), "--out", str(out),
+                   "--split", "all", "--epochs", "1") == EXIT_OK
+        assert load_checkpoint(out.read_bytes()).config.n_performers == 4
 
     @pytest.mark.parametrize("tail", [
         b"",  # truncated right after the magic string
@@ -566,6 +580,16 @@ class TestSettings:
         monkeypatch.setattr(f"s2a.cli.{name}", reject)
         assert run_in(workspace, tmp_path, argv) == EXIT_DATA
         assert capsys.readouterr().err == "error: no such input\n"
+
+    def test_debug_log_has_the_data_error_traceback(self, workspace, tmp_path, capsys,
+                                                    monkeypatch, caplog):
+        def reject(*args, **kwargs):
+            raise ValueError("no such input")
+        monkeypatch.setattr("s2a.cli.tokenize", reject)
+        caplog.set_level(logging.DEBUG, logger="s2a")
+        assert run_in(workspace, tmp_path, ("tokenize", "--in", SCORE)) == EXIT_DATA
+        (record,) = [r for r in caplog.records if r.exc_info]
+        assert "in reject" in caplog.text and record.exc_info[1].args == ("no such input",)
 
     def test_bad_alignment_in_manifest_is_data_error(self, tmp_path):
         data = make_corpus(tmp_path, pieces=1, notes=8, performers=1)

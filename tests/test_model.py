@@ -14,6 +14,7 @@ from s2a import model as model_module
 from s2a.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from s2a.midi_io import NoteEvent, NoteSequence, write_smf
 from s2a.model import (
+    MAX_PERFORMERS,
     NEG_MASK,
     M2MConfig,
     forward,
@@ -294,6 +295,12 @@ def test_max_seq_len_is_at_most_a_segment():
     assert M2MConfig(max_seq_len=SEGMENT_LEN).max_seq_len == SEGMENT_LEN
     with pytest.raises(ValueError, match="max_seq_len"):
         M2MConfig(max_seq_len=SEGMENT_LEN + 1)
+
+
+def test_n_performers_is_bounded():
+    assert M2MConfig(n_performers=MAX_PERFORMERS).n_performers == MAX_PERFORMERS
+    with pytest.raises(ValueError, match="n_performers"):
+        M2MConfig(n_performers=MAX_PERFORMERS + 1)
 
 
 class TestCheckpoint:
