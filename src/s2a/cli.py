@@ -192,7 +192,7 @@ def _load_manifest(data_dir: Path) -> dict:
 
 
 def _dataset_from_manifest(data_dir: Path, manifest: dict, split: str):
-    n_performers = max(manifest["n_performers"], 1)
+    n_performers = manifest["n_performers"]
     pairs = []
     for item in manifest["items"]:
         if split != "all" and item.get("split", "train") != split:
@@ -214,11 +214,12 @@ def cmd_train(args, config) -> int:
     train_cfg = _usage(TrainConfig, **resolve(args, config, "train"))
     data_dir = Path(args.data)
     manifest = _load_manifest(data_dir)
+    model_cfg = replace(model_cfg, n_performers=manifest["n_performers"])
     dataset = _dataset_from_manifest(data_dir, manifest, args.split)
     if not dataset:
         raise ValueError(f"no '{args.split}' items in {data_dir}")
 
-    model = init_model(replace(model_cfg, n_performers=max(manifest["n_performers"], 1)))
+    model = init_model(model_cfg)
     try:
         model, training_log = train(model, dataset, train_cfg)
     except (TrainingDivergedError, FloatingPointError) as err:

@@ -77,7 +77,11 @@ class MetricReport:
     items: list[dict]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        """Strict JSON: a NaN field (the mean over no values) is written as null."""
+        def no_nan(fields):
+            return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in fields}
+
+        return json.dumps(asdict(self, dict_factory=no_nan), indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         """One row per evaluated item; missing metrics are left blank."""

@@ -165,12 +165,6 @@ class _Reader:
     def read_u8(self) -> int:
         return self.read(1)[0]
 
-    def read_u16(self) -> int:
-        return struct.unpack(">H", self.read(2))[0]
-
-    def read_u32(self) -> int:
-        return struct.unpack(">I", self.read(4))[0]
-
     def read_vlq(self) -> int:
         value = 0
         for _ in range(4):
@@ -185,21 +179,21 @@ def parse_smf(data: bytes) -> NoteSequence:
     """Parse SMF bytes (format 0 or 1) into a NoteSequence.
 
     Note-on/note-off pairs are matched FIFO per (channel, pitch); a note-on
-    with velocity 0 counts as a note-off. Controller-64 messages land in
-    sustain_events. Tracks are merged by absolute tick. A note-on left open
-    at end of file is closed at the final tick with a warning.
+    with velocity 0 counts as a note-off. The note switches of all tracks
+    are merged by absolute tick, ties in track order, before they are
+    paired. Tempo, time-signature and controller-64 (sustain) events go
+    straight to the NoteSequence, whose stable sort by tick lets the later
+    track's tempo or signature win at one tick. A note-on left open at end
+    of file is closed at the final tick with a warning.
     """
-    r = _Reader(data)
-    if r.remaining() < 14:
+    if len(data) < 14:
         raise SMFParseError("file too short for MThd header", 0)
-    if r.read(4) != b"MThd":
+    magic, header_len, fmt, n_tracks, division = struct.unpack_from(">4sIHHH", data)
+    if magic != b"MThd":
         raise SMFParseError("missing MThd chunk", 0)
-    header_len = r.read_u32()
     if header_len < 6:
         raise SMFParseError(f"MThd length {header_len} < 6", 4)
-    fmt = r.read_u16()
-    n_tracks = r.read_u16()
-    division = r.read_u16()
+    r = _Reader(data, 14)
     r.read(header_len - 6)
     if fmt not in (0, 1):
         raise SMFParseError(f"unsupported SMF format {fmt}", 8)
@@ -208,51 +202,38 @@ def parse_smf(data: bytes) -> NoteSequence:
     if division == 0:
         raise SMFParseError("zero ticks per quarter note", 12)
 
-    # (tick, kind, ...payload) rows, appended track by track in event order;
-    # merge order is the stable sort on the tick.
-    rows = []
+    # (tick, channel, pitch, velocity) rows, velocity 0 for a note-off
+    switches: list[tuple[int, int, int, int]] = []
+    tempi: list[TempoEvent] = []
+    sigs: list[TimeSignatureEvent] = []
+    sustain: list[tuple[int, int]] = []
     final_tick = 0
     for track_idx in range(n_tracks):
         if r.remaining() < 8:
             raise SMFParseError(f"expected track {track_idx} chunk", r.pos)
         chunk_start = r.pos
-        chunk_type = r.read(4)
-        chunk_len = r.read_u32()
+        chunk_type, chunk_len = struct.unpack_from(">4sI", data, chunk_start)
         if chunk_type != b"MTrk":
             raise SMFParseError(f"expected MTrk, got {chunk_type!r}", chunk_start)
-        body = _Reader(data[r.pos:r.pos + chunk_len], 0)
-        if body.remaining() < chunk_len:
+        base = chunk_start + 8
+        if len(data) - base < chunk_len:
             raise SMFParseError("track chunk extends past end of file", chunk_start)
-        base = r.pos
-        r.pos += chunk_len
-        final_tick = max(final_tick, _parse_track(body, base, rows))
+        r.pos = base + chunk_len
+        tick = _parse_track(_Reader(data[base:r.pos]), base, switches, tempi, sigs, sustain)
+        final_tick = max(final_tick, tick)
 
-    rows.sort(key=lambda row: row[0])
-
+    # the stable sort on the tick alone merges the tracks in track order
+    switches.sort(key=lambda row: row[0])
     notes: list[NoteEvent] = []
-    tempi: list[TempoEvent] = []
-    sigs: list[TimeSignatureEvent] = []
-    sustain: list[tuple[int, int]] = []
     open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    for row in rows:
-        tick, kind = row[:2]
-        if kind == "on":
-            _, _, channel, pitch, velocity = row
-            open_notes.setdefault((channel, pitch), []).append((tick, velocity))
-        elif kind == "off":
-            _, _, channel, pitch = row
-            queue = open_notes.get((channel, pitch))
-            if queue:
-                onset, velocity = queue.pop(0)
-                notes.append(NoteEvent(onset, max(1, tick - onset), pitch, velocity, channel))
-            # note-off without a matching note-on is silently dropped
-        elif kind == "tempo":
-            tempi.append(TempoEvent(tick, row[2]))
-        elif kind == "timesig":
-            sigs.append(TimeSignatureEvent(tick, row[2], row[3]))
-        elif kind == "sustain":
-            sustain.append((tick, row[2]))
+    for tick, channel, pitch, velocity in switches:
+        queue = open_notes.setdefault((channel, pitch), [])
+        if velocity:
+            queue.append((tick, velocity))
+        elif queue:
+            onset, velocity = queue.pop(0)
+            notes.append(NoteEvent(onset, max(1, tick - onset), pitch, velocity, channel))
+        # a note-off without a matching note-on is silently dropped
 
     for (channel, pitch), queue in sorted(open_notes.items()):
         for onset, velocity in queue:
@@ -273,7 +254,9 @@ def parse_smf(data: bytes) -> NoteSequence:
     )
 
 
-def _parse_track(body: _Reader, base_offset: int, rows: list) -> int:
+def _parse_track(body: _Reader, base_offset: int, switches: list, tempi: list,
+                 sigs: list, sustain: list) -> int:
+    """Append one track's events to the lists; returns its final tick."""
     tick = 0
     running_status = None
     while body.remaining() > 0:
@@ -294,12 +277,12 @@ def _parse_track(body: _Reader, base_offset: int, rows: list) -> int:
                 if length != 3 or not any(payload):
                     raise SMFParseError("tempo meta event must carry 3 bytes, not all zero",
                                         base_offset + body.pos)
-                rows.append((tick, "tempo", int.from_bytes(payload, "big")))
+                tempi.append(TempoEvent(tick, int.from_bytes(payload, "big")))
             elif meta_type == 0x58:
                 if length < 2 or payload[0] < 1 or payload[1] > 6:
                     raise SMFParseError("time signature meta event too short or out of range",
                                         base_offset + body.pos)
-                rows.append((tick, "timesig", payload[0], payload[1]))
+                sigs.append(TimeSignatureEvent(tick, payload[0], payload[1]))
             elif meta_type == 0x2F:
                 break
         elif status in (0xF0, 0xF7):
@@ -311,18 +294,15 @@ def _parse_track(body: _Reader, base_offset: int, rows: list) -> int:
         else:
             running_status = status
             kind = status & 0xF0
-            channel = status & 0x0F
             data = body.read(1 if kind in (0xC0, 0xD0) else 2)
             for k, byte in enumerate(data):
                 if byte & 0x80:
                     raise SMFParseError(f"data byte 0x{byte:02X} has the high bit set",
                                         base_offset + body.pos - len(data) + k)
-            if kind == 0x90 and data[1] > 0:
-                rows.append((tick, "on", channel, data[0], data[1]))
-            elif kind == 0x80 or (kind == 0x90 and data[1] == 0):
-                rows.append((tick, "off", channel, data[0]))
+            if kind in (0x80, 0x90):
+                switches.append((tick, status & 0x0F, data[0], data[1] if kind == 0x90 else 0))
             elif kind == 0xB0 and data[0] == SUSTAIN_CONTROLLER:
-                rows.append((tick, "sustain", data[1]))
+                sustain.append((tick, data[1]))
     return tick
 
 

@@ -498,8 +498,6 @@ def predict_performance(
         raise ValueError(f"performer id outside 0..{model.config.n_performers - 1}: {performer_id}")
     grid = resample_grid(score)
     tokens = tokenize(grid, is_score=True)
-    if not tokens:
-        return NoteSequence(ppq=grid.ppq, tempi=grid.tempi, time_signatures=grid.time_signatures)
     rng = np.random.default_rng(seed)
     vel: list[int] = []
     ioi: list[int] = []

@@ -261,6 +261,22 @@ class TestEvaluate:
         assert report["performance_wise"]["velocity"]["kld"]["ci95"] is None
         assert report["chroma_mse"]["ci95"] is None
 
+    @pytest.mark.parametrize("pred, target, empty", [
+        ([NoteEvent(0, 96, 60, 64)], [NoteEvent(0, 96, 62, 64)], ("kld", "correlation", "dtwd")),
+        ([NoteEvent(0, 96, 60 + i, 64) for i in range(3)],  # a chord: every feature constant
+         [NoteEvent(0, 96, 60 + i, 64) for i in range(3)], ("correlation",)),
+    ], ids=["no-pitch-in-common", "constant-features"])
+    def test_mean_over_no_values_is_null(self, tmp_path, pred, target, empty):
+        def reject(constant):
+            raise AssertionError(f"{constant} in report.json")
+
+        assert evaluate_pair(tmp_path, pred, target) == EXIT_OK
+        report = json.loads((tmp_path / "r/report.json").read_text(), parse_constant=reject)
+        for wise in ("performance_wise", "segment_wise"):
+            for feature in ("velocity", "ioi", "duration"):
+                for metric in empty:
+                    assert report[wise][feature][metric]["mean"] is None
+
     def test_no_matches_exit_3(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -389,10 +405,12 @@ class TestExitCodes:
         lambda m: {**m, "items": [{**m["items"][0], "performer_id": 0.5}]},
         lambda m: {**m, "n_performers": 2, "items": [{**m["items"][0], "performer_id": True}]},
         lambda m: {**m, "n_performers": 10**12},
+        lambda m: {**m, "n_performers": 0},
+        lambda m: {**m, "n_performers": -1},
     ], ids=["not-json", "not-object", "no-items", "no-performers", "performers-not-int",
             "items-not-list", "item-not-object", "item-missing-key", "alignment-missing",
             "performer-out-of-range", "performers-bool", "performer-float", "performer-bool",
-            "performers-past-max"])
+            "performers-past-max", "performers-zero", "performers-negative"])
     def test_bad_manifest_is_data_error(self, tmp_path, edit):
         data = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
         manifest = edit(json.loads((data / "manifest.json").read_text()))

@@ -115,6 +115,19 @@ class TestParse:
             seq = parse_smf(smf([t0, t1]))
         assert seq.notes == (NoteEvent(100, 1, 60, 80),)
 
+    def test_later_track_meta_events_win_at_one_tick(self):
+        conductor = [vlq(0) + b"\xff\x51\x03" + (500000).to_bytes(3, "big"),
+                     vlq(0) + b"\xff\x58\x04\x04\x02\x18\x08",
+                     vlq(480) + b"\xff\x51\x03" + (400000).to_bytes(3, "big")]
+        t1 = [vlq(0) + b"\xff\x51\x03" + (600000).to_bytes(3, "big"),
+              vlq(0) + b"\xff\x58\x04\x03\x02\x18\x08",
+              vlq(200) + bytes([0xB0, 64, 127]), vlq(100) + bytes([0xB0, 64, 0])]
+        t2 = [vlq(100) + bytes([0xB0, 64, 100]), vlq(150) + bytes([0xB0, 64, 20])]
+        seq = parse_smf(smf([conductor, t1, t2]))
+        assert seq.tempi == (TempoEvent(0, 600000), TempoEvent(480, 400000))
+        assert seq.time_signatures == (TimeSignatureEvent(0, 3, 2),)
+        assert seq.sustain_events == ((100, 100), (200, 127), (250, 20), (300, 0))
+
     def test_unmatched_note_on_closed_at_final_tick(self):
         track = [
             vlq(0) + bytes([0x90, 60, 80]),

@@ -12,7 +12,7 @@ from gradcheck import group_relative_errors
 from oracles import loop_sample, scalar_nucleus_sample_row
 from s2a import model as model_module
 from s2a.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from s2a.midi_io import NoteEvent, NoteSequence, write_smf
+from s2a.midi_io import NoteEvent, NoteSequence, TempoEvent, TimeSignatureEvent, write_smf
 from s2a.model import (
     MAX_PERFORMERS,
     NEG_MASK,
@@ -276,6 +276,15 @@ class TestPredictPerformance:
         model = small_model()
         out = predict_performance(model, NoteSequence(ppq=96), 0, seed=0)
         assert out.notes == ()
+
+    def test_empty_score_gets_the_maps_of_a_one_note_score(self):
+        """Both renders carry the 4/4 default of a score with no signature event."""
+        model = small_model()
+        tempi = (TempoEvent(0, 600000),)
+        empty, one = (predict_performance(model, NoteSequence(480, notes, tempi), 0, seed=0)
+                      for notes in ((), (NoteEvent(0, 480, 60, 60),)))
+        assert empty.time_signatures == one.time_signatures == (TimeSignatureEvent(0, 4, 2),)
+        assert empty.tempi == one.tempi == tempi
 
 
 def edit_header(blob: bytes, edit) -> bytes:
