@@ -12,6 +12,8 @@ import struct
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 TICKS_PER_BEAT = 96  # the grid every sequence is resampled onto
 DEFAULT_TEMPO_US = 500000  # microseconds per quarter note (120 bpm)
 SUSTAIN_CONTROLLER = 64
@@ -146,14 +148,17 @@ def _dedupe_by_tick(events):
 # Parsing
 
 class _Reader:
-    __slots__ = ("data", "pos")
+    """Reads data[pos:end] in place; positions count from the start of data."""
 
-    def __init__(self, data: bytes, pos: int = 0):
+    __slots__ = ("data", "pos", "end")
+
+    def __init__(self, data: bytes, pos: int, end: int):
         self.data = data
         self.pos = pos
+        self.end = end
 
     def remaining(self) -> int:
-        return len(self.data) - self.pos
+        return self.end - self.pos
 
     def read(self, n: int) -> bytes:
         if self.remaining() < n:
@@ -193,7 +198,7 @@ def parse_smf(data: bytes) -> NoteSequence:
         raise SMFParseError("missing MThd chunk", 0)
     if header_len < 6:
         raise SMFParseError(f"MThd length {header_len} < 6", 4)
-    r = _Reader(data, 14)
+    r = _Reader(data, 14, len(data))
     r.read(header_len - 6)
     if fmt not in (0, 1):
         raise SMFParseError(f"unsupported SMF format {fmt}", 8)
@@ -219,7 +224,7 @@ def parse_smf(data: bytes) -> NoteSequence:
         if len(data) - base < chunk_len:
             raise SMFParseError("track chunk extends past end of file", chunk_start)
         r.pos = base + chunk_len
-        tick = _parse_track(_Reader(data[base:r.pos]), base, switches, tempi, sigs, sustain)
+        tick = _parse_track(_Reader(data, base, r.pos), switches, tempi, sigs, sustain)
         final_tick = max(final_tick, tick)
 
     # the stable sort on the tick alone merges the tracks in track order
@@ -254,8 +259,7 @@ def parse_smf(data: bytes) -> NoteSequence:
     )
 
 
-def _parse_track(body: _Reader, base_offset: int, switches: list, tempi: list,
-                 sigs: list, sustain: list) -> int:
+def _parse_track(body: _Reader, switches: list, tempi: list, sigs: list, sustain: list) -> int:
     """Append one track's events to the lists; returns its final tick."""
     tick = 0
     running_status = None
@@ -264,7 +268,7 @@ def _parse_track(body: _Reader, base_offset: int, switches: list, tempi: list,
         status = body.read_u8()
         if status < 0x80:
             if running_status is None:
-                raise SMFParseError("data byte with no running status", base_offset + body.pos - 1)
+                raise SMFParseError("data byte with no running status", body.pos - 1)
             body.pos -= 1
             status = running_status
 
@@ -276,12 +280,12 @@ def _parse_track(body: _Reader, base_offset: int, switches: list, tempi: list,
             if meta_type == 0x51:
                 if length != 3 or not any(payload):
                     raise SMFParseError("tempo meta event must carry 3 bytes, not all zero",
-                                        base_offset + body.pos)
+                                        body.pos)
                 tempi.append(TempoEvent(tick, int.from_bytes(payload, "big")))
             elif meta_type == 0x58:
                 if length < 2 or payload[0] < 1 or payload[1] > 6:
                     raise SMFParseError("time signature meta event too short or out of range",
-                                        base_offset + body.pos)
+                                        body.pos)
                 sigs.append(TimeSignatureEvent(tick, payload[0], payload[1]))
             elif meta_type == 0x2F:
                 break
@@ -290,7 +294,7 @@ def _parse_track(body: _Reader, base_offset: int, switches: list, tempi: list,
             body.read(length)
             running_status = None
         elif status >= 0xF0:
-            raise SMFParseError(f"unsupported system message 0x{status:02X}", base_offset + body.pos - 1)
+            raise SMFParseError(f"unsupported system message 0x{status:02X}", body.pos - 1)
         else:
             running_status = status
             kind = status & 0xF0
@@ -298,7 +302,7 @@ def _parse_track(body: _Reader, base_offset: int, switches: list, tempi: list,
             for k, byte in enumerate(data):
                 if byte & 0x80:
                     raise SMFParseError(f"data byte 0x{byte:02X} has the high bit set",
-                                        base_offset + body.pos - len(data) + k)
+                                        body.pos - len(data) + k)
             if kind in (0x80, 0x90):
                 switches.append((tick, status & 0x0F, data[0], data[1] if kind == 0x90 else 0))
             elif kind == 0xB0 and data[0] == SUSTAIN_CONTROLLER:
@@ -361,20 +365,24 @@ def _encode_track(events: list[tuple[int, int, bytes]]) -> bytes:
 # ---------------------------------------------------------------------------
 # Time arithmetic
 
-def ticks_to_seconds(seq: NoteSequence, tick: int) -> float:
-    """Piecewise-linear conversion of an absolute tick through the tempo map."""
-    if tick < 0:
+def ticks_to_seconds(seq: NoteSequence, ticks: int | np.ndarray) -> float | np.ndarray:
+    """Piecewise-linear conversion of absolute ticks through the tempo map.
+
+    ticks is an int (a float comes back) or an int array (a float array of
+    its shape). The whole tempo spans before a tick are summed in map order,
+    then its partial span is added: the float operations, in their order, of
+    a walk over the map from its start.
+    """
+    ticks = np.asarray(ticks)
+    if (ticks < 0).any():
         raise ValueError("tick must be >= 0")
     tempi = seq.effective_tempi()
-    seconds = 0.0
-    for i, ev in enumerate(tempi):
-        span_end = tempi[i + 1].tick if i + 1 < len(tempi) else tick
-        span_end = min(span_end, tick)
-        if span_end > ev.tick:
-            seconds += (span_end - ev.tick) / seq.ppq * ev.microseconds_per_quarter / 1e6
-        if span_end >= tick:
-            break
-    return seconds
+    starts = np.array([ev.tick for ev in tempi])
+    us = np.array([ev.microseconds_per_quarter for ev in tempi])
+    at_start = np.cumsum(np.concatenate(([0.0], np.diff(starts) / seq.ppq * us[:-1] / 1e6)))
+    k = np.searchsorted(starts, ticks, side="right") - 1
+    seconds = at_start[k] + (ticks - starts[k]) / seq.ppq * us[k] / 1e6
+    return seconds if seconds.ndim else float(seconds)
 
 
 def _round_half_up(x: float) -> int:

@@ -90,18 +90,6 @@ def midi_pitch_hz(pitch: float) -> float:
     return 440.0 * 2.0 ** ((pitch - 69) / 12)
 
 
-def _note_times(seq: NoteSequence) -> list[tuple[float, float, int, int]]:
-    return [
-        (
-            ticks_to_seconds(seq, n.onset_ticks),
-            ticks_to_seconds(seq, n.offset_ticks),
-            n.pitch,
-            n.velocity,
-        )
-        for n in seq.notes
-    ]
-
-
 def _render_pitch(pitch: int, members: list, sample_rate: int, mixed: np.ndarray) -> None:
     """Write tone * envelope of each (start, n_samples, at, held, velocity)
     note of one pitch into mixed[at:at + n_samples]."""
@@ -156,22 +144,23 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     MAX_AUDIO_SECONDS.
     """
     check_sample_rate(sample_rate)
-    times = _note_times(seq)
-    if not times:
+    if not seq.notes:
         return Waveform(np.zeros(0), sample_rate)
-    total = max(off for _, off, _, _ in times) + RELEASE_SECONDS
+    onsets = ticks_to_seconds(seq, [n.onset_ticks for n in seq.notes]).tolist()
+    offsets = ticks_to_seconds(seq, [n.offset_ticks for n in seq.notes]).tolist()
+    total = max(offsets) + RELEASE_SECONDS
     if total > MAX_AUDIO_SECONDS:
         raise ValueError(f"audio would last {total:.6g} s, past the {MAX_AUDIO_SECONDS} s limit")
     out = np.zeros(int(np.ceil(total * sample_rate)) + 1)
     notes = []  # (start, n_samples, at, held, velocity); at: offset into `mixed`
     by_pitch: dict[int, list[tuple]] = {}
     at = 0
-    for onset, offset, pitch, velocity in times:
+    for onset, offset, ev in zip(onsets, offsets, seq.notes):
         held = max(offset - onset, 1.0 / sample_rate)
         n_samples = int(round((held + RELEASE_SECONDS) * sample_rate))
-        note = (int(round(onset * sample_rate)), n_samples, at, held, velocity)
+        note = (int(round(onset * sample_rate)), n_samples, at, held, ev.velocity)
         notes.append(note)
-        by_pitch.setdefault(pitch, []).append(note)
+        by_pitch.setdefault(ev.pitch, []).append(note)
         at += n_samples
     mixed = np.empty(at)  # every note's tone * envelope, back to back
     for pitch, members in by_pitch.items():

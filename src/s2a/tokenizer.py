@@ -109,29 +109,28 @@ class TokenSegment:
             raise ValueError(f"n_real must be in 0..{SEGMENT_LEN}, got {self.n_real}")
 
 
-def bar_length_ticks(sig: TimeSignatureEvent, ticks_per_beat: int = TICKS_PER_BEAT) -> int:
-    """Bar length in ticks; a beat is one quarter note regardless of meter."""
-    return sig.numerator * ticks_per_beat * 4 // sig.denominator
+def bar_and_position(seq: NoteSequence, onsets: int | np.ndarray) -> tuple:
+    """(bar index, ticks since bar start) under seq's time-signature map.
 
-
-def bar_and_position(seq: NoteSequence, onset: int) -> tuple[int, int]:
-    """(bar index, ticks since bar start) under seq's time-signature map."""
+    onsets is an int (ints come back) or an int array (two arrays of its
+    shape). A beat is one quarter note regardless of meter, a partial bar
+    before a signature change still counts as a bar, and an onset before
+    the first signature counts from it. ValueError if a bar of the map is
+    shorter than one tick.
+    """
     sigs = seq.effective_time_signatures()
-    bars_before = 0
-    for i, sig in enumerate(sigs):
-        bar_len = bar_length_ticks(sig, seq.ppq)
-        seg_start = sig.tick
-        seg_end = sigs[i + 1].tick if i + 1 < len(sigs) else None
-        if seg_end is not None and onset >= seg_end:
-            # a partial bar before a signature change still counts as a bar
-            bars_before += -(-(seg_end - seg_start) // bar_len)
-            continue
-        return bars_before + (onset - seg_start) // bar_len, (onset - seg_start) % bar_len
-    raise AssertionError("unreachable: final segment is open-ended")
-
-
-def _clamp(value: int, lo: int, hi: int) -> int:
-    return max(lo, min(hi, value))
+    starts = np.array([sig.tick for sig in sigs])
+    bar_len = np.array([sig.numerator * seq.ppq * 4 // sig.denominator for sig in sigs])
+    if not bar_len.all():
+        sig = sigs[int(np.argmin(bar_len))]
+        raise ValueError(f"a {sig.numerator}/{sig.denominator} bar at tick {sig.tick} is "
+                         f"shorter than one tick at ppq {seq.ppq}")
+    bars_before = np.cumsum(np.concatenate(([0], -(-np.diff(starts) // bar_len[:-1]))))
+    onsets = np.asarray(onsets)
+    k = np.maximum(np.searchsorted(starts, onsets, side="right") - 1, 0)
+    since = onsets - starts[k]
+    bars, positions = bars_before[k] + since // bar_len[k], since % bar_len[k]
+    return (bars, positions) if bars.ndim else (int(bars), int(positions))
 
 
 def tokenize(seq: NoteSequence, is_score: bool) -> list[TokenTuple]:
@@ -144,28 +143,25 @@ def tokenize(seq: NoteSequence, is_score: bool) -> list[TokenTuple]:
         raise ValueError(
             f"sequence must be resampled to {TICKS_PER_BEAT} ticks per beat, got ppq={seq.ppq}"
         )
-    out: list[TokenTuple] = []
-    prev_onset: int | None = None
-    for idx, note in enumerate(seq.notes):
-        if not PITCH_MIN <= note.pitch <= PITCH_MAX:
-            raise ValueError(
-                f"note {idx}: pitch {note.pitch} outside piano range {PITCH_MIN}..{PITCH_MAX}"
-            )
-        velocity = SCORE_VELOCITY if is_score else note.velocity
-        ioi = 0 if prev_onset is None else note.onset_ticks - prev_onset
-        bar, position = bar_and_position(seq, note.onset_ticks)
-        out.append(
-            TokenTuple(
-                pitch_tok=N_SPECIALS + (note.pitch - PITCH_MIN),
-                velocity_tok=N_SPECIALS + velocity // 2,
-                duration_tok=N_SPECIALS + _clamp(note.duration_ticks, 1, VOCAB.n_values("duration")) - 1,
-                ioi_tok=N_SPECIALS + _clamp(ioi, 0, VOCAB.n_values("ioi") - 1),
-                position_tok=N_SPECIALS + _clamp(position, 0, VOCAB.n_values("position") - 1),
-                bar_tok=N_SPECIALS + _clamp(bar, 0, VOCAB.n_values("bar") - 1),
-            )
+    pitch, velocity, duration, onset = np.array(
+        [(n.pitch, n.velocity, n.duration_ticks, n.onset_ticks) for n in seq.notes], dtype=np.int64
+    ).reshape(-1, 4).T
+    off_piano = np.flatnonzero((pitch < PITCH_MIN) | (pitch > PITCH_MAX))
+    if off_piano.size:
+        idx = off_piano[0]
+        raise ValueError(
+            f"note {idx}: pitch {pitch[idx]} outside piano range {PITCH_MIN}..{PITCH_MAX}"
         )
-        prev_onset = note.onset_ticks
-    return out
+    bar, position = bar_and_position(seq, onset)
+    ids = N_SPECIALS + np.stack([
+        pitch - PITCH_MIN,
+        np.where(is_score, SCORE_VELOCITY, velocity) // 2,
+        np.clip(duration, 1, VOCAB.n_values("duration")) - 1,
+        np.clip(np.diff(onset, prepend=onset[:1]), 0, VOCAB.n_values("ioi") - 1),
+        np.clip(position, 0, VOCAB.n_values("position") - 1),
+        np.clip(bar, 0, VOCAB.n_values("bar") - 1),
+    ], axis=1)
+    return [TokenTuple(*row) for row in ids.tolist()]
 
 
 def detokenize(
@@ -184,31 +180,18 @@ def detokenize(
     lengths = {len(pitch_toks), len(velocity_toks), len(ioi_toks), len(duration_toks)}
     if len(lengths) != 1:
         raise ValueError("token lists must all share one length")
-    for name, toks in (
-        ("pitch", pitch_toks),
-        ("velocity", velocity_toks),
-        ("ioi", ioi_toks),
-        ("duration", duration_toks),
-    ):
-        for pos, tok in enumerate(toks):
-            if tok < N_SPECIALS:
-                raise ValueError(f"special token {tok} in {name} stream at position {pos}")
-
-    notes = []
-    onset = 0
-    for i in range(len(pitch_toks)):
-        if i > 0:
-            onset += ioi_toks[i] - N_SPECIALS
-        velocity = _clamp((velocity_toks[i] - N_SPECIALS) * 2 + 1, 1, 127)
-        notes.append(
-            NoteEvent(
-                onset_ticks=onset,
-                duration_ticks=duration_toks[i] - N_SPECIALS + 1,
-                pitch=pitch_toks[i] - N_SPECIALS + PITCH_MIN,
-                velocity=velocity,
-            )
-        )
-    return NoteSequence(ppq=TICKS_PER_BEAT, notes=tuple(notes), time_signatures=time_signatures)
+    toks = np.array([pitch_toks, velocity_toks, ioi_toks, duration_toks], dtype=np.int64)
+    special = np.argwhere(toks < N_SPECIALS)  # in stream order, then position order
+    if special.size:
+        stream, pos = special[0]
+        name = ("pitch", "velocity", "ioi", "duration")[stream]
+        raise ValueError(f"special token {toks[stream, pos]} in {name} stream at position {pos}")
+    pitch, velocity, ioi, duration = toks - N_SPECIALS
+    ioi[:1] = 0
+    notes = zip(np.cumsum(ioi).tolist(), (duration + 1).tolist(), (pitch + PITCH_MIN).tolist(),
+                np.minimum(velocity * 2 + 1, 127).tolist())
+    return NoteSequence(ppq=TICKS_PER_BEAT, notes=tuple(NoteEvent(*row) for row in notes),
+                        time_signatures=time_signatures)
 
 
 def segment(tuples: list[TokenTuple], performer_id: int) -> list[TokenSegment]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from s2a.align import AlignmentMap
-from s2a.midi_io import NoteSequence
+from s2a.midi_io import TICKS_PER_BEAT, NoteEvent, NoteSequence, TimeSignatureEvent
 from s2a.model import (
     ARGMAX_TEMPERATURE,
     NEG_MASK,
@@ -25,11 +25,18 @@ from s2a.synth import (
     PEAK_LEVEL,
     RELEASE_SECONDS,
     Waveform,
-    _note_times,
     midi_filterbank,
     midi_pitch_hz,
 )
-from s2a.tokenizer import PAD, SEGMENT_LEN, TokenTuple
+from s2a.tokenizer import (
+    PAD,
+    PITCH_MAX,
+    PITCH_MIN,
+    SCORE_VELOCITY,
+    SEGMENT_LEN,
+    VOCAB,
+    TokenTuple,
+)
 
 
 def scalar_dtw_path_cost(x: list[float], y: list[float]) -> tuple[float, int]:
@@ -98,9 +105,122 @@ def alignment_objective(
     return (len(alignment.pairs), cost)
 
 
+def scalar_ticks_to_seconds(seq: NoteSequence, tick: int) -> float:
+    """Piecewise-linear conversion of one tick, walking the tempo map from its start."""
+    if tick < 0:
+        raise ValueError("tick must be >= 0")
+    tempi = seq.effective_tempi()
+    seconds = 0.0
+    for i, ev in enumerate(tempi):
+        span_end = tempi[i + 1].tick if i + 1 < len(tempi) else tick
+        span_end = min(span_end, tick)
+        if span_end > ev.tick:
+            seconds += (span_end - ev.tick) / seq.ppq * ev.microseconds_per_quarter / 1e6
+        if span_end >= tick:
+            break
+    return seconds
+
+
+def scalar_bar_and_position(seq: NoteSequence, onset: int) -> tuple[int, int]:
+    """(bar index, ticks since bar start) of one onset, walking the meter map
+    from its start."""
+    sigs = seq.effective_time_signatures()
+    bars_before = 0
+    for i, sig in enumerate(sigs):
+        bar_len = sig.numerator * seq.ppq * 4 // sig.denominator
+        seg_start = sig.tick
+        seg_end = sigs[i + 1].tick if i + 1 < len(sigs) else None
+        if seg_end is not None and onset >= seg_end:
+            # a partial bar before a signature change still counts as a bar
+            bars_before += -(-(seg_end - seg_start) // bar_len)
+            continue
+        return bars_before + (onset - seg_start) // bar_len, (onset - seg_start) % bar_len
+    raise AssertionError("unreachable: final segment is open-ended")
+
+
+def _clamp(value: int, lo: int, hi: int) -> int:
+    return max(lo, min(hi, value))
+
+
+def loop_tokenize(seq: NoteSequence, is_score: bool) -> list[TokenTuple]:
+    """tokenizer.tokenize one note at a time, each bar looked up on its own."""
+    if seq.ppq != TICKS_PER_BEAT:
+        raise ValueError(
+            f"sequence must be resampled to {TICKS_PER_BEAT} ticks per beat, got ppq={seq.ppq}"
+        )
+    out: list[TokenTuple] = []
+    prev_onset: int | None = None
+    for idx, note in enumerate(seq.notes):
+        if not PITCH_MIN <= note.pitch <= PITCH_MAX:
+            raise ValueError(
+                f"note {idx}: pitch {note.pitch} outside piano range {PITCH_MIN}..{PITCH_MAX}"
+            )
+        velocity = SCORE_VELOCITY if is_score else note.velocity
+        ioi = 0 if prev_onset is None else note.onset_ticks - prev_onset
+        bar, position = scalar_bar_and_position(seq, note.onset_ticks)
+        out.append(
+            TokenTuple(
+                pitch_tok=N_SPECIALS + (note.pitch - PITCH_MIN),
+                velocity_tok=N_SPECIALS + velocity // 2,
+                duration_tok=N_SPECIALS + _clamp(note.duration_ticks, 1, VOCAB.n_values("duration")) - 1,
+                ioi_tok=N_SPECIALS + _clamp(ioi, 0, VOCAB.n_values("ioi") - 1),
+                position_tok=N_SPECIALS + _clamp(position, 0, VOCAB.n_values("position") - 1),
+                bar_tok=N_SPECIALS + _clamp(bar, 0, VOCAB.n_values("bar") - 1),
+            )
+        )
+        prev_onset = note.onset_ticks
+    return out
+
+
+def loop_detokenize(
+    pitch_toks: list[int],
+    velocity_toks: list[int],
+    ioi_toks: list[int],
+    duration_toks: list[int],
+    time_signatures: tuple[TimeSignatureEvent, ...] = (),
+) -> NoteSequence:
+    """tokenizer.detokenize one token and one note at a time."""
+    lengths = {len(pitch_toks), len(velocity_toks), len(ioi_toks), len(duration_toks)}
+    if len(lengths) != 1:
+        raise ValueError("token lists must all share one length")
+    for name, toks in (
+        ("pitch", pitch_toks),
+        ("velocity", velocity_toks),
+        ("ioi", ioi_toks),
+        ("duration", duration_toks),
+    ):
+        for pos, tok in enumerate(toks):
+            if tok < N_SPECIALS:
+                raise ValueError(f"special token {tok} in {name} stream at position {pos}")
+
+    notes = []
+    onset = 0
+    for i in range(len(pitch_toks)):
+        if i > 0:
+            onset += ioi_toks[i] - N_SPECIALS
+        velocity = _clamp((velocity_toks[i] - N_SPECIALS) * 2 + 1, 1, 127)
+        notes.append(
+            NoteEvent(
+                onset_ticks=onset,
+                duration_ticks=duration_toks[i] - N_SPECIALS + 1,
+                pitch=pitch_toks[i] - N_SPECIALS + PITCH_MIN,
+                velocity=velocity,
+            )
+        )
+    return NoteSequence(ppq=TICKS_PER_BEAT, notes=tuple(notes), time_signatures=time_signatures)
+
+
 def scalar_render_audio(seq: NoteSequence, sample_rate: int) -> Waveform:
     """Additive synthesis one note at a time, every partial computed per note."""
-    times = _note_times(seq)
+    times = [
+        (
+            scalar_ticks_to_seconds(seq, n.onset_ticks),
+            scalar_ticks_to_seconds(seq, n.offset_ticks),
+            n.pitch,
+            n.velocity,
+        )
+        for n in seq.notes
+    ]
     if not times:
         return Waveform(np.zeros(0), sample_rate)
     total = max(off for _, off, _, _ in times) + RELEASE_SECONDS

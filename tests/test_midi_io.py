@@ -3,8 +3,12 @@ import struct
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import scalar_ticks_to_seconds
 from s2a.midi_io import (
     NoteEvent,
     NoteSequence,
@@ -153,6 +157,15 @@ class TestParse:
         with pytest.raises(SMFParseError):
             parse_smf(data[:-4])
 
+    def test_offset_counts_from_start_of_file(self):
+        # MThd (14 bytes) + MTrk header (8) + a 3-byte body ending inside a note-on
+        data = struct.pack(">4sIHHH", b"MThd", 6, 0, 1, 96)
+        data += struct.pack(">4sI", b"MTrk", 3) + bytes([0x00, 0x90, 60])
+        assert len(data) == 25
+        with pytest.raises(SMFParseError, match=r"wanted 2 bytes\) \(byte offset 24\)") as err:
+            parse_smf(data)
+        assert err.value.offset == 24
+
     @pytest.mark.parametrize("events, bad", [
         ([bytes([0x90, 60, 169])], 169),  # note-on velocity 80 with its high bit flipped
         ([bytes([0x90, 0xBC, 80])], 0xBC),  # note-on pitch
@@ -283,6 +296,43 @@ class TestTicksToSeconds:
             ticks = sorted(rng.randrange(0, 10000) for _ in range(20))
             secs = [ticks_to_seconds(seq, t) for t in ticks]
             assert all(a <= b for a, b in zip(secs, secs[1:]))
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def tempo_maps(draw):
+    """A ppq, a map of 0-6 tempo events (negative ticks included) and ticks
+    placed on, next to and between its events, some of them negative."""
+    ppq = draw(st.integers(1, 960))
+    events = draw(st.lists(st.tuples(st.integers(-50, 5000), st.integers(1, 0xFFFFFF)),
+                           max_size=6))
+    seq = NoteSequence(ppq=ppq, tempi=tuple(TempoEvent(t, us) for t, us in events))
+    near = [t + d for t, _ in events for d in (-1, 0, 1)]
+    ticks = draw(st.lists(st.sampled_from(near) if near else st.integers(0, 5000), max_size=12))
+    return seq, ticks + draw(st.lists(st.integers(-3, 20000), max_size=12))
+
+
+class TestTicksToSecondsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tempo_maps())
+    @example((NoteSequence(ppq=7, tempi=(TempoEvent(-3, 1), TempoEvent(5, 0xFFFFFF))),
+              [0, 4, 5, 6, -1]))
+    def test_equals_the_tempo_walk(self, case):
+        seq, ticks = case
+        want = [outcome(scalar_ticks_to_seconds, seq, t) for t in ticks]
+        assert [outcome(ticks_to_seconds, seq, t) for t in ticks] == want
+        if all(t >= 0 for t in ticks):
+            got = ticks_to_seconds(seq, np.array(ticks, dtype=np.int64))
+            assert got.dtype == np.float64 and got.tolist() == want
+        else:
+            assert outcome(ticks_to_seconds, seq, ticks) == (ValueError, "tick must be >= 0")
 
 
 class TestResampleGrid:

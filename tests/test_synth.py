@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_render_audio, whole_array_spectrogram
+from oracles import scalar_render_audio, scalar_ticks_to_seconds, whole_array_spectrogram
 from s2a.corpus import SyntheticCorpusSpec, generate_corpus
 from s2a.midi_io import NoteEvent, NoteSequence, TempoEvent, parse_smf
 from s2a.synth import (
@@ -15,6 +16,7 @@ from s2a.synth import (
     MAX_SAMPLE_RATE,
     N_HARMONICS,
     PEAK_LEVEL,
+    RELEASE_SECONDS,
     Waveform,
     check_sample_rate,
     chromagram,
@@ -115,16 +117,19 @@ class TestRenderAudio:
 def note_sequences(draw):
     """Few distinct pitches, so notes repeat and overlap on the same pitch;
     at 2000 us per quarter a tick is shorter than a sample, so some notes
-    are held for a single sample."""
+    are held for a single sample. The tempo map has 1-4 events, not always
+    one at tick 0."""
     ppq = draw(st.sampled_from([96, 480]))
-    tempo = draw(st.sampled_from([500000, 2000]))
+    tempi = draw(st.lists(st.builds(TempoEvent, st.integers(0, 3 * ppq),
+                                    st.sampled_from([500000, 2000, 300000])),
+                          min_size=1, max_size=4))
     pitches = draw(st.lists(st.integers(0, 127), min_size=1, max_size=4))
     notes = draw(st.lists(
         st.builds(NoteEvent, st.integers(0, 3 * ppq), st.integers(1, 2 * ppq),
                   st.sampled_from(pitches), st.integers(1, 127)),
         max_size=12,
     ))
-    return NoteSequence(ppq=ppq, notes=tuple(notes), tempi=(TempoEvent(0, tempo),))
+    return NoteSequence(ppq=ppq, notes=tuple(notes), tempi=tuple(tempi))
 
 
 class TestRenderAgainstOracle:
@@ -167,6 +172,19 @@ class TestRenderAgainstOracle:
         seq = parse_smf((tmp_path / manifest["items"][0]["performance"]).read_bytes())
         assert len({n.pitch for n in seq.notes}) < len(seq.notes)
         self.assert_same(seq, 24000)
+
+
+def test_render_reads_the_tempo_map_once():
+    """8,000 notes, each under its own tempo event: one pass over the map,
+    not two per note."""
+    notes = tuple(NoteEvent(24 * i, 24, 21 + i % 88, 1 + i % 127) for i in range(8000))
+    tempi = tuple(TempoEvent(24 * i, 200000 + 1000 * (i % 7)) for i in range(8000))
+    seq = NoteSequence(ppq=96, notes=notes, tempi=tempi)
+    start = time.monotonic()
+    w = render_audio(seq, 4000)
+    assert time.monotonic() - start < 10.0
+    end = scalar_ticks_to_seconds(seq, notes[-1].offset_ticks) + RELEASE_SECONDS
+    assert len(w.samples) == int(np.ceil(end * 4000)) + 1
 
 
 class TestSpectrogram:

@@ -1,16 +1,21 @@
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import tuple_prepare_batch
+from oracles import loop_detokenize, loop_tokenize, scalar_bar_and_position, tuple_prepare_batch
+from test_midi_io import outcome
 from s2a.midi_io import NoteEvent, NoteSequence, TimeSignatureEvent
 from s2a.model import prepare_batch
 from s2a.tokenizer import (
     FEATURE_NAMES,
+    N_SPECIALS,
     PAD,
+    PITCH_MAX,
+    PITCH_MIN,
     SEGMENT_LEN,
     TokenTuple,
     VocabSpec,
@@ -103,6 +108,18 @@ class TestBarAndPosition:
     def test_mid_bar_change_counts_partial_bar(self):
         seq = grid_seq([], sigs=[TimeSignatureEvent(0, 4, 2), TimeSignatureEvent(400, 2, 2)])
         assert bar_and_position(seq, 400) == (2, 0)
+
+    def test_onset_before_first_signature_counts_from_it(self):
+        seq = grid_seq([], sigs=[TimeSignatureEvent(-10, 3, 2), TimeSignatureEvent(500, 2, 2)])
+        assert bar_and_position(seq, -300) == (-2, 286)
+        bars, positions = bar_and_position(seq, np.array([-300, -10, 500]))
+        assert bars.tolist() == [-2, 0, 2] and positions.tolist() == [286, 0, 0]
+
+    def test_bar_shorter_than_one_tick_rejected(self):
+        # ppq 7: a 1/64 bar is 4 * 7 / 64 = 0.44 ticks
+        seq = NoteSequence(ppq=7, time_signatures=(TimeSignatureEvent(0, 1, 6),))
+        with pytest.raises(ValueError, match="1/64 bar at tick 0 is shorter than one tick at ppq 7"):
+            bar_and_position(seq, 10)
 
 
 class TestDetokenize:
@@ -230,3 +247,94 @@ def test_token_dump_round_trip():
     assert load_tokens(dump_tokens(toks)) == toks
     header = dump_tokens(toks).splitlines()[0]
     assert header == "\t".join(FEATURE_NAMES)
+
+
+signature = st.builds(TimeSignatureEvent, st.integers(-50, 5000), st.integers(1, 255),
+                      st.integers(0, 6))
+
+
+@st.composite
+def meter_maps(draw):
+    """A ppq, a map of 0-6 time signatures (negative ticks included) and
+    onsets placed on, next to and between its events, some of them negative."""
+    ppq = draw(st.integers(1, 960))
+    sigs = draw(st.lists(signature, max_size=6))
+    near = [sig.tick + d for sig in sigs for d in (-1, 0, 1)]
+    onsets = draw(st.lists(st.sampled_from(near) if near else st.integers(-500, 5000),
+                           max_size=12))
+    onsets += draw(st.lists(st.integers(-500, 50000), max_size=12))
+    return NoteSequence(ppq=ppq, time_signatures=tuple(sigs)), onsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(meter_maps())
+@example((NoteSequence(ppq=7, time_signatures=(TimeSignatureEvent(0, 4, 2),
+                                               TimeSignatureEvent(30, 1, 6))), [0, 29]))
+def test_bar_and_position_equals_the_meter_walk(case):
+    seq, onsets = case
+    sigs = seq.effective_time_signatures()
+    if any(sig.numerator * seq.ppq * 4 < sig.denominator for sig in sigs):
+        with pytest.raises(ValueError, match="shorter than one tick"):
+            bar_and_position(seq, onsets)
+        return
+    want = [scalar_bar_and_position(seq, onset) for onset in onsets]
+    assert [bar_and_position(seq, onset) for onset in onsets] == want
+    bars, positions = bar_and_position(seq, np.array(onsets, dtype=np.int64))
+    assert list(zip(bars.tolist(), positions.tolist())) == want
+
+
+note = st.builds(
+    NoteEvent,
+    onset_ticks=st.one_of(st.integers(-400, 3000), st.integers(1_000_000, 2_000_000)),
+    duration_ticks=st.integers(1, 3000),
+    pitch=st.integers(PITCH_MIN - 2, PITCH_MAX + 2),
+    velocity=st.integers(1, 127),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(note, max_size=40), st.lists(signature, max_size=6), st.booleans(),
+       st.sampled_from([96, 96, 480]))
+def test_tokenize_equals_the_note_loop(notes, sigs, is_score, ppq):
+    """Same tokens, or the same error for the first off-piano note; vocabulary
+    edges, negative onsets and bars past the last id included."""
+    seq = NoteSequence(ppq=ppq, notes=tuple(notes), time_signatures=tuple(sigs))
+    assert outcome(tokenize, seq, is_score) == outcome(loop_tokenize, seq, is_score)
+
+
+def token_streams(n):
+    """Pitch, velocity, IOI and duration ids of n notes; a few pitches land
+    past MIDI 127 and a few velocities past the last bin."""
+    ranges = ((N_SPECIALS, 115), (N_SPECIALS, 80), (N_SPECIALS, 800), (N_SPECIALS, 1200))
+    return st.tuples(*[st.lists(st.integers(lo, hi), min_size=n, max_size=n) for lo, hi in ranges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 30).flatmap(token_streams),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 29), st.integers(0, N_SPECIALS - 1)),
+                max_size=2),
+       st.sampled_from([None, None, None, 0, 1, 2, 3]),
+       st.lists(signature, max_size=3))
+def test_detokenize_equals_the_token_loop(streams, specials, short_stream, sigs):
+    """Same notes, or the same error: special tokens, pitches past 127 and
+    streams of unequal length."""
+    streams = [list(toks) for toks in streams]
+    for stream, pos, tok in specials:
+        if pos < len(streams[stream]):
+            streams[stream][pos] = tok
+    if short_stream is not None and streams[short_stream]:
+        streams[short_stream].pop()
+    sigs = NoteSequence(ppq=96, time_signatures=tuple(sigs)).time_signatures
+    assert outcome(detokenize, *streams, sigs) == outcome(loop_detokenize, *streams, sigs)
+
+
+def test_tokenize_reads_the_meter_map_once():
+    """20,000 notes over 5,000 time signatures: one pass over the map, not
+    one per note."""
+    sigs = [TimeSignatureEvent(384 * k, 2 + k % 5, 2) for k in range(5000)]
+    notes = [NoteEvent(96 * i, 96, PITCH_MIN + i % 88, 1 + i % 127) for i in range(20000)]
+    seq = grid_seq(notes, sigs)
+    start = time.monotonic()
+    toks = tokenize(seq, is_score=False)
+    assert time.monotonic() - start < 5.0
+    assert len(toks) == 20000
