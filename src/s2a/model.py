@@ -18,7 +18,7 @@ bit-reproducible.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .tokenizer import (
     N_SPECIALS,
     PREDICTED,
     SEGMENT_LEN,
+    VOCAB,
     TokenSegment,
     VocabSpec,
     detokenize,
@@ -53,17 +54,15 @@ class M2MConfig:
     d_ff: int = 256
     dropout: float = 0.1
     n_performers: int = 4
-    max_seq_len: int = SEGMENT_LEN
-    d_embed: int = 0  # 0 means d_model // 4
     seed: int = 0
-    vocab: VocabSpec = field(default_factory=VocabSpec)
 
     def __post_init__(self):
-        if min(self.n_heads, self.d_model, self.d_ff) < 1:
-            raise ValueError("n_heads, d_model and d_ff must be >= 1")
-        # forward_batch runs only T == max_seq_len, and a segment is SEGMENT_LEN long
-        if not 1 <= self.max_seq_len <= SEGMENT_LEN:
-            raise ValueError(f"max_seq_len must be in 1..{SEGMENT_LEN}")
+        # sinusoidal positions fill d_model in sine/cosine pairs, and the six
+        # feature embeddings are d_model // 4 wide
+        if self.d_model < 4 or self.d_model % 2:
+            raise ValueError(f"d_model must be even and >= 4, got {self.d_model}")
+        if min(self.n_heads, self.d_ff) < 1:
+            raise ValueError("n_heads and d_ff must be >= 1")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout < 1.0:
@@ -72,21 +71,25 @@ class M2MConfig:
             raise ValueError(f"n_performers must be in 1..{MAX_PERFORMERS}, got {self.n_performers}")
         if min(self.n_layers, self.seed) < 0:
             raise ValueError("n_layers and seed must be >= 0")
-        if self.d_embed == 0:
-            object.__setattr__(self, "d_embed", self.d_model // 4)
-        if self.d_embed < 1:
-            raise ValueError("d_embed must be >= 1 (d_model >= 4 when d_embed is 0)")
 
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
+
+    @property
+    def d_embed(self) -> int:
+        return self.d_model // 4
+
+    @property
+    def vocab(self) -> VocabSpec:
+        return VOCAB
 
 
 @dataclass
 class M2MModel:
     config: M2MConfig
     params: dict[str, np.ndarray]
-    pos_encoding: np.ndarray  # [max_seq_len, d_model], fixed
+    pos_encoding: np.ndarray  # [SEGMENT_LEN, d_model], fixed
 
     def check_finite(self) -> None:
         for name, value in self.params.items():
@@ -144,7 +147,7 @@ def init_model(config: M2MConfig) -> M2MModel:
             p[name] = np.ones(shape)
         else:
             p[name] = np.zeros(shape)
-    return M2MModel(config, p, sinusoidal_positions(config.max_seq_len, config.d_model))
+    return M2MModel(config, p, sinusoidal_positions(SEGMENT_LEN, config.d_model))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +234,8 @@ def forward_batch(
     cfg = model.config
     p = model.params
     B, T, _ = ids.shape
-    if T != cfg.max_seq_len:
-        raise ValueError(f"sequence length {T} != configured {cfg.max_seq_len}")
+    if not 1 <= T <= SEGMENT_LEN:
+        raise ValueError(f"sequence length {T} outside 1..{SEGMENT_LEN}")
     validate_inputs(ids, performer, cfg)
     rate = cfg.dropout if train_rng is not None else 0.0
 

@@ -33,8 +33,7 @@ def randomize_parameters(model: M2MModel, rng) -> None:
             model.params[name] = 0.3 * rng.standard_normal(value.shape)
 
 
-def random_inputs(config, rng, batch=2):
-    T = config.max_seq_len
+def random_inputs(config, rng, batch=2, T=8):
     ids = np.zeros((batch, T, 6), dtype=np.int64)
     for k, name in enumerate(FEATURE_NAMES):
         ids[:, :, k] = rng.integers(4, config.vocab.size(name), size=(batch, T))

@@ -97,7 +97,7 @@ def test_03_midi_io_round_trip():
 def test_04_gradient_check():
     start = time.monotonic()
     model = init_model(M2MConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32,
-                                 dropout=0.0, n_performers=3, max_seq_len=8, seed=11))
+                                 dropout=0.0, n_performers=3, seed=11))
     errors = group_relative_errors(model, seed=5)
     elapsed = time.monotonic() - start
     worst = max(errors.values())

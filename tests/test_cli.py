@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import re
@@ -12,13 +13,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from test_midi_io import smf, vlq
-from test_model import edit_header, edit_manifest
+from test_model import LAST_TENSOR_BYTES, edit_header
 from s2a.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, build_parser, main
 from s2a.midi_io import NoteEvent, NoteSequence, parse_smf, write_smf
 from s2a.model import M2MConfig, init_model
 from s2a.synth import load_matrix, midi_spectrogram, read_wav, render_audio, write_wav
-from s2a.tokenizer import SCORE_VELOCITY
+from s2a.tokenizer import SCORE_VELOCITY, VOCAB
 
 
 def run(*argv):
@@ -50,6 +51,24 @@ def checkpoint_tail(header: bytes, tensors: bytes = b"") -> bytes:
 
 def tiny_checkpoint() -> bytes:
     return save_checkpoint(init_model(M2MConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32)))
+
+
+def v1_checkpoint(model) -> bytes:
+    """The model in the version 1 format: a header of the config (then with
+    max_seq_len, d_embed and vocab) and a tensor manifest, then the tensors
+    in name order."""
+    c = model.config
+    config = {"n_layers": c.n_layers, "d_model": c.d_model, "n_heads": c.n_heads, "d_ff": c.d_ff,
+              "dropout": c.dropout, "n_performers": c.n_performers, "max_seq_len": 256,
+              "d_embed": c.d_embed, "seed": c.seed, "vocab": dataclasses.asdict(VOCAB)}
+    manifest, blob = [], b""
+    for name in sorted(model.params):
+        tensor = np.ascontiguousarray(model.params[name], dtype="<f4")
+        manifest.append({"name": name, "shape": list(tensor.shape), "offset": len(blob),
+                         "dtype": "<f4"})
+        blob += tensor.tobytes()
+    header = json.dumps({"config": config, "tensors": manifest}).encode()
+    return b"S2A-M2M-CKPT-v1\n" + struct.pack("<Q", len(header)) + header + blob
 
 
 def render_with(tmp_path, checkpoint: bytes) -> int:
@@ -435,17 +454,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("tail", [
         b"",  # truncated right after the magic string
         checkpoint_tail(b"{"),
-        checkpoint_tail(b'{"tensors": []}'),
-        checkpoint_tail(b'{"config": {}, "tensors": []}'),
-        checkpoint_tail(b'{"config": {"vocab": {"bogus": 1}}, "tensors": []}'),
-        checkpoint_tail(b'{"config": 5, "tensors": []}'),
+        checkpoint_tail(b""),
+        checkpoint_tail(b"{}"),
+        checkpoint_tail(b'{"vocab": {"bogus": 1}}'),
+        checkpoint_tail(b"5"),
         checkpoint_tail(b"[]"),
-        checkpoint_tail(b'{"config": {"vocab": {}}, "tensors": [{"name": "x", "shape": [4],'
-                        b' "offset": 0, "dtype": "<f4"}]}'),
-        checkpoint_tail(b'{"config": {"vocab": {}}, "tensors": [{"name": "x", "shape": [1],'
-                        b' "offset": 0, "dtype": "<f4"}]}', struct.pack("<f", float("nan"))),
+        checkpoint_tail(b"{}", struct.pack("<3f", 0.0, 0.0, 0.0)),
+        tiny_checkpoint()[len(MAGIC):-4] + struct.pack("<f", float("nan")),
         checkpoint_tail(b"[" * 100_000),
-        checkpoint_tail(b'{"config": {"n_layers": 1000000000, "vocab": {}}, "tensors": []}'),
+        checkpoint_tail(b'{"n_layers": 1000000000}'),
     ], ids=["truncated", "not-json", "no-config", "empty-config", "unknown-vocab-key",
             "config-not-object", "header-not-object", "tensor-past-end", "non-finite",
             "deeply-nested", "billion-layers"])
@@ -453,18 +470,28 @@ class TestExitCodes:
         assert render_with(tmp_path, MAGIC + tail) == EXIT_DATA
 
     @pytest.mark.parametrize("edit", [
-        lambda ts: [t for t in ts if t["name"] != "emb_pitch"],
-        lambda ts: [{**t, "shape": [t["shape"][0] + 1, t["shape"][1]]}
-                    if t["name"] == "emb_velocity" else t for t in ts],
-        lambda ts: ts + [{"name": "extra", "shape": [1], "offset": 0, "dtype": "<f4"}],
-    ], ids=["missing-tensor", "wrong-shape", "extra-name"])
-    def test_checkpoint_unlike_its_config_is_data_error(self, tmp_path, edit):
-        assert render_with(tmp_path, edit_manifest(tiny_checkpoint(), edit)) == EXIT_DATA
+        lambda blob: blob[:-LAST_TENSOR_BYTES],
+        lambda blob: edit_header(blob, lambda c: {**c, "d_ff": 64}),
+        lambda blob: edit_header(blob, lambda c: {**c, "n_layers": 0}),
+        lambda blob: blob[:-4],
+        lambda blob: blob + struct.pack("<f", 0.5),
+    ], ids=["missing-tensor", "wrong-shape", "extra-name", "one-float-short", "one-float-over"])
+    def test_checkpoint_unlike_its_config_is_data_error(self, tmp_path, capsys, edit):
+        assert render_with(tmp_path, edit(tiny_checkpoint())) == EXIT_DATA
+        assert "tensor" in capsys.readouterr().err
 
-    def test_checkpoint_max_seq_len_past_a_segment_is_data_error(self, tmp_path):
-        blob = edit_header(tiny_checkpoint(),
-                           lambda h: {**h, "config": {**h["config"], "max_seq_len": 10**12}})
+    @pytest.mark.parametrize("key, value", [
+        ("max_seq_len", 10**12), ("d_embed", 4), ("vocab", {}),
+    ], ids=["max_seq_len", "d_embed", "vocab"])
+    def test_checkpoint_with_a_v1_config_key_is_data_error(self, tmp_path, key, value):
+        blob = edit_header(tiny_checkpoint(), lambda c: {**c, key: value})
         assert render_with(tmp_path, blob) == EXIT_DATA
+
+    def test_v1_checkpoint_is_data_error_naming_its_version(self, tmp_path, capsys):
+        model = init_model(M2MConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32))
+        assert render_with(tmp_path, v1_checkpoint(model)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "checkpoint version 'v1'" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +543,7 @@ class TestSettings:
         (None, TRAIN + ("--epochs", "-1")),
         (None, TRAIN + ("--epochs", "1", "--batch-size", "0")),
         (None, TRAIN + ("--epochs", "1", "--d-model", "7")),
+        ({"model": {"n_heads": 1}}, TRAIN + ("--epochs", "1", "--d-model", "5")),
         (None, TRAIN + ("--epochs", "1", "--dropout", "1.5")),
         (None, TRAIN + ("--epochs", "1", "--learning-rate", "nan")),
         (None, TRAIN + ("--epochs", "1", "--layers", "-1")),
@@ -532,8 +560,8 @@ class TestSettings:
     ], ids=["string-pieces", "float-seed", "zero-heads", "zero-warmup", "unknown-key",
             "section-not-object", "unknown-section", "zero-embedding", "infinite-number",
             "number-past-float", "bool-integer", "negative-epochs", "zero-batch",
-            "d-model-not-divisible", "dropout-past-one", "nan-learning-rate", "negative-layers",
-            "negative-train-seed", "performers-past-profiles", "negative-pieces",
+            "d-model-not-divisible", "odd-d-model", "dropout-past-one", "nan-learning-rate",
+            "negative-layers", "negative-train-seed", "performers-past-profiles", "negative-pieces",
             "zero-sample-rate", "negative-sample-rate", "sample-rate-past-192k",
             "sample-rate-past-wav-header", "top-p-past-one", "nan-temperature",
             "negative-sampling-seed"])

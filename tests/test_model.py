@@ -18,18 +18,21 @@ from s2a.model import (
     NEG_MASK,
     M2MConfig,
     forward,
+    forward_batch,
     init_model,
     nucleus_sample_row,
     predict_performance,
     sample,
     softmax,
 )
-from s2a.tokenizer import PAD, SEGMENT_LEN, TokenSegment
+from s2a.tokenizer import PAD, SEGMENT_LEN, VOCAB, TokenSegment
+
+LAST_TENSOR_BYTES = 4 * VOCAB.duration  # head_dur_b, the last tensor of a checkpoint
 
 
 def toy_config(**overrides):
     defaults = dict(n_layers=1, d_model=16, n_heads=2, d_ff=32, dropout=0.0,
-                    n_performers=3, max_seq_len=8, seed=11)
+                    n_performers=3, seed=11)
     defaults.update(overrides)
     return M2MConfig(**defaults)
 
@@ -288,22 +291,29 @@ class TestPredictPerformance:
 
 
 def edit_header(blob: bytes, edit) -> bytes:
-    """Checkpoint bytes with edit applied to the JSON header."""
+    """Checkpoint bytes with edit applied to the JSON header, the config."""
     start = len(MAGIC) + 8
     (length,) = struct.unpack_from("<Q", blob, len(MAGIC))
     text = json.dumps(edit(json.loads(blob[start:start + length]))).encode()
     return MAGIC + struct.pack("<Q", len(text)) + text + blob[start + length:]
 
 
-def edit_manifest(blob: bytes, edit) -> bytes:
-    """Checkpoint bytes with edit applied to the header's tensor list."""
-    return edit_header(blob, lambda header: {**header, "tensors": edit(header["tensors"])})
+def test_forward_batch_takes_at_most_a_segment():
+    model = init_model(toy_config())
+    for T in (1, 8, SEGMENT_LEN):
+        ids = np.full((1, T, 6), 4, dtype=np.int64)
+        logits, _ = forward_batch(model, ids, np.ones((1, T), dtype=bool), np.zeros(1, int))
+        assert logits["velocity"].shape == (1, T, 68)
+    ids = np.full((1, SEGMENT_LEN + 1, 6), 4, dtype=np.int64)
+    with pytest.raises(ValueError, match="sequence length 257"):
+        forward_batch(model, ids, np.ones((1, SEGMENT_LEN + 1), dtype=bool), np.zeros(1, int))
 
 
-def test_max_seq_len_is_at_most_a_segment():
-    assert M2MConfig(max_seq_len=SEGMENT_LEN).max_seq_len == SEGMENT_LEN
-    with pytest.raises(ValueError, match="max_seq_len"):
-        M2MConfig(max_seq_len=SEGMENT_LEN + 1)
+@pytest.mark.parametrize("d_model", [5, 2])
+def test_d_model_is_even_and_at_least_4(d_model):
+    """Sinusoidal positions fill d_model in pairs; embeddings are d_model // 4 wide."""
+    with pytest.raises(ValueError, match="d_model"):
+        M2MConfig(d_model=d_model, n_heads=1)
 
 
 def test_n_performers_is_bounded():
@@ -330,32 +340,40 @@ class TestCheckpoint:
         assert np.array_equal(a["velocity"], b["velocity"])
 
     @pytest.mark.parametrize("edit", [
-        lambda ts: [t for t in ts if t["name"] != "emb_pitch"],
-        lambda ts: [{**t, "shape": [t["shape"][0] + 1, t["shape"][1]]}
-                    if t["name"] == "emb_velocity" else t for t in ts],
-        lambda ts: [{**t, "shape": t["shape"][::-1]} if t["name"] == "l0.ff_w1" else t
-                    for t in ts],
-        lambda ts: ts + [{"name": "extra", "shape": [1], "offset": 0, "dtype": "<f4"}],
-        lambda ts: ts + [ts[0]],
-        lambda ts: [],
-    ], ids=["missing", "extra-rows", "transposed", "extra-name", "repeated", "none"])
+        lambda blob: blob[:-LAST_TENSOR_BYTES],
+        lambda blob: edit_header(blob, lambda c: {**c, "d_ff": 2 * c["d_ff"]}),
+        lambda blob: edit_header(blob, lambda c: {**c, "n_layers": c["n_layers"] - 1}),
+        lambda blob: blob + blob[-LAST_TENSOR_BYTES:],
+        lambda blob: blob[:-4],
+        lambda blob: blob + struct.pack("<f", 0.5),
+        lambda blob: blob[:blob.index(b"}") + 1],  # the config, no tensor bytes
+    ], ids=["missing", "extra-rows", "extra-name", "repeated", "one-float-short",
+            "one-float-over", "none"])
     def test_tensors_must_match_the_config(self, edit):
-        blob = edit_manifest(save_checkpoint(small_model()), edit)
+        """The config fixes every tensor's size; the bytes must hold exactly those."""
+        blob = edit(save_checkpoint(small_model()))
         with pytest.raises(ValueError, match="tensor"):
             load_checkpoint(blob)
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_seq_len", SEGMENT_LEN), ("d_embed", 8), ("vocab", {}),
+    ], ids=["max_seq_len", "d_embed", "vocab"])
+    def test_v1_config_keys_rejected(self, key, value):
+        blob = edit_header(save_checkpoint(small_model()), lambda c: {**c, key: value})
+        with pytest.raises(ValueError, match=key):
+            load_checkpoint(blob)
+
     def test_header_with_config_and_no_tensors_rejected(self):
-        header = json.dumps({"config": {"vocab": {}}, "tensors": []}).encode()
-        with pytest.raises(ValueError, match="missing"):
+        header = json.dumps({}).encode()
+        with pytest.raises(ValueError, match="runs past the end"):
             load_checkpoint(MAGIC + struct.pack("<Q", len(header)) + header)
 
     def test_claimed_layers_cost_nothing_before_they_are_checked(self):
-        # 10,000 layers would be 160,000 expected tensor names; the header lists none
-        header = json.dumps({"config": {"n_layers": 10_000, "vocab": {}},
-                             "tensors": []}).encode()
+        # 10**9 layers would be 16 * 10**9 tensors; the bytes hold none
+        header = json.dumps({"n_layers": 10**9}).encode()
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="missing"):
+            with pytest.raises(ValueError, match="runs past the end"):
                 load_checkpoint(MAGIC + struct.pack("<Q", len(header)) + header)
             _, peak = tracemalloc.get_traced_memory()
         finally:
