@@ -1,5 +1,17 @@
 """Score-to-audio toolkit: expressive performance rendering, deterministic
-piano synthesis, and objective evaluation."""
+piano synthesis, and objective evaluation.
+
+Importing s2a before numpy sets BLAS to one thread unless the environment
+says otherwise: a product split between BLAS threads rounds differently, so
+outputs would depend on the core count. The audio path uses a second core
+through its own worker thread.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .align import AlignmentMap, align_notes
 from .checkpoint import load_checkpoint, save_checkpoint

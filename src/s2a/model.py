@@ -17,6 +17,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -57,6 +58,12 @@ class M2MConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a checkpoint header is JSON, where 2.0, true and NaN are numbers too
+        for name in ("n_layers", "d_model", "n_heads", "d_ff", "n_performers", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, numbers.Real):
+            raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
         # sinusoidal positions fill d_model in sine/cosine pairs, and the six
         # feature embeddings are d_model // 4 wide
         if self.d_model < 4 or self.d_model % 2:

@@ -7,6 +7,11 @@ The analysis side provides a 128-bin semitone-spaced (MIDI-scale)
 spectrogram over 2048-sample Hann frames at a 512-sample hop, chromagrams,
 and 9.6 s segmentation / cross-correlation stitching for audio produced in
 fixed-length windows (render_audio has no window, so `s2a synth` uses none).
+
+render_audio and midi_spectrogram share their independent work between the
+calling thread and one worker thread, which ends before the call returns.
+Each sample and each frame gets the same float operations in the same order
+as in one thread, so the bytes are the same at any core count.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import wave
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +48,7 @@ MAX_SAMPLE_RATE = 192_000
 
 FRAME_LEN = 2048
 HOP = 512
-SPECTROGRAM_BLOCK = 256
+SPECTROGRAM_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,17 @@ class Chromagram:
 
 def midi_pitch_hz(pitch: float) -> float:
     return 440.0 * 2.0 ** ((pitch - 69) / 12)
+
+
+def _split_work(fn, items: list) -> None:
+    """fn(item) for every item: the caller runs items[::2] and one worker
+    thread items[1::2]. The items must write disjoint memory, and fn must not
+    call a function perfbench traces: its tracer keeps one span stack."""
+    with ThreadPoolExecutor(1) as pool:
+        worker = pool.submit(lambda: [fn(item) for item in items[1::2]])
+        for item in items[::2]:
+            fn(item)
+        worker.result()
 
 
 def _render_pitch(pitch: int, members: list, sample_rate: int, mixed: np.ndarray) -> None:
@@ -139,7 +156,9 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     Every sample gets the same float operations, in the same order, as a
     note-by-note loop would apply: the attack and release factors are exactly
     1.0 outside the ranges they are applied over, and the notes are mixed
-    into the output in their original order. ValueError for a sample_rate
+    into the output in their original order. Pitches write disjoint slots of
+    one buffer, and the mix is cut in two halves by time, so each runs on two
+    threads without changing a sample. ValueError for a sample_rate
     outside 1..MAX_SAMPLE_RATE, or for a last release that ends past
     MAX_AUDIO_SECONDS.
     """
@@ -163,11 +182,18 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
         by_pitch.setdefault(ev.pitch, []).append(note)
         at += n_samples
     mixed = np.empty(at)  # every note's tone * envelope, back to back
-    for pitch, members in by_pitch.items():
-        _render_pitch(pitch, members, sample_rate, mixed)
-    for start, n_samples, at, _, _ in notes:
-        out[start:start + n_samples] += mixed[at:at + n_samples]
-    peak = np.max(np.abs(out))
+    _split_work(lambda item: _render_pitch(*item, sample_rate, mixed), list(by_pitch.items()))
+
+    def mix(span):
+        lo, hi = span
+        for start, n_samples, at, _, _ in notes:
+            a, b = max(start, lo), min(start + n_samples, hi)
+            if a < b:
+                out[a:b] += mixed[at + a - start:at + b - start]
+
+    half = len(out) // 2
+    _split_work(mix, [(0, half), (half, len(out))])
+    peak = max(out.max(), -out.min())
     if peak > 0:
         out *= PEAK_LEVEL / peak
     return Waveform(out, sample_rate)
@@ -203,12 +229,13 @@ def midi_spectrogram(w: Waveform) -> Spectrogram:
     """Magnitude STFT (FRAME_LEN Hann frames every HOP samples) through the
     semitone filterbank, log(1+x) compressed.
 
-    Frames go through window, rFFT, magnitude and filterbank in blocks of
-    SPECTROGRAM_BLOCK to 2 * SPECTROGRAM_BLOCK - 1 rows, or as one block when
-    there are fewer, so memory is one block plus the result at any length.
-    No block is shorter: BLAS rounds a product of fewer than 8 rows
-    differently from the same rows inside a taller one, and the output must
-    not depend on where a block ends.
+    Frames go through window, rFFT, magnitude, filterbank and log in blocks
+    of SPECTROGRAM_BLOCK to 2 * SPECTROGRAM_BLOCK - 1 rows, or as one block
+    when there are fewer. Blocks alternate between the calling thread and
+    one worker, so memory is two blocks plus the result at any length. No
+    block is shorter: BLAS rounds a product of fewer than 8 rows differently
+    from the same rows inside a taller one, and the output must not depend
+    on where a block ends.
     """
     if len(w.samples) == 0:
         return Spectrogram(np.zeros((0, 128)), w.sample_rate / HOP)
@@ -220,9 +247,12 @@ def midi_spectrogram(w: Waveform) -> Spectrogram:
     bank_t = midi_filterbank(w.sample_rate).T
     out = np.empty((len(frames), 128))
     n_blocks = max(1, len(frames) // SPECTROGRAM_BLOCK)
-    for block, dest in zip(np.array_split(frames, n_blocks), np.array_split(out, n_blocks)):
-        dest[:] = np.abs(np.fft.rfft(block * window, axis=1)) @ bank_t
-    np.log1p(out, out=out)
+
+    def fill(pair):
+        block, dest = pair
+        np.log1p(np.abs(np.fft.rfft(block * window, axis=1)) @ bank_t, out=dest)
+
+    _split_work(fill, list(zip(np.array_split(frames, n_blocks), np.array_split(out, n_blocks))))
     return Spectrogram(out, w.sample_rate / HOP)
 
 
@@ -364,7 +394,8 @@ def stitch_segments(
 def write_wav(w: Waveform) -> bytes:
     """16-bit PCM mono RIFF bytes."""
     pcm = np.clip(w.samples, -1.0, 1.0)
-    ints = np.round(pcm * 32767.0).astype("<i2")
+    pcm *= 32767.0
+    ints = np.round(pcm, out=pcm).astype("<i2")
     buf = io.BytesIO()
     with wave.open(buf, "wb") as wf:
         wf.setnchannels(1)

@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 
 from s2a.align import AlignmentMap
-from s2a.midi_io import TICKS_PER_BEAT, NoteEvent, NoteSequence, TimeSignatureEvent
+from s2a.midi_io import (
+    TICKS_PER_BEAT,
+    NoteEvent,
+    NoteSequence,
+    TimeSignatureEvent,
+    ticks_to_seconds,
+)
 from s2a.model import (
     ARGMAX_TEMPERATURE,
     NEG_MASK,
@@ -25,6 +31,7 @@ from s2a.synth import (
     PEAK_LEVEL,
     RELEASE_SECONDS,
     Waveform,
+    _render_pitch,
     midi_filterbank,
     midi_pitch_hz,
 )
@@ -243,6 +250,36 @@ def scalar_render_audio(seq: NoteSequence, sample_rate: int) -> Waveform:
         env *= np.minimum(t / ATTACK_SECONDS, 1.0)
         env *= np.clip((held + RELEASE_SECONDS - t) / RELEASE_SECONDS, 0.0, 1.0)
         out[start:start + n_samples] += tone * env
+    peak = np.max(np.abs(out))
+    if peak > 0:
+        out *= PEAK_LEVEL / peak
+    return Waveform(out, sample_rate)
+
+
+def serial_render_audio(seq: NoteSequence, sample_rate: int) -> Waveform:
+    """render_audio in one thread: the pitch tables one pitch after another,
+    every note mixed over the whole output in note order, and the peak taken
+    from np.abs of the mix."""
+    if not seq.notes:
+        return Waveform(np.zeros(0), sample_rate)
+    onsets = ticks_to_seconds(seq, [n.onset_ticks for n in seq.notes]).tolist()
+    offsets = ticks_to_seconds(seq, [n.offset_ticks for n in seq.notes]).tolist()
+    out = np.zeros(int(np.ceil((max(offsets) + RELEASE_SECONDS) * sample_rate)) + 1)
+    notes = []
+    by_pitch: dict[int, list[tuple]] = {}
+    at = 0
+    for onset, offset, ev in zip(onsets, offsets, seq.notes):
+        held = max(offset - onset, 1.0 / sample_rate)
+        n_samples = int(round((held + RELEASE_SECONDS) * sample_rate))
+        note = (int(round(onset * sample_rate)), n_samples, at, held, ev.velocity)
+        notes.append(note)
+        by_pitch.setdefault(ev.pitch, []).append(note)
+        at += n_samples
+    mixed = np.empty(at)
+    for pitch, members in by_pitch.items():
+        _render_pitch(pitch, members, sample_rate, mixed)
+    for start, n_samples, at, _, _ in notes:
+        out[start:start + n_samples] += mixed[at:at + n_samples]
     peak = np.max(np.abs(out))
     if peak > 0:
         out *= PEAK_LEVEL / peak

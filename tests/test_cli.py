@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import logging
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from test_midi_io import smf, vlq
 from test_model import LAST_TENSOR_BYTES, edit_header
+import s2a
 from s2a.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, build_parser, main
 from s2a.midi_io import NoteEvent, NoteSequence, parse_smf, write_smf
@@ -180,6 +184,35 @@ class TestTrainRender:
         code = run("render", "--score", str(corpus / "scores/piece_000.mid"),
                    "--checkpoint", str(bad), "--out", str(tmp_path / "x.mid"))
         assert code == EXIT_DATA
+
+
+def s2a_in_subprocess(env, *argv):
+    """s2a run in a fresh interpreter that imports s2a before numpy."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from s2a.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv], env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one BLAS thread")
+def test_same_bytes_at_one_blas_thread_and_at_one_per_core(tmp_path):
+    """Unset, the BLAS thread variables let OpenBLAS run a thread per core,
+    and it rounds a product split between threads differently: train and
+    render must give the bytes they give at one thread."""
+    corpus = make_corpus(tmp_path, pieces=3, notes=120)
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = str(Path(s2a.__file__).resolve().parents[1])
+    outputs = []
+    for name, threads in (("default", {}), ("one", dict.fromkeys(blas_vars, "1"))):
+        ckpt, perf = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.mid"
+        s2a_in_subprocess({**env, **threads}, "train", "--data", str(corpus), "--out", str(ckpt),
+                          "--split", "all", "--epochs", "2")
+        s2a_in_subprocess({**env, **threads}, "render", "--score",
+                          str(corpus / "scores/piece_000.mid"), "--checkpoint", str(ckpt),
+                          "--out", str(perf))
+        outputs.append([p.read_bytes() for p in (ckpt, ckpt.with_suffix(".log.csv"), perf)])
+    assert outputs[0] == outputs[1]
 
 
 class TestSynth:
@@ -463,9 +496,14 @@ class TestExitCodes:
         tiny_checkpoint()[len(MAGIC):-4] + struct.pack("<f", float("nan")),
         checkpoint_tail(b"[" * 100_000),
         checkpoint_tail(b'{"n_layers": 1000000000}'),
+        *(edit_header(tiny_checkpoint(), lambda c, k=key, v=value: {**c, k: v})[len(MAGIC):]
+          for key, value in [("n_heads", 2.0), ("n_heads", True), ("n_layers", True),
+                             ("seed", float("nan")), ("seed", 1e308), ("d_ff", "32"),
+                             ("dropout", False)]),
     ], ids=["truncated", "not-json", "no-config", "empty-config", "unknown-vocab-key",
             "config-not-object", "header-not-object", "tensor-past-end", "non-finite",
-            "deeply-nested", "billion-layers"])
+            "deeply-nested", "billion-layers", "float-heads", "bool-heads", "bool-layers",
+            "nan-seed", "huge-float-seed", "string-d-ff", "bool-dropout"])
     def test_bad_checkpoint_is_data_error(self, tmp_path, tail):
         assert render_with(tmp_path, MAGIC + tail) == EXIT_DATA
 

@@ -1,3 +1,4 @@
+import threading
 import time
 import tracemalloc
 
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_render_audio, scalar_ticks_to_seconds, whole_array_spectrogram
+from oracles import (
+    scalar_render_audio,
+    scalar_ticks_to_seconds,
+    serial_render_audio,
+    whole_array_spectrogram,
+)
 from s2a.corpus import SyntheticCorpusSpec, generate_corpus
 from s2a.midi_io import NoteEvent, NoteSequence, TempoEvent, parse_smf
 from s2a.synth import (
@@ -18,6 +24,7 @@ from s2a.synth import (
     PEAK_LEVEL,
     RELEASE_SECONDS,
     Waveform,
+    _split_work,
     check_sample_rate,
     chromagram,
     concat_crosscorr,
@@ -174,6 +181,52 @@ class TestRenderAgainstOracle:
         self.assert_same(seq, 24000)
 
 
+class TestRenderAgainstSerial:
+    """render_audio splits the pitch tables and the mix between two threads;
+    every sample must equal the one-thread render bit for bit, and no thread
+    may outlive the call."""
+
+    @staticmethod
+    def assert_same(seq, sample_rate):
+        threads = threading.active_count()
+        fast = render_audio(seq, sample_rate)
+        assert threading.active_count() == threads
+        assert np.array_equal(fast.samples, serial_render_audio(seq, sample_rate).samples)
+
+    @pytest.mark.parametrize("sample_rate", [8000, 24000, 44100, 192000])
+    @pytest.mark.parametrize("notes", [
+        (NoteEvent(0, 192, 69, 100),),
+        tuple(NoteEvent(48 * i, 60 + 7 * i, 60, 20 + 9 * i) for i in range(8)),
+        # the mix is cut at the middle sample, about tick 480: five notes span it
+        (NoteEvent(0, 960, 48, 90), NoteEvent(96, 700, 55, 70), NoteEvent(300, 200, 60, 127),
+         NoteEvent(470, 20, 60, 40), NoteEvent(479, 2, 72, 100), NoteEvent(600, 50, 76, 60)),
+    ], ids=["one-note", "one-pitch-repeated", "notes-across-the-split"])
+    def test_fixed_cases(self, notes, sample_rate):
+        self.assert_same(NoteSequence(ppq=96, notes=notes, tempi=(TempoEvent(0, 500000),)),
+                         sample_rate)
+
+    def test_corpus(self, tmp_path):
+        spec = SyntheticCorpusSpec(n_pieces=2, notes_per_piece=200, n_performers=2, seed=0)
+        manifest = generate_corpus(spec, tmp_path)
+        for item in manifest["items"]:
+            self.assert_same(parse_smf((tmp_path / item["performance"]).read_bytes()), 24000)
+
+
+def test_split_work_raises_the_workers_error_and_leaves_no_thread():
+    threads = threading.active_count()
+    done = []
+
+    def fn(i):
+        if i == 1:
+            raise KeyError(i)
+        done.append(i)
+
+    with pytest.raises(KeyError):
+        _split_work(fn, [0, 1, 2, 3])
+    assert threading.active_count() == threads
+    assert done == [0, 2]
+
+
 def test_render_reads_the_tempo_map_once():
     """8,000 notes, each under its own tempo event: one pass over the map,
     not two per note."""
@@ -208,13 +261,16 @@ class TestSpectrogram:
         s2 = midi_spectrogram(Waveform(2 * x))
         assert np.all(s2.frames >= s1.frames - 1e-12)
 
-    # At 257 and 258 frames, blocks of exactly 256 rows would leave a 1- or 2-row tail.
-    @pytest.mark.parametrize("n_frames", [*range(1, 10), 255, 256, 257, 258, 511, 512, 513,
-                                          767, 768, 769])
+    # Blocks of exactly 128 rows would leave a 1-row tail at 129 and 257
+    # frames and a 2-row one at 258; blocks alternate between two threads.
+    @pytest.mark.parametrize("n_frames", [*range(1, 10), 127, 128, 129, 255, 256, 257, 258,
+                                          383, 384, 385, 511, 512, 513, 767, 768, 769])
     def test_equals_whole_array_oracle(self, n_frames):
         rng = np.random.default_rng(n_frames)
         w = Waveform(rng.uniform(-1, 1, FRAME_LEN + (n_frames - 1) * HOP + n_frames % HOP))
+        threads = threading.active_count()
         s = midi_spectrogram(w)
+        assert threading.active_count() == threads
         assert s.frames.shape == (n_frames, 128)
         assert np.array_equal(s.frames, whole_array_spectrogram(w))
 
