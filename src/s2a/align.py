@@ -64,46 +64,51 @@ class AlignmentMap:
         return cls(pairs, *unmatched)
 
 
+_MATCH, _SKIP_SCORE, _SKIP_PERF = range(3)  # a cell's move, in order of preference
+
+
 def align_notes(score: NoteSequence, perf: NoteSequence) -> AlignmentMap:
     """Align score notes to performance notes.
 
     The result matches the most pairs of equal-pitch notes and, among such
     alignments, has the least summed |onset difference| in beats over its
-    pairs. Cell values are (matches, -onset_cost) compared as tuples; when
-    still tied, the traceback prefers a match, then skipping the score note,
-    then skipping the performance note.
+    pairs. Cell values are (matches, -onset_cost) compared as tuples; each
+    cell records one byte, its move: on a tie a match, then skipping the
+    score note, then skipping the performance note. The traceback replays it.
     """
     s_notes, p_notes = score.notes, perf.notes
     n, m = len(s_notes), len(p_notes)
     s_beats = [note.onset_ticks / score.ppq for note in s_notes]
     p_beats = [note.onset_ticks / perf.ppq for note in p_notes]
+    p_pitches = [note.pitch for note in p_notes]
 
-    # best[i][j]: (matches, -onset_cost) of the best alignment of s[:i] vs p[:j]
-    best = [[(0, 0.0)] * (m + 1) for _ in range(n + 1)]
+    # row[j]: the best (matches, -onset_cost) of s[:i] vs p[:j], prev[j] of s[:i - 1]
+    width = m + 1
+    moves = bytearray((n + 1) * width)
+    prev = [(0, 0.0)] * width
     for i in range(1, n + 1):
-        row, prev = best[i], best[i - 1]
-        pitch, beat = s_notes[i - 1].pitch, s_beats[i - 1]
-        for j in range(1, m + 1):
-            key = max(prev[j], row[j - 1])
-            if pitch == p_notes[j - 1].pitch:
+        row = [(0, 0.0)] * width
+        pitch, beat, at = s_notes[i - 1].pitch, s_beats[i - 1], i * width
+        for j in range(1, width):
+            up, left = prev[j], row[j - 1]
+            key, move = (up, _SKIP_SCORE) if up >= left else (left, _SKIP_PERF)
+            if pitch == p_pitches[j - 1]:
                 k, c = prev[j - 1]
-                key = max(key, (k + 1, c - abs(beat - p_beats[j - 1])))
+                match = (k + 1, c - abs(beat - p_beats[j - 1]))
+                if match >= key:
+                    key, move = match, _MATCH
             row[j] = key
+            moves[at + j] = move
+        prev = row
 
     pairs = []
     i, j = n, m
     while i > 0 and j > 0:
-        here = best[i][j]
-        if s_notes[i - 1].pitch == p_notes[j - 1].pitch:
-            k, c = best[i - 1][j - 1]
-            if (k + 1, c - abs(s_beats[i - 1] - p_beats[j - 1])) == here:
-                pairs.append((i - 1, j - 1))
-                i, j = i - 1, j - 1
-                continue
-        if best[i - 1][j] == here:
-            i -= 1
-        else:
-            j -= 1
+        move = moves[i * width + j]
+        if move == _MATCH:
+            pairs.append((i - 1, j - 1))
+        i -= move != _SKIP_PERF
+        j -= move != _SKIP_SCORE
     pairs.reverse()
 
     matched_s = {i for i, _ in pairs}

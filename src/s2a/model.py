@@ -41,6 +41,7 @@ HEAD_KEYS = {"velocity": "head_vel", "ioi": "head_ioi", "duration": "head_dur"}
 
 ARGMAX_TEMPERATURE = 1e-6
 NEG_MASK = -1e30
+MAX_TEMPERATURE = 1e6  # NEG_MASK / 1e6 still gives the masked special ids probability 0
 LN_EPS = 1e-5
 # perf_emb has a row per performer id: far above ATEPP's 49 pianists, and at
 # d_model 64 the rows take 5 MB, so a corpus keeps its own ids
@@ -175,17 +176,17 @@ def _layernorm_forward(x, gamma, beta):
     return gamma * xhat + beta, (xhat, inv, gamma)
 
 
-def _layernorm_backward(dout, cache):
+def _layernorm_backward(grads, g, b, dout, cache):
+    """Add the gamma and beta gradients to grads[g] and grads[b]; return d(loss)/dx."""
     xhat, inv, gamma = cache
-    dgamma = (dout * xhat).sum(axis=tuple(range(dout.ndim - 1)))
-    dbeta = dout.sum(axis=tuple(range(dout.ndim - 1)))
+    grads[g] += (dout * xhat).sum(axis=tuple(range(dout.ndim - 1)))
+    grads[b] += dout.sum(axis=tuple(range(dout.ndim - 1)))
     dxhat = dout * gamma
-    dx = inv * (
+    return inv * (
         dxhat
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-    return dx, dgamma, dbeta
 
 
 def _split_heads(x, n_heads):
@@ -198,8 +199,22 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _dropout_mask(rng, shape, rate):
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+def _dropout(x, rng, rate):
+    """Scale x in place by an inverted-dropout mask and return it; None at rate 0."""
+    if rate == 0.0:
+        return None
+    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    x *= mask
+    return mask
+
+
+def _linear_backward(grads, w, b, x, dy, weight):
+    """Backward of y = x @ weight + bias: add x^T dy to grads[w] and the summed
+    dy to grads[b]; return d(loss)/dx, shaped like x."""
+    flat = dy.reshape(-1, dy.shape[-1])
+    grads[w] += x.reshape(-1, x.shape[-1]).T @ flat
+    grads[b] += flat.sum(axis=0)
+    return (flat @ weight.T).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +266,8 @@ def forward_batch(
     h = concat @ p["proj_w"] + p["proj_b"]
     h += model.pos_encoding[None, :T]
 
-    cache: dict = {"ids": ids, "nonpad": nonpad, "performer": performer,
-                   "concat": concat, "rate": rate, "layers": []}
-    if rate > 0.0:
-        mask = _dropout_mask(train_rng, h.shape, rate)
-        h *= mask
-        cache["drop_in"] = mask
+    cache: dict = {"ids": ids, "nonpad": nonpad, "performer": performer, "concat": concat,
+                   "drop_in": _dropout(h, train_rng, rate), "layers": []}
 
     # additive attention mask: PAD keys excluded everywhere
     key_mask = np.where(nonpad[:, None, None, :], 0.0, NEG_MASK)  # [B,1,1,T]
@@ -272,22 +283,16 @@ def forward_batch(
         attn = softmax(scores)
         ctx = _merge_heads(attn @ v)
         out = ctx @ p[pre + "wo"] + p[pre + "bo"]
-        lcache = {"x_in": x_in, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx}
-        if rate > 0.0:
-            mask = _dropout_mask(train_rng, out.shape, rate)
-            out *= mask
-            lcache["drop_attn"] = mask
+        lcache = {"x_in": x_in, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
+                  "drop_attn": _dropout(out, train_rng, rate)}
         h, lcache["ln1"] = _layernorm_forward(x_in + out, p[pre + "ln1_g"], p[pre + "ln1_b"])
 
         ff_in = h
         pre_act = ff_in @ p[pre + "ff_w1"] + p[pre + "ff_b1"]
         act = np.maximum(pre_act, 0.0)
         ff_out = act @ p[pre + "ff_w2"] + p[pre + "ff_b2"]
-        lcache.update({"ff_in": ff_in, "pre_act": pre_act, "act": act})
-        if rate > 0.0:
-            mask = _dropout_mask(train_rng, ff_out.shape, rate)
-            ff_out *= mask
-            lcache["drop_ff"] = mask
+        lcache.update({"ff_in": ff_in, "pre_act": pre_act, "act": act,
+                       "drop_ff": _dropout(ff_out, train_rng, rate)})
         h, lcache["ln2"] = _layernorm_forward(ff_in + ff_out, p[pre + "ln2_g"], p[pre + "ln2_b"])
         cache["layers"].append(lcache)
 
@@ -306,8 +311,9 @@ def backward_batch(
 ) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss given d(loss)/d(logits) per head.
 
-    Heads absent from dlogits contribute nothing. Returns a dict with the
-    same keys as model.params.
+    Heads absent from dlogits contribute nothing, and a dropout mask of None
+    (rate 0) is skipped. Each linear layer and layer norm adds its gradients
+    through one helper. Returns a dict with the same keys as model.params.
     """
     cfg = model.config
     p = model.params
@@ -317,14 +323,9 @@ def backward_batch(
     dh = np.zeros_like(h)
     for feature, dlog in dlogits.items():
         key = HEAD_KEYS[feature]
-        flat_h = h.reshape(-1, cfg.d_model)
-        flat_d = dlog.reshape(-1, dlog.shape[-1])
-        grads[key + "_w"] += flat_h.T @ flat_d
-        grads[key + "_b"] += flat_d.sum(axis=0)
-        dh += (flat_d @ p[key + "_w"].T).reshape(h.shape)
+        dh += _linear_backward(grads, key + "_w", key + "_b", h, dlog, p[key + "_w"])
 
-    nonpad = cache["nonpad"]
-    masked = dh * nonpad[:, :, None]
+    masked = dh * cache["nonpad"][:, :, None]
     np.add.at(grads["perf_emb"], cache["performer"], masked.sum(axis=1))
 
     scale = 1.0 / np.sqrt(cfg.d_head)
@@ -332,28 +333,17 @@ def backward_batch(
         pre = f"l{layer}."
         lc = cache["layers"][layer]
 
-        dsum, dg, db = _layernorm_backward(dh, lc["ln2"])
-        grads[pre + "ln2_g"] += dg
-        grads[pre + "ln2_b"] += db
-        dff_out = dsum * lc["drop_ff"] if "drop_ff" in lc else dsum
-        flat = dff_out.reshape(-1, cfg.d_model)
-        grads[pre + "ff_w2"] += lc["act"].reshape(-1, cfg.d_ff).T @ flat
-        grads[pre + "ff_b2"] += flat.sum(axis=0)
-        dact = dff_out @ p[pre + "ff_w2"].T
+        dsum = _layernorm_backward(grads, pre + "ln2_g", pre + "ln2_b", dh, lc["ln2"])
+        dff_out = dsum if lc["drop_ff"] is None else dsum * lc["drop_ff"]
+        w1, w2 = pre + "ff_w1", pre + "ff_w2"
+        dact = _linear_backward(grads, w2, pre + "ff_b2", lc["act"], dff_out, p[w2])
         dpre = dact * (lc["pre_act"] > 0.0)
-        flat = dpre.reshape(-1, cfg.d_ff)
-        grads[pre + "ff_w1"] += lc["ff_in"].reshape(-1, cfg.d_model).T @ flat
-        grads[pre + "ff_b1"] += flat.sum(axis=0)
-        dh = dsum + dpre @ p[pre + "ff_w1"].T
+        dh = dsum + _linear_backward(grads, w1, pre + "ff_b1", lc["ff_in"], dpre, p[w1])
 
-        dsum, dg, db = _layernorm_backward(dh, lc["ln1"])
-        grads[pre + "ln1_g"] += dg
-        grads[pre + "ln1_b"] += db
-        dout = dsum * lc["drop_attn"] if "drop_attn" in lc else dsum
-        flat = dout.reshape(-1, cfg.d_model)
-        grads[pre + "wo"] += lc["ctx"].reshape(-1, cfg.d_model).T @ flat
-        grads[pre + "bo"] += flat.sum(axis=0)
-        dctx = _split_heads(dout @ p[pre + "wo"].T, cfg.n_heads)
+        dsum = _layernorm_backward(grads, pre + "ln1_g", pre + "ln1_b", dh, lc["ln1"])
+        dout = dsum if lc["drop_attn"] is None else dsum * lc["drop_attn"]
+        dctx = _linear_backward(grads, pre + "wo", pre + "bo", lc["ctx"], dout, p[pre + "wo"])
+        dctx = _split_heads(dctx, cfg.n_heads)
 
         attn, q, k, v = lc["attn"], lc["q"], lc["k"], lc["v"]
         dattn = dctx @ v.transpose(0, 1, 3, 2)
@@ -362,22 +352,14 @@ def backward_batch(
         dq = dscores @ k * scale
         dk = dscores.transpose(0, 1, 3, 2) @ q * scale
 
-        x_in = lc["x_in"]
-        dx = dsum  # residual branch
-        flat_x = x_in.reshape(-1, cfg.d_model)
+        dh = dsum  # residual branch
         for mat, dval in (("wq", dq), ("wk", dk), ("wv", dv)):
-            dmerged = _merge_heads(dval).reshape(-1, cfg.d_model)
-            grads[pre + mat] += flat_x.T @ dmerged
-            grads[pre + mat.replace("w", "b")] += dmerged.sum(axis=0)
-            dx = dx + (dmerged @ p[pre + mat].T).reshape(x_in.shape)
-        dh = dx
+            dh = dh + _linear_backward(grads, pre + mat, pre + mat.replace("w", "b"), lc["x_in"],
+                                       _merge_heads(dval), p[pre + mat])
 
-    if "drop_in" in cache:
+    if cache["drop_in"] is not None:
         dh *= cache["drop_in"]
-    flat = dh.reshape(-1, cfg.d_model)
-    grads["proj_w"] += cache["concat"].reshape(-1, 6 * cfg.d_embed).T @ flat
-    grads["proj_b"] += flat.sum(axis=0)
-    dconcat = (flat @ p["proj_w"].T).reshape(cache["concat"].shape)
+    dconcat = _linear_backward(grads, "proj_w", "proj_b", cache["concat"], dh, p["proj_w"])
 
     ids = cache["ids"]
     for idx, name in enumerate(FEATURE_NAMES):
@@ -396,11 +378,13 @@ def forward(model: M2MModel, seg: TokenSegment) -> dict[str, np.ndarray]:
 # Decoding
 
 def check_sampling(temperature: float, top_p: float) -> None:
-    """ValueError unless top_p is in (0, 1] and temperature >= 0 (NaN is neither)."""
+    """ValueError unless top_p is in (0, 1] and temperature in [0, MAX_TEMPERATURE]."""
     if not 0.0 < top_p <= 1.0:
         raise ValueError("top_p must be in (0, 1]")
     if not temperature >= 0.0:
         raise ValueError("temperature must be >= 0")
+    if temperature > MAX_TEMPERATURE:
+        raise ValueError(f"temperature must be <= {MAX_TEMPERATURE:,.0f}")
 
 
 def nucleus_sample(

@@ -5,6 +5,8 @@ Analytic gradients come from one backward pass; numeric ones from central
 differences at a deterministic sample of coordinates per parameter group
 (all coordinates for small groups, used-plus-spare embedding rows for the
 big tables). Relative error is compared per group over the sampled vector.
+With a dropout seed, every forward pass draws its masks from a fresh
+generator of that seed, so each evaluation of the loss sees the same masks.
 """
 
 from __future__ import annotations
@@ -48,8 +50,14 @@ def random_inputs(config, rng, batch=2, T=8):
     return ids, nonpad, performer, targets
 
 
-def weighted_loss(model: M2MModel, ids, nonpad, performer, targets) -> float:
-    logits, _ = forward_batch(model, ids, nonpad, performer)
+def _forward(model: M2MModel, ids, nonpad, performer, dropout_seed):
+    train_rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    return forward_batch(model, ids, nonpad, performer, train_rng)
+
+
+def weighted_loss(model: M2MModel, ids, nonpad, performer, targets,
+                  dropout_seed: int | None = None) -> float:
+    logits, _ = _forward(model, ids, nonpad, performer, dropout_seed)
     total = 0.0
     for feature in PREDICTED:
         loss, _ = cross_entropy(logits[feature], targets[feature], nonpad)
@@ -57,8 +65,9 @@ def weighted_loss(model: M2MModel, ids, nonpad, performer, targets) -> float:
     return total
 
 
-def analytic_gradients(model: M2MModel, ids, nonpad, performer, targets):
-    logits, cache = forward_batch(model, ids, nonpad, performer)
+def analytic_gradients(model: M2MModel, ids, nonpad, performer, targets,
+                       dropout_seed: int | None = None):
+    logits, cache = _forward(model, ids, nonpad, performer, dropout_seed)
     dlogits = {}
     for feature in PREDICTED:
         _, grad = cross_entropy(logits[feature], targets[feature], nonpad)
@@ -86,12 +95,15 @@ def sample_coords(name: str, shape, ids, rng) -> list[tuple]:
     return [np.unravel_index(i, shape) for i in sorted(flat)]
 
 
-def group_relative_errors(model: M2MModel, seed: int = 0) -> dict[str, float]:
-    """Relative FD-vs-analytic error per parameter group."""
+def group_relative_errors(
+    model: M2MModel, seed: int = 0, dropout_seed: int | None = None
+) -> dict[str, float]:
+    """Relative FD-vs-analytic error per parameter group; dropout (at the
+    config's rate) only with a dropout seed."""
     rng = np.random.default_rng(seed)
     randomize_parameters(model, rng)
     ids, nonpad, performer, targets = random_inputs(model.config, rng)
-    grads = analytic_gradients(model, ids, nonpad, performer, targets)
+    grads = analytic_gradients(model, ids, nonpad, performer, targets, dropout_seed)
 
     errors = {}
     for name in sorted(model.params):
@@ -102,9 +114,9 @@ def group_relative_errors(model: M2MModel, seed: int = 0) -> dict[str, float]:
         for n, c in enumerate(coords):
             original = tensor[c]
             tensor[c] = original + FD_STEP
-            up = weighted_loss(model, ids, nonpad, performer, targets)
+            up = weighted_loss(model, ids, nonpad, performer, targets, dropout_seed)
             tensor[c] = original - FD_STEP
-            down = weighted_loss(model, ids, nonpad, performer, targets)
+            down = weighted_loss(model, ids, nonpad, performer, targets, dropout_seed)
             tensor[c] = original
             numeric[n] = (up - down) / (2 * FD_STEP)
         denom = max(np.linalg.norm(numeric), np.linalg.norm(analytic), 1e-12)

@@ -56,6 +56,15 @@ class TestAlignNotes:
         result = align_notes(score, perf)
         assert result.pairs == ((1, 0),)
 
+    def test_tie_prefers_a_match_to_skipping_the_performance_note(self):
+        perf = seq_of([NoteEvent(0, 48, 60, 70), NoteEvent(0, 48, 60, 70)])
+        assert align_notes(simple_seq([60]), perf).pairs == ((0, 1),)
+
+    def test_tie_prefers_skipping_the_score_note_to_skipping_the_performance_note(self):
+        # either single match costs one beat; the traceback first drops score note 1
+        perf = seq_of([NoteEvent(0, 48, 62, 70), NoteEvent(96, 48, 60, 70)])
+        assert align_notes(simple_seq([60, 62]), perf).pairs == ((0, 1),)
+
 
 def jittered_performance(score, rng, jitter_frac=0.2):
     """Performance with onsets jittered by at most jitter_frac of the local

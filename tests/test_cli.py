@@ -594,6 +594,8 @@ class TestSettings:
         (None, SYNTH + ("--sample-rate", "5000000000")),
         (None, RENDER + ("--top-p", "2")),
         (None, RENDER + ("--temperature", "nan")),
+        (None, RENDER + ("--temperature", "1e300")),
+        (None, RENDER + ("--temperature", "inf")),
         (None, RENDER + ("--seed", "-1")),
     ], ids=["string-pieces", "float-seed", "zero-heads", "zero-warmup", "unknown-key",
             "section-not-object", "unknown-section", "zero-embedding", "infinite-number",
@@ -602,6 +604,7 @@ class TestSettings:
             "negative-layers", "negative-train-seed", "performers-past-profiles", "negative-pieces",
             "zero-sample-rate", "negative-sample-rate", "sample-rate-past-192k",
             "sample-rate-past-wav-header", "top-p-past-one", "nan-temperature",
+            "temperature-past-1e6", "infinite-temperature",
             "negative-sampling-seed"])
     def test_bad_setting_is_usage_error(self, workspace, tmp_path, capsys, config, argv):
         assert run_in(workspace, tmp_path, argv, config) == EXIT_USAGE

@@ -120,6 +120,12 @@ class TestGradients:
         worst = max(errors.values())
         assert worst < 1e-4, f"worst group error {worst}: {errors}"
 
+    def test_matches_finite_differences_with_dropout(self):
+        model = init_model(toy_config(dropout=0.3))
+        errors = group_relative_errors(model, seed=5, dropout_seed=2)
+        worst = max(errors.values())
+        assert worst < 1e-4, f"worst group error {worst}: {errors}"
+
 
 class TestSampling:
     def test_argmax_at_zero_temperature(self):
@@ -165,6 +171,19 @@ class TestSampling:
         dist = forward(model, make_segment(n_real=40))
         vel, ioi, dur = sample(dist, temperature=2.0, top_p=1.0, seed=9)
         for toks in (vel, ioi, dur):
+            assert min(toks) >= 4
+
+    @pytest.mark.parametrize("temperature", [1.000001e6, 1e30, 1e300, float("inf")])
+    def test_temperature_past_a_million_raises(self, temperature):
+        # NEG_MASK / temperature would no longer keep the special ids out
+        dist = forward(small_model(), make_segment(n_real=40))
+        with pytest.raises(ValueError, match="temperature"):
+            sample(dist, temperature, 1.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_specials_never_sampled_at_a_million(self, seed):
+        dist = forward(small_model(), make_segment(n_real=40))
+        for toks in sample(dist, 1e6, 1.0, seed=seed):
             assert min(toks) >= 4
 
     def test_seeded_reproducibility(self):
