@@ -12,7 +12,9 @@ returns {feature: logits [256, V]}, the per-segment slice of what
 Everything is numpy float64 with hand-written backpropagation: gradients are
 exact enough to verify against central finite differences, and all
 randomness flows through explicit generators, so training and decoding are
-bit-reproducible.
+bit-reproducible. Attention and its backward run one (batch item, head)
+slice at a time, in place on the cached [T, T] weights, with the bits of the
+whole-array expressions.
 """
 
 from __future__ import annotations
@@ -161,10 +163,12 @@ def init_model(config: M2MConfig) -> M2MModel:
 # ---------------------------------------------------------------------------
 # Numeric primitives
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+def _softmax_in_place(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, written over x."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _layernorm_forward(x, gamma, beta):
@@ -197,6 +201,46 @@ def _split_heads(x, n_heads):
 def _merge_heads(x):
     b, h, t, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
+def _attention(q, k, v, key_mask, scale):
+    """Masked scaled dot-product attention over [B, H, T, d_head] heads; returns
+    (attn [B, H, T, T], ctx [B, H, T, d_head]).
+
+    One (batch item, head) slice at a time: its scores are computed, scaled,
+    masked and normalised in place in attn, so the [T, T] block stays in
+    cache. Each step is the whole-array step on that slice, so the bits are
+    those of softmax(q @ k^T * scale + key_mask) @ v.
+    """
+    B, H, T, _ = q.shape
+    attn = np.empty((B, H, T, T))
+    ctx = np.empty(v.shape)
+    for b, h in np.ndindex(B, H):
+        a = np.matmul(q[b, h], k[b, h].T, out=attn[b, h])
+        a *= scale
+        a += key_mask[b, 0]
+        np.matmul(_softmax_in_place(a), v[b, h], out=ctx[b, h])
+    return attn, ctx
+
+
+def _attention_backward(attn, q, k, v, dctx, scale):
+    """(dq, dk, dv) of _attention given d(loss)/d(ctx), one slice at a time:
+    d(scores) = a * (d(a) - sum(d(a) * a)) in one reused [T, T] array, with the
+    float operations of the whole-array expression."""
+    dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+    dscores = np.empty(attn.shape[2:])
+    scratch = np.empty(attn.shape[2:])
+    for b, h in np.ndindex(attn.shape[:2]):
+        a = attn[b, h]
+        np.matmul(dctx[b, h], v[b, h].T, out=dscores)  # d(attn), then d(scores) in place
+        np.matmul(a.T, dctx[b, h], out=dv[b, h])
+        dscores -= np.multiply(dscores, a, out=scratch).sum(axis=-1, keepdims=True)
+        dscores *= a
+        np.matmul(dscores, k[b, h], out=dq[b, h])
+        np.matmul(dscores.T, q[b, h], out=dk[b, h])
+    dq *= scale
+    dk *= scale
+    return dq, dk, dv
 
 
 def _dropout(x, rng, rate):
@@ -279,9 +323,8 @@ def forward_batch(
         q = _split_heads(x_in @ p[pre + "wq"] + p[pre + "bq"], cfg.n_heads)
         k = _split_heads(x_in @ p[pre + "wk"] + p[pre + "bk"], cfg.n_heads)
         v = _split_heads(x_in @ p[pre + "wv"] + p[pre + "bv"], cfg.n_heads)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale + key_mask
-        attn = softmax(scores)
-        ctx = _merge_heads(attn @ v)
+        attn, ctx = _attention(q, k, v, key_mask, scale)
+        ctx = _merge_heads(ctx)
         out = ctx @ p[pre + "wo"] + p[pre + "bo"]
         lcache = {"x_in": x_in, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
                   "drop_attn": _dropout(out, train_rng, rate)}
@@ -313,7 +356,10 @@ def backward_batch(
 
     Heads absent from dlogits contribute nothing, and a dropout mask of None
     (rate 0) is skipped. Each linear layer and layer norm adds its gradients
-    through one helper. Returns a dict with the same keys as model.params.
+    through one helper. Attention's backward runs one (batch item, head)
+    slice at a time, in place in one [T, T] array, with the same bits as on
+    the whole [B, H, T, T] arrays. Returns a dict with the same keys as
+    model.params.
     """
     cfg = model.config
     p = model.params
@@ -343,14 +389,8 @@ def backward_batch(
         dsum = _layernorm_backward(grads, pre + "ln1_g", pre + "ln1_b", dh, lc["ln1"])
         dout = dsum if lc["drop_attn"] is None else dsum * lc["drop_attn"]
         dctx = _linear_backward(grads, pre + "wo", pre + "bo", lc["ctx"], dout, p[pre + "wo"])
-        dctx = _split_heads(dctx, cfg.n_heads)
-
-        attn, q, k, v = lc["attn"], lc["q"], lc["k"], lc["v"]
-        dattn = dctx @ v.transpose(0, 1, 3, 2)
-        dv = attn.transpose(0, 1, 3, 2) @ dctx
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dq = dscores @ k * scale
-        dk = dscores.transpose(0, 1, 3, 2) @ q * scale
+        dq, dk, dv = _attention_backward(lc["attn"], lc["q"], lc["k"], lc["v"],
+                                         _split_heads(dctx, cfg.n_heads), scale)
 
         dh = dsum  # residual branch
         for mat, dval in (("wq", dq), ("wk", dk), ("wv", dv)):
@@ -408,7 +448,7 @@ def nucleus_sample(
     check_sampling(temperature, top_p)
     if temperature < ARGMAX_TEMPERATURE:
         return np.argmax(logits, axis=-1)
-    probs = softmax(logits / temperature)
+    probs = _softmax_in_place(logits / temperature)
     # The sorted values fix the cumsum, the cut and the picked position; any
     # order of tied values gives the same ones, so the values alone are sorted.
     sorted_probs = np.negative(probs)

@@ -19,7 +19,6 @@ from s2a.model import (
     NEG_MASK,
     N_SPECIALS,
     PREDICTED,
-    softmax,
 )
 from s2a.synth import (
     ATTACK_SECONDS,
@@ -295,6 +294,28 @@ def whole_array_spectrogram(w: Waveform) -> np.ndarray:
     hann = np.hanning(FRAME_LEN)
     bank = midi_filterbank(w.sample_rate)
     return np.log1p(np.abs(np.fft.rfft(frames * hann, axis=1)) @ bank.T)
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def whole_array_attention(q, k, v, key_mask, scale):
+    """model._attention with every [B, H, T, T] step as a new whole array."""
+    attn = softmax(q @ k.transpose(0, 1, 3, 2) * scale + key_mask)
+    return attn, attn @ v
+
+
+def whole_array_attention_backward(attn, q, k, v, dctx, scale):
+    """model._attention_backward with d(scores) built from four whole arrays."""
+    dattn = dctx @ v.transpose(0, 1, 3, 2)
+    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dq = dscores @ k * scale
+    dk = dscores.transpose(0, 1, 3, 2) @ q * scale
+    return dq, dk, dv
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray, nonpad: np.ndarray):
