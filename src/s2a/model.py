@@ -244,10 +244,17 @@ def _attention_backward(attn, q, k, v, dctx, scale):
 
 
 def _dropout(x, rng, rate):
-    """Scale x in place by an inverted-dropout mask and return it; None at rate 0."""
+    """Scale x [B, T, D] in place by an inverted-dropout mask and return it; None
+    at rate 0.
+
+    The uniforms are drawn for whole SEGMENT_LEN-row segments and cut to T rows,
+    so a batch cut short gets the first T rows of the full-width mask and
+    leaves rng in the full-width state.
+    """
     if rate == 0.0:
         return None
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    B, T, D = x.shape
+    mask = (rng.random((B, SEGMENT_LEN, D))[:, :T] >= rate) / (1.0 - rate)
     x *= mask
     return mask
 
@@ -296,6 +303,8 @@ def forward_batch(
     """Run the encoder; returns ({feature: logits [B,T,V]}, cache).
 
     Dropout fires only when train_rng is given; inference is deterministic.
+    Each dropout mask is drawn for whole SEGMENT_LEN-row segments and cut to
+    T rows, so a batch cut short gets the first T rows of its full-width masks.
     """
     cfg = model.config
     p = model.params

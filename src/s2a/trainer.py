@@ -5,7 +5,9 @@ move to equalize the gradient norms each weighted loss induces on the shared
 input projection, corrected by each task's inverse training rate, and are
 renormalized to sum to 3 after every update. Optimization is Adam with a
 linear warm-up; all shuffling and dropout derive from one seed, so a run is
-bit-reproducible.
+bit-reproducible. Each batch is cut to its longest real row: PAD keys get
+zero attention weight and PAD rows zero loss, so the cut changes only float
+rounding.
 """
 
 from __future__ import annotations
@@ -169,7 +171,9 @@ def train(
     Each step runs one backward pass per task; the task gradients give both
     the GradNorm norms at the input projection and, reweighted by the
     updated task weights, the Adam update. The learning rate ramps linearly
-    over warmup_steps and stays constant after.
+    over warmup_steps and stays constant after. Each step runs on its batch
+    cut to the longest real row in it, and to at least one row, so a batch
+    with no real row still fails in cross_entropy.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -179,6 +183,7 @@ def train(
     dropout_rng = np.random.default_rng(dropout_ss)
 
     score_ids, score_nonpad, performers = prepare_batch([s for s, _ in dataset])
+    n_real = score_nonpad.sum(axis=1)
     target_ids = np.stack([perf.ids for _, perf in dataset])
 
     weights = TaskWeights(alpha=cfg.alpha)
@@ -195,10 +200,11 @@ def train(
         order = shuffle_rng.permutation(len(dataset))
         for start in range(0, len(dataset), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            ids = score_ids[batch]
-            nonpad = score_nonpad[batch]
+            width = max(1, int(n_real[batch].max()))
+            ids = score_ids[batch, :width]
+            nonpad = score_nonpad[batch, :width]
             perf_ids = performers[batch]
-            targets = target_ids[batch]
+            targets = target_ids[batch, :width]
 
             logits, cache = forward_batch(model, ids, nonpad, perf_ids, train_rng=dropout_rng)
 

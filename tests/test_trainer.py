@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import softmax_cross_entropy
-from s2a.model import M2MConfig, init_model
-from s2a.tokenizer import PAD, SEGMENT_LEN, TokenSegment
+from s2a import trainer
+from s2a.model import M2MConfig, backward_batch, forward_batch, init_model, prepare_batch
+from s2a.tokenizer import PAD, PREDICTED, SEGMENT_LEN, TokenSegment
 from s2a.trainer import (
+    FEATURE_COLUMN,
     TaskWeights,
     TrainConfig,
     TrainingDivergedError,
@@ -29,10 +32,11 @@ def build_segment(vel, ioi, dur, performer_id=0):
     return TokenSegment(ids, n, performer_id)
 
 
-def toy_dataset(n_segments=2, n_notes=32, seed=1):
+def toy_dataset(lengths=(32, 32), seed=1):
+    """One (score, performance) pair per length, performers alternating 0, 1."""
     rng = np.random.default_rng(seed)
     data = []
-    for s in range(n_segments):
+    for s, n_notes in enumerate(lengths):
         vel_s = [34] * n_notes
         ioi_s = [4 + int(v) for v in rng.integers(0, 40, n_notes)]
         dur_s = [4 + int(v) for v in rng.integers(0, 90, n_notes)]
@@ -227,3 +231,148 @@ class TestTrain:
         acc = token_accuracy(model, toy_dataset())
         assert set(acc) == {"velocity", "ioi", "duration"}
         assert all(0.0 <= v <= 1.0 for v in acc.values())
+
+
+def generator_at(state):
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+def assert_close(got, want, scale=None, rtol=1e-12):
+    """Every element within rtol of the largest absolute value of scale
+    (default: of want)."""
+    assert got.shape == want.shape
+    bound = rtol * np.max(np.abs(want if scale is None else scale), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= bound
+
+
+class TestTrimmedBatch:
+    """train cuts each batch to its longest real row. The full-width step it
+    replaces runs here on the same batch at all SEGMENT_LEN rows."""
+
+    @staticmethod
+    def trimmed_step(monkeypatch, n_layers, lengths):
+        """One train step over one segment per length (one batch); returns what
+        forward_batch and backward_batch got and gave, and the step's record."""
+        seen = {"task_grads": []}
+
+        def traced_forward(model, ids, nonpad, performer, train_rng):
+            seen["inputs"] = (ids, nonpad, performer)
+            seen["state_before"] = train_rng.bit_generator.state
+            seen["logits"], seen["cache"] = forward_batch(model, ids, nonpad, performer, train_rng)
+            seen["state_after"] = train_rng.bit_generator.state
+            return seen["logits"], seen["cache"]
+
+        def traced_backward(model, cache, dlogits):
+            seen["task_grads"].append(backward_batch(model, cache, dlogits))
+            return seen["task_grads"][-1]
+
+        monkeypatch.setattr(trainer, "forward_batch", traced_forward)
+        monkeypatch.setattr(trainer, "backward_batch", traced_backward)
+        _, log = train(TestTrimmedBatch.model(n_layers), toy_dataset(lengths),
+                       TrainConfig(max_epochs=1, batch_size=len(lengths), seed=3))
+        record = log.records[0]
+        seen["losses"] = [record.loss_vel, record.loss_ioi, record.loss_dur]
+        return seen
+
+    @staticmethod
+    def model(n_layers):
+        return init_model(M2MConfig(n_layers=n_layers, d_model=16, n_heads=2, d_ff=32,
+                                    dropout=0.1, n_performers=2))
+
+    @staticmethod
+    def full_width_step(n_layers, lengths, order, performer, state):
+        """forward_batch, cross_entropy and one backward_batch per task on the
+        segments in batch order at all SEGMENT_LEN rows, from fresh weights
+        and a dropout generator in the given state. The masks are also drawn
+        as rng.random(x.shape) for each dropout site in forward order."""
+        dataset = toy_dataset(lengths)
+        ids, nonpad, _ = prepare_batch([dataset[i][0] for i in order])
+        targets = np.stack([dataset[i][1].ids for i in order])
+        model = TestTrimmedBatch.model(n_layers)
+        draws = generator_at(state)
+        shape = (len(order), SEGMENT_LEN, model.config.d_model)
+        masks = [(draws.random(shape) >= 0.1) / 0.9 for _ in range(1 + 2 * n_layers)]
+        rng = generator_at(state)
+        logits, cache = forward_batch(model, ids, nonpad, performer, rng)
+        assert rng.bit_generator.state == draws.bit_generator.state
+        losses, task_grads = [], []
+        for feature in PREDICTED:
+            t = targets[:, :, FEATURE_COLUMN[feature]]
+            loss, dlog = cross_entropy(logits[feature], t, nonpad)
+            losses.append(loss)
+            task_grads.append(backward_batch(model, cache, {feature: dlog}))
+        return {"ids": ids, "nonpad": nonpad, "masks": masks, "logits": logits,
+                "cache": cache, "losses": losses, "task_grads": task_grads,
+                "state_after": rng.bit_generator.state}
+
+    @staticmethod
+    def cached_masks(cache):
+        return [cache["drop_in"]] + [lc[key] for lc in cache["layers"]
+                                     for key in ("drop_attn", "drop_ff")]
+
+    def both_steps(self, monkeypatch, n_layers, lengths):
+        trimmed = self.trimmed_step(monkeypatch, n_layers, lengths)
+        ids, nonpad, performer = trimmed["inputs"]
+        width = max(lengths)
+        assert ids.shape[1] == nonpad.shape[1] == width
+        order = [lengths.index(n) for n in nonpad.sum(axis=1)]
+        full = self.full_width_step(n_layers, lengths, order, performer,
+                                    trimmed["state_before"])
+        assert np.array_equal(full["ids"][:, :width], ids)
+        assert np.array_equal(full["nonpad"][:, :width], nonpad)
+        assert not full["nonpad"][:, width:].any()
+        # the dropout masks and the generator match the full-width draws bit for bit
+        masks = self.cached_masks(trimmed["cache"])
+        assert len(masks) == len(full["masks"]) == 1 + 2 * n_layers
+        for mask, want, got_full in zip(masks, full["masks"], self.cached_masks(full["cache"])):
+            assert np.array_equal(mask, want[:, :width])
+            assert np.array_equal(got_full, want)
+        assert trimmed["state_after"] == full["state_after"]
+        return trimmed, full
+
+    @pytest.mark.parametrize("n_layers", [0, 2])
+    def test_trimmed_step_matches_full_width(self, monkeypatch, n_layers):
+        lengths = (1, 57, 200, 255)
+        trimmed, full = self.both_steps(monkeypatch, n_layers, lengths)
+        nonpad = trimmed["inputs"][1]
+        for feature in PREDICTED:
+            assert_close(trimmed["logits"][feature][nonpad], full["logits"][feature][full["nonpad"]])
+        assert trimmed["losses"] == pytest.approx(full["losses"], rel=1e-12, abs=0.0)
+        for got, want in zip(trimmed["task_grads"], full["task_grads"], strict=True):
+            for key in want:
+                # d(loss)/d(bk) is zero but for rounding: a key bias shifts all of
+                # a query's scores by one constant, which softmax ignores. Its
+                # noise (~1e-22) is held to the scale of the layer's wk gradient.
+                scale = want[key[:-2] + "wk"] if key.endswith(".bk") else None
+                assert_close(got[key], want[key], scale)
+
+    @pytest.mark.parametrize("n_layers", [0, 2])
+    def test_full_segment_batch_is_bit_identical(self, monkeypatch, n_layers):
+        trimmed, full = self.both_steps(monkeypatch, n_layers, (1, 57, 200, 256))
+        for feature in PREDICTED:
+            assert np.array_equal(trimmed["logits"][feature], full["logits"][feature])
+        assert trimmed["losses"] == full["losses"]
+        for got, want in zip(trimmed["task_grads"], full["task_grads"], strict=True):
+            for key in want:
+                assert np.array_equal(got[key], want[key])
+
+    def test_batch_without_real_rows_errors(self):
+        empty = TokenSegment(np.full((SEGMENT_LEN, 6), PAD, dtype=np.int64), 0, 0)
+        with pytest.raises(ValueError, match="no non-pad positions to average over"):
+            train(tiny_model(), [(empty, empty)] * 4, TrainConfig(max_epochs=1, batch_size=4))
+
+    def test_epoch_peak_memory(self):
+        # the benchmark's train config over four 200-note segments: the traced
+        # peak is 84.1 MiB over all 256 rows and 65.5 MiB cut to 200 rows
+        model = init_model(M2MConfig(n_layers=2, d_model=64, n_heads=4, d_ff=256,
+                                     dropout=0.1, n_performers=2))
+        dataset = toy_dataset((200,) * 4)
+        tracemalloc.start()
+        try:
+            train(model, dataset, TrainConfig(max_epochs=1, batch_size=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 75 * 2**20
