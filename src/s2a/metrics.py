@@ -181,7 +181,8 @@ def dtwd(pred: FeatureSeq, target: FeatureSeq) -> float:
     Classic DTW with |a-b| local cost and steps {(1,0),(0,1),(1,1)}. The
     optimal total cost is divided by the warping path length (ties between
     equal-cost paths resolve to the shortest) and then by the vocabulary
-    size.
+    size. evaluate_m2m gets the same value for all three features of a
+    window from one dtw_path_costs call.
     """
     _check_compatible(pred, target)
     if not pred.values or not target.values:
@@ -192,40 +193,48 @@ def dtwd(pred: FeatureSeq, target: FeatureSeq) -> float:
 
 
 def dtw_path_cost(x: list[float], y: list[float]) -> tuple[float, int]:
-    """(total cost, path length) of the optimal warping path.
+    """(total cost, path length) of the optimal warping path: dtw_path_costs
+    of one row."""
+    return dtw_path_costs([x], [y])[0]
+
+
+def dtw_path_costs(xs, ys) -> list[tuple[float, int]]:
+    """(total cost, path length) of the optimal warping path of each row pair
+    of xs [F, n] and ys [F, m].
 
     Minimizes total |a-b| cost; among equal-cost paths, minimizes the number
     of aligned pairs, which makes the value unique. Cells are filled one
-    anti-diagonal (i + j = d) at a time, each diagonal in one set of array
-    ops. Every cell gets the same local + predecessor sum as a row-by-row
-    fill would give it, so the result is bit-identical to one.
+    anti-diagonal (i + j = d) at a time, each diagonal of every row in one
+    set of array ops. Every cell gets the same local + predecessor sum as a
+    row-by-row fill would give it, so each result is bit-identical to one.
     """
-    n, m = len(x), len(y)
-    xs = np.asarray(x, dtype=float)
-    ys_rev = np.asarray(y, dtype=float)[::-1]
+    xs = np.asarray(xs, dtype=float)
+    ys_rev = np.asarray(ys, dtype=float)[:, ::-1]
+    (f, n), m = xs.shape, ys_rev.shape[1]
     # Ring of three diagonals indexed by row i: diagonal d lives in slot d % 3.
     # Cells off the table stay inf; only row 0 (j = d) needs resetting on reuse.
-    cost = np.full((3, n + 1), np.inf)
-    length = np.zeros((3, n + 1), dtype=np.int64)
-    cost[0, 0] = 0.0
+    cost = np.full((3, f, n + 1), np.inf)
+    length = np.zeros((3, f, n + 1), dtype=np.int64)
+    cost[0, :, 0] = 0.0
     too_long = n + m  # longer than any warping path
     for d in range(1, n + m + 1):
         c0, c1, c2 = cost[d % 3], cost[(d - 1) % 3], cost[(d - 2) % 3]
         l0, l1, l2 = length[d % 3], length[(d - 1) % 3], length[(d - 2) % 3]
-        c0[0] = np.inf
+        c0[:, 0] = np.inf
         lo, hi = max(1, d - m), min(n, d - 1)
         # predecessors of cells (i, d - i), i in lo..hi: diagonal, up, left
-        cd, ld = c2[lo - 1:hi], l2[lo - 1:hi]
-        cu, lu = c1[lo - 1:hi], l1[lo - 1:hi]
-        cl, ll = c1[lo:hi + 1], l1[lo:hi + 1]
+        cd, ld = c2[:, lo - 1:hi], l2[:, lo - 1:hi]
+        cu, lu = c1[:, lo - 1:hi], l1[:, lo - 1:hi]
+        cl, ll = c1[:, lo:hi + 1], l1[:, lo:hi + 1]
         best = np.minimum(np.minimum(cd, cu), cl)
         shortest = np.minimum(
             np.minimum(np.where(cd == best, ld, too_long), np.where(cu == best, lu, too_long)),
             np.where(cl == best, ll, too_long),
         )
-        c0[lo:hi + 1] = best + np.abs(xs[lo - 1:hi] - ys_rev[m - d + lo:m - d + hi + 1])
-        l0[lo:hi + 1] = shortest + 1
-    return float(cost[(n + m) % 3, n]), int(length[(n + m) % 3, n])
+        c0[:, lo:hi + 1] = best + np.abs(xs[:, lo - 1:hi] - ys_rev[:, m - d + lo:m - d + hi + 1])
+        l0[:, lo:hi + 1] = shortest + 1
+    end = (n + m) % 3
+    return list(zip(cost[end, :, n].tolist(), length[end, :, n].tolist()))
 
 
 def chroma_mse(a: Chromagram, b: Chromagram) -> float:
@@ -326,31 +335,51 @@ def _item_row(pred, target, alignment, windows) -> dict:
     """One item's metric columns; its windows are appended to windows."""
     row = {}
     if alignment.pairs:
-        for feature, (p, q) in matched_feature_sequences(pred, target, alignment).items():
-            whole = _window_metrics(p, q)
-            row[f"{feature}_kld"], row[f"{feature}_dtwd"], row[f"{feature}_correlation"] = whole
+        whole = matched_feature_sequences(pred, target, alignment)
+        n = len(alignment.pairs)
+        metrics = _window_metrics(whole)
+        segments = [metrics] if n <= SEGMENT_LEN else [
+            _window_metrics({f: (_segment(p, start), _segment(q, start))
+                             for f, (p, q) in whole.items()})
+            for start in range(0, n, SEGMENT_LEN)
+        ]
+        for feature in PREDICTED:
+            row[f"{feature}_kld"], row[f"{feature}_dtwd"], row[f"{feature}_correlation"] = (
+                metrics[feature])
             perf, seg = windows[feature]
-            perf.append(whole)
-            seg.extend([whole] if len(p.values) <= SEGMENT_LEN else (
-                _window_metrics(
-                    FeatureSeq(p.values[start:start + SEGMENT_LEN], feature, p.vocab_size),
-                    FeatureSeq(q.values[start:start + SEGMENT_LEN], feature, q.vocab_size),
-                )
-                for start in range(0, len(p.values), SEGMENT_LEN)
-            ))
+            perf.append(metrics[feature])
+            seg.extend(window[feature] for window in segments)
     spec_p, spec_t = (midi_spectrogram(render_audio(seq)) for seq in (pred, target))
     row["chroma_mse"] = chroma_mse(chromagram(spec_p), chromagram(spec_t))
     row["spectrogram_mse"] = spectrogram_mse(spec_p, spec_t)
     return row
 
 
-def _window_metrics(p: FeatureSeq, q: FeatureSeq) -> tuple[float, float, float | None]:
-    """(kld, dtwd, correlation) of one window; correlation None when undefined."""
-    try:
-        correlation = pearson(p, q)
-    except ValueError:
-        correlation = None
-    return kld(p, q), dtwd(p, q), correlation
+def _window_metrics(
+    window: dict[str, tuple[FeatureSeq, FeatureSeq]]
+) -> dict[str, tuple[float, float, float | None]]:
+    """(kld, dtwd, correlation) of each feature's (pred, target) pair of one
+    window; correlation None when undefined. The features' sequences have
+    equal lengths, so their DTWs run as one wavefront; each value is the one
+    dtwd gives."""
+    out = {}
+    for feature, (p, q) in window.items():
+        try:
+            correlation = pearson(p, q)
+        except ValueError:
+            correlation = None
+        out[feature] = (kld(p, q), correlation)
+    pairs = window.values()
+    paths = dtw_path_costs([p.values for p, _ in pairs], [q.values for _, q in pairs])
+    for (feature, (divergence, correlation)), (p, _), (cost, length) in zip(
+            out.items(), pairs, paths):
+        out[feature] = (divergence, cost / length / p.vocab_size, correlation)
+    return out
+
+
+def _segment(s: FeatureSeq, start: int) -> FeatureSeq:
+    """The SEGMENT_LEN-value window of s from start."""
+    return FeatureSeq(s.values[start:start + SEGMENT_LEN], s.feature, s.vocab_size)
 
 
 def _aggregate_row(windows: list[tuple[float, float, float | None]]) -> dict[str, Aggregate]:

@@ -3,6 +3,7 @@
 Additive synthesis stands in for a neural synthesizer: 8 harmonics per note
 with a 1/h^1.3 rolloff, pitch-dependent exponential decay, linear attack and
 release ramps, and peak normalization; a render may last at most one hour.
+Each sine is computed once per distinct 2*pi*h*f0 in a pitch class.
 The analysis side provides a 128-bin semitone-spaced (MIDI-scale)
 spectrogram over 2048-sample Hann frames at a 512-sample hop, chromagrams,
 and 9.6 s segmentation / cross-correlation stitching for audio produced in
@@ -16,6 +17,7 @@ as in one thread, so the bytes are the same at any core count.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import wave
@@ -107,34 +109,53 @@ def _split_work(fn, items: list) -> None:
         worker.result()
 
 
-def _render_pitch(pitch: int, members: list, sample_rate: int, mixed: np.ndarray) -> None:
+def _render_pitch_class(pitches: list, t: np.ndarray, sample_rate: int, mixed: np.ndarray) -> None:
     """Write tone * envelope of each (start, n_samples, at, held, velocity)
-    note of one pitch into mixed[at:at + n_samples]."""
-    n_max = max(n for _, n, _, _, _ in members)
-    t = np.arange(n_max) / sample_rate
-    f0 = midi_pitch_hz(pitch)
-    sines = []
-    for h in range(1, N_HARMONICS + 1):
-        if h * f0 >= sample_rate / 2:
-            break
-        sines.append(np.sin(2 * np.pi * h * f0 * t))
-    tau = DECAY_SECONDS_AT_C4 * 2.0 ** ((60 - pitch) / 24)
-    decay = np.exp(-t / tau)
-    attack_len = int(np.ceil(ATTACK_SECONDS * sample_rate)) + 1  # the factor is 1.0 after
-    decay[:attack_len] *= np.minimum(t[:attack_len] / ATTACK_SECONDS, 1.0)
-    scratch = np.empty(n_max)
-    for _, n, at, held, velocity in members:
-        amp = velocity / 127.0
-        tone = mixed[at:at + n]
-        tone.fill(0.0)
-        for h, sine in enumerate(sines, start=1):
-            tone += np.multiply(amp * h ** (-HARMONIC_ROLLOFF), sine[:n], out=scratch[:n])
-        env = scratch[:n]
-        env[:] = decay[:n]
-        # the release factor is exactly 1.0 up to two samples before note-off
-        lo = min(max(int(held * sample_rate) - 2, 0), n)
-        env[lo:] *= np.clip((held + RELEASE_SECONDS - t[lo:n]) / RELEASE_SECONDS, 0.0, 1.0)
-        tone *= env
+    note of each (pitch, notes) of one pitch class, lowest pitch first, into
+    mixed[at:at + n_samples].
+
+    Octaves share partials: a sine table is computed once per distinct
+    2*pi*h*f0, at the longest length any of its pitches needs, and dropped
+    after its last pitch. t is the time axis of the longest note.
+    """
+    plan = []  # (pitch, notes, longest, keys)
+    need, last = {}, {}  # per key: the longest user, the index of the last one
+    for i, (pitch, members) in enumerate(pitches):
+        n_max = max(n for _, n, _, _, _ in members)
+        f0 = midi_pitch_hz(pitch)
+        keys = [2 * np.pi * h * f0 for h in range(1, N_HARMONICS + 1) if h * f0 < sample_rate / 2]
+        for key in keys:
+            need[key] = max(need.get(key, 0), n_max)
+            last[key] = i
+        plan.append((pitch, members, n_max, keys))
+    tables = {}
+    for i, (pitch, members, n_max, keys) in enumerate(plan):
+        for key in keys:
+            if key not in tables:
+                sine = np.multiply(key, t[:need[key]])
+                tables[key] = np.sin(sine, out=sine)
+        sines = [tables[key] for key in keys]
+        tau = DECAY_SECONDS_AT_C4 * 2.0 ** ((60 - pitch) / 24)
+        t_pitch = t[:n_max]
+        decay = np.exp(-t_pitch / tau)
+        attack_len = int(np.ceil(ATTACK_SECONDS * sample_rate)) + 1  # the factor is 1.0 after
+        decay[:attack_len] *= np.minimum(t_pitch[:attack_len] / ATTACK_SECONDS, 1.0)
+        scratch = np.empty(n_max)
+        for _, n, at, held, velocity in members:
+            amp = velocity / 127.0
+            tone = mixed[at:at + n]
+            tone.fill(0.0)
+            for h, sine in enumerate(sines, start=1):
+                tone += np.multiply(amp * h ** (-HARMONIC_ROLLOFF), sine[:n], out=scratch[:n])
+            env = scratch[:n]
+            env[:] = decay[:n]
+            # the release factor is exactly 1.0 up to two samples before note-off
+            lo = min(max(int(held * sample_rate) - 2, 0), n)
+            env[lo:] *= np.clip((held + RELEASE_SECONDS - t[lo:n]) / RELEASE_SECONDS, 0.0, 1.0)
+            tone *= env
+        for key in keys:
+            if last[key] == i:
+                del tables[key]
 
 
 def check_sample_rate(sample_rate: int) -> None:
@@ -151,16 +172,18 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     5 ms linear attack and a 10 ms release after note-off. Harmonics at or
     above Nyquist are dropped. The mix is peak-normalized to 0.95.
 
-    The sines and the decay depend only on pitch and sample index, so they
-    are computed once per pitch at its longest note and sliced per note.
-    Every sample gets the same float operations, in the same order, as a
-    note-by-note loop would apply: the attack and release factors are exactly
-    1.0 outside the ranges they are applied over, and the notes are mixed
-    into the output in their original order. Pitches write disjoint slots of
-    one buffer, and the mix is cut in two halves by time, so each runs on two
-    threads without changing a sample. ValueError for a sample_rate
-    outside 1..MAX_SAMPLE_RATE, or for a last release that ends past
-    MAX_AUDIO_SECONDS.
+    The time axis is computed once per call. A sine depends only on the
+    scalar 2*pi*h*f0 and the sample index, so it is computed once per
+    distinct 2*pi*h*f0 in a pitch class (octaves share bit-equal ones) at
+    its longest note; the decay is computed once per pitch. Both are sliced
+    per note. Every sample gets the same float operations, in the same
+    order, as a note-by-note loop would apply: the attack and release
+    factors are exactly 1.0 outside the ranges they are applied over, and
+    the notes are mixed into the output in their original order. Pitch
+    classes write disjoint slots of one buffer, and the mix is cut in two
+    halves by time, so each runs on two threads without changing a sample.
+    ValueError for a sample_rate outside 1..MAX_SAMPLE_RATE, or for a last
+    release that ends past MAX_AUDIO_SECONDS.
     """
     check_sample_rate(sample_rate)
     if not seq.notes:
@@ -182,7 +205,12 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
         by_pitch.setdefault(ev.pitch, []).append(note)
         at += n_samples
     mixed = np.empty(at)  # every note's tone * envelope, back to back
-    _split_work(lambda item: _render_pitch(*item, sample_rate, mixed), list(by_pitch.items()))
+    t = np.arange(max(n for _, n, _, _, _ in notes)) / sample_rate
+    by_class: dict[int, list[tuple]] = {}
+    for pitch in sorted(by_pitch):
+        by_class.setdefault(pitch % 12, []).append((pitch, by_pitch[pitch]))
+    _split_work(lambda group: _render_pitch_class(group, t, sample_rate, mixed),
+                list(by_class.values()))
 
     def mix(span):
         lo, hi = span
@@ -202,12 +230,14 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
 # ---------------------------------------------------------------------------
 # Analysis
 
+@functools.lru_cache(maxsize=8)
 def midi_filterbank(sample_rate: int) -> np.ndarray:
     """[128, n_fft_bins] triangular filters, one per MIDI pitch.
 
     Each triangle peaks at its pitch's center frequency and reaches zero at
     the neighboring semitone centers, so any STFT bin feeds at most two
     adjacent filters. Filters centered at or above Nyquist stay all-zero.
+    Built once per sample rate (the last 8 are kept) and read-only.
     """
     n_bins = FRAME_LEN // 2 + 1
     freqs = np.fft.rfftfreq(FRAME_LEN, d=1.0 / sample_rate)
@@ -222,6 +252,7 @@ def midi_filterbank(sample_rate: int) -> np.ndarray:
         rising = (freqs - lo) / (center - lo)
         falling = (hi - freqs) / (hi - center)
         bank[m] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
+    bank.flags.writeable = False
     return bank
 
 

@@ -30,7 +30,6 @@ from s2a.synth import (
     PEAK_LEVEL,
     RELEASE_SECONDS,
     Waveform,
-    _render_pitch,
     midi_filterbank,
     midi_pitch_hz,
 )
@@ -255,10 +254,41 @@ def scalar_render_audio(seq: NoteSequence, sample_rate: int) -> Waveform:
     return Waveform(out, sample_rate)
 
 
+def _render_pitch(pitch: int, members: list, sample_rate: int, mixed: np.ndarray) -> None:
+    """Write tone * envelope of each (start, n_samples, at, held, velocity)
+    note of one pitch into mixed[at:at + n_samples], with the pitch's own
+    time axis and sines at its longest note."""
+    n_max = max(n for _, n, _, _, _ in members)
+    t = np.arange(n_max) / sample_rate
+    f0 = midi_pitch_hz(pitch)
+    sines = []
+    for h in range(1, N_HARMONICS + 1):
+        if h * f0 >= sample_rate / 2:
+            break
+        sines.append(np.sin(2 * np.pi * h * f0 * t))
+    tau = DECAY_SECONDS_AT_C4 * 2.0 ** ((60 - pitch) / 24)
+    decay = np.exp(-t / tau)
+    attack_len = int(np.ceil(ATTACK_SECONDS * sample_rate)) + 1  # the factor is 1.0 after
+    decay[:attack_len] *= np.minimum(t[:attack_len] / ATTACK_SECONDS, 1.0)
+    scratch = np.empty(n_max)
+    for _, n, at, held, velocity in members:
+        amp = velocity / 127.0
+        tone = mixed[at:at + n]
+        tone.fill(0.0)
+        for h, sine in enumerate(sines, start=1):
+            tone += np.multiply(amp * h ** (-HARMONIC_ROLLOFF), sine[:n], out=scratch[:n])
+        env = scratch[:n]
+        env[:] = decay[:n]
+        # the release factor is exactly 1.0 up to two samples before note-off
+        lo = min(max(int(held * sample_rate) - 2, 0), n)
+        env[lo:] *= np.clip((held + RELEASE_SECONDS - t[lo:n]) / RELEASE_SECONDS, 0.0, 1.0)
+        tone *= env
+
+
 def serial_render_audio(seq: NoteSequence, sample_rate: int) -> Waveform:
-    """render_audio in one thread: the pitch tables one pitch after another,
-    every note mixed over the whole output in note order, and the peak taken
-    from np.abs of the mix."""
+    """render_audio in one thread with no table shared between pitches: each
+    pitch's tables one pitch after another, every note mixed over the whole
+    output in note order, and the peak taken from np.abs of the mix."""
     if not seq.notes:
         return Waveform(np.zeros(0), sample_rate)
     onsets = ticks_to_seconds(seq, [n.onset_ticks for n in seq.notes]).tolist()

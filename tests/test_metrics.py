@@ -19,6 +19,7 @@ from s2a.metrics import (
     aggregate,
     chroma_mse,
     dtw_path_cost,
+    dtw_path_costs,
     dtwd,
     evaluate_m2m,
     kld,
@@ -26,7 +27,8 @@ from s2a.metrics import (
     pearson,
     spectrogram_mse,
 )
-from s2a.tokenizer import SEGMENT_LEN
+from s2a import metrics
+from s2a.tokenizer import SEGMENT_LEN, VOCAB
 from s2a.midi_io import NoteEvent, NoteSequence
 from s2a.synth import Chromagram, Spectrogram, chromagram, midi_spectrogram, render_audio
 
@@ -199,6 +201,44 @@ class TestWavefrontDtw:
         x = [rng.random() for _ in range(90)]
         y = [rng.random() for _ in range(70)]
         assert dtw_path_cost(x, y) == scalar_dtw_path_cost(x, y)
+
+
+@st.composite
+def dtw_batches(draw):
+    """F row pairs of lengths n and m (1..40 each, n != m allowed) over one
+    alphabet, so equal-cost paths are common."""
+    alphabet = draw(st.sampled_from([(4, 5), (4, 5, 6), tuple(range(4, 68))]))
+    n_rows, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+
+    def rows(size):
+        return [[float(v) for v in draw(st.lists(st.sampled_from(alphabet),
+                                                  min_size=size, max_size=size))]
+                for _ in range(n_rows)]
+
+    return rows(n), rows(m)
+
+
+class TestBatchedDtw:
+    @settings(max_examples=80, deadline=None)
+    @given(dtw_batches())
+    def test_every_row_equals_scalar_oracle(self, batch):
+        xs, ys = batch
+        assert dtw_path_costs(xs, ys) == [scalar_dtw_path_cost(x, y) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("window, message", [
+    (lambda f: (FeatureSeq((), f, VOCAB.size(f)), FeatureSeq((), f, VOCAB.size(f))),
+     "item_0000: cannot compute KLD of an empty sequence"),
+    (lambda f: (FeatureSeq((4, 5), f, VOCAB.size(f)), FeatureSeq((4, 5), f, VOCAB.size(f) + 1)),
+     "item_0000: sequences must share feature and vocabulary"),
+], ids=["empty-window", "mismatched-vocabulary"])
+def test_window_errors_keep_their_item_label_and_message(monkeypatch, window, message):
+    piece = make_piece(random.Random(16), 10)
+    monkeypatch.setattr(metrics, "matched_feature_sequences",
+                        lambda *_: {f: window(f) for f in PREDICTED})
+    with pytest.raises(ValueError) as err:
+        evaluate_m2m([(piece, piece, align_notes(piece, piece))])
+    assert str(err.value) == message
 
 
 class TestMse:

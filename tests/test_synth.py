@@ -1,3 +1,4 @@
+import inspect
 import threading
 import time
 import tracemalloc
@@ -14,8 +15,10 @@ from oracles import (
     whole_array_spectrogram,
 )
 from s2a.corpus import SyntheticCorpusSpec, generate_corpus
+import s2a.synth
 from s2a.midi_io import NoteEvent, NoteSequence, TempoEvent, parse_smf
 from s2a.synth import (
+    DEFAULT_SAMPLE_RATE,
     FRAME_LEN,
     HOP,
     MAX_AUDIO_SECONDS,
@@ -200,7 +203,16 @@ class TestRenderAgainstSerial:
         # the mix is cut at the middle sample, about tick 480: five notes span it
         (NoteEvent(0, 960, 48, 90), NoteEvent(96, 700, 55, 70), NoteEvent(300, 200, 60, 127),
          NoteEvent(470, 20, 60, 40), NoteEvent(479, 2, 72, 100), NoteEvent(600, 50, 76, 60)),
-    ], ids=["one-note", "one-pitch-repeated", "notes-across-the-split"])
+        # octaves share partials; the tables are as long as their longest user
+        (NoteEvent(0, 40, 36, 80), NoteEvent(10, 60, 48, 90), NoteEvent(20, 30, 60, 100),
+         NoteEvent(30, 500, 72, 70), NoteEvent(35, 20, 84, 60)),
+        (NoteEvent(0, 500, 33, 80), NoteEvent(10, 60, 45, 90), NoteEvent(20, 30, 57, 100),
+         NoteEvent(30, 40, 69, 70), NoteEvent(5, 96, 57, 30), NoteEvent(300, 20, 81, 60)),
+        # at 8 kHz pitch 108 has no partial below Nyquist and pitch 96 only one
+        (NoteEvent(0, 100, 108, 100), NoteEvent(20, 80, 96, 90), NoteEvent(40, 60, 84, 70)),
+        (NoteEvent(0, 100, 108, 100),),
+    ], ids=["one-note", "one-pitch-repeated", "notes-across-the-split", "octaves-longest-high",
+            "octaves-longest-low", "no-partial-next-to-its-octaves", "no-partial-alone"])
     def test_fixed_cases(self, notes, sample_rate):
         self.assert_same(NoteSequence(ppq=96, notes=notes, tempi=(TempoEvent(0, 500000),)),
                          sample_rate)
@@ -210,6 +222,57 @@ class TestRenderAgainstSerial:
         manifest = generate_corpus(spec, tmp_path)
         for item in manifest["items"]:
             self.assert_same(parse_smf((tmp_path / item["performance"]).read_bytes()), 24000)
+
+
+class CountingNumpy:
+    """numpy, with the length of every np.sin argument recorded."""
+
+    def __init__(self):
+        self.sine_samples = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, x, *args, **kwargs):
+        self.sine_samples.append(len(x))
+        return np.sin(x, *args, **kwargs)
+
+
+def sine_samples_per_key_and_per_pitch(seq, sample_rate):
+    """(the sum over distinct 2*pi*h*f0 keys of the longest note using each,
+    the sum over pitches of the longest note times the pitch's partials)."""
+    longest = {}
+    for note in seq.notes:
+        held = max(scalar_ticks_to_seconds(seq, note.offset_ticks)
+                   - scalar_ticks_to_seconds(seq, note.onset_ticks), 1.0 / sample_rate)
+        n = int(round((held + RELEASE_SECONDS) * sample_rate))
+        longest[note.pitch] = max(longest.get(note.pitch, 0), n)
+    per_key, per_pitch = {}, 0
+    for pitch, n in longest.items():
+        f0 = midi_pitch_hz(pitch)
+        keys = [2 * np.pi * h * f0 for h in range(1, N_HARMONICS + 1) if h * f0 < sample_rate / 2]
+        per_pitch += n * len(keys)
+        for key in keys:
+            per_key[key] = max(per_key.get(key, 0), n)
+    return sum(per_key.values()), per_pitch
+
+
+def test_each_distinct_partial_is_computed_once_at_its_longest_note(tmp_path, monkeypatch):
+    """On each of the 16 performances of the seed-0 demo corpus. The saving
+    varies by piece (24-34%), so the 0.75 bound is on the corpus total."""
+    manifest = generate_corpus(SyntheticCorpusSpec(seed=0), tmp_path)
+    counting = CountingNumpy()
+    monkeypatch.setattr(s2a.synth, "np", counting)
+    total, total_per_pitch = 0, 0
+    for item in manifest["items"]:
+        seq = parse_smf((tmp_path / item["performance"]).read_bytes())
+        per_key, per_pitch = sine_samples_per_key_and_per_pitch(seq, DEFAULT_SAMPLE_RATE)
+        counting.sine_samples.clear()
+        render_audio(seq, DEFAULT_SAMPLE_RATE)
+        assert sum(counting.sine_samples) == per_key
+        total += per_key
+        total_per_pitch += per_pitch
+    assert total <= 0.75 * total_per_pitch
 
 
 def test_split_work_raises_the_workers_error_and_leaves_no_thread():
@@ -301,6 +364,21 @@ class TestSpectrogram:
         bank = midi_filterbank(24000)
         touched = (bank > 0).sum(axis=0)
         assert touched.max() <= 2
+
+    def test_filterbank_is_built_once_per_rate_and_read_only(self):
+        bank = midi_filterbank(24000)
+        assert midi_filterbank(24000) is bank
+        with pytest.raises(ValueError):
+            bank[69, 10] = 1.0
+        assert np.array_equal(bank, midi_filterbank.__wrapped__(24000))
+        assert list(inspect.signature(midi_filterbank).parameters) == ["sample_rate"]
+
+    def test_filterbank_cache_is_bounded(self):
+        size = midi_filterbank.cache_info().maxsize
+        assert size is not None
+        for rate in range(8000, 8000 + 2 * size):
+            midi_filterbank(rate)
+        assert midi_filterbank.cache_info().currsize <= size
 
     def test_filters_above_nyquist_are_zero(self):
         bank = midi_filterbank(8000)
