@@ -12,7 +12,10 @@ fixed-length windows (render_audio has no window, so `s2a synth` uses none).
 render_audio and midi_spectrogram share their independent work between the
 calling thread and one worker thread, which ends before the call returns.
 Each sample and each frame gets the same float operations in the same order
-as in one thread, so the bytes are the same at any core count.
+as in one thread, so the bytes are the same at any core count. Every array
+as long as a note or a block of frames is allocated before the work is
+split, one per thread, so memory use does not depend on how the two
+threads interleave.
 """
 
 from __future__ import annotations
@@ -109,16 +112,17 @@ def _split_work(fn, items: list) -> None:
         worker.result()
 
 
-def _render_pitch_class(pitches: list, t: np.ndarray, sample_rate: int, mixed: np.ndarray) -> None:
-    """Write tone * envelope of each (start, n_samples, at, held, velocity)
-    note of each (pitch, notes) of one pitch class, lowest pitch first, into
-    mixed[at:at + n_samples].
+def _plan_pitch_class(pitches: list, sample_rate: int) -> tuple[list, int, int]:
+    """(plan, table rows, longest note) of one pitch class's (pitch, notes),
+    lowest pitch first. The plan holds (pitch, notes, longest note, tables)
+    per pitch, with one (row, key, length) per partial: length is 0 where an
+    earlier pitch already left the table in its row.
 
     Octaves share partials: a sine table is computed once per distinct
-    2*pi*h*f0, at the longest length any of its pitches needs, and dropped
-    after its last pitch. t is the time axis of the longest note.
+    key 2*pi*h*f0, at the longest length any of its pitches needs, into a
+    row that is free again after its last pitch.
     """
-    plan = []  # (pitch, notes, longest, keys)
+    keyed = []  # (pitch, notes, longest, keys)
     need, last = {}, {}  # per key: the longest user, the index of the last one
     for i, (pitch, members) in enumerate(pitches):
         n_max = max(n for _, n, _, _, _ in members)
@@ -127,20 +131,45 @@ def _render_pitch_class(pitches: list, t: np.ndarray, sample_rate: int, mixed: n
         for key in keys:
             need[key] = max(need.get(key, 0), n_max)
             last[key] = i
-        plan.append((pitch, members, n_max, keys))
-    tables = {}
-    for i, (pitch, members, n_max, keys) in enumerate(plan):
+        keyed.append((pitch, members, n_max, keys))
+    plan, row, free, n_rows = [], {}, [], 0
+    for i, (pitch, members, n_max, keys) in enumerate(keyed):
+        tables = []
         for key in keys:
-            if key not in tables:
-                sine = np.multiply(key, t[:need[key]])
-                tables[key] = np.sin(sine, out=sine)
-        sines = [tables[key] for key in keys]
+            length = 0
+            if key not in row:
+                if not free:
+                    free.append(n_rows)
+                    n_rows += 1
+                row[key], length = free.pop(), need[key]
+            tables.append((row[key], key, length))
+        free.extend(row[key] for key in keys if last[key] == i)
+        plan.append((pitch, members, n_max, tables))
+    return plan, n_rows, max(n_max for _, _, n_max, _ in plan)
+
+
+def _render_pitch_class(plan: list, work: np.ndarray, t: np.ndarray, sample_rate: int,
+                        mixed: np.ndarray) -> None:
+    """Write tone * envelope of each (start, n_samples, at, held, velocity)
+    note of a _plan_pitch_class plan into mixed[at:at + n_samples].
+
+    work holds the plan's sine tables in its first rows and the decay and a
+    scratch row in its last two, so nothing as long as a note is allocated
+    here. t is the time axis of the longest note.
+    """
+    decay_row, scratch = work[-2], work[-1]
+    attack_len = int(np.ceil(ATTACK_SECONDS * sample_rate)) + 1  # the factor is 1.0 after
+    for pitch, members, n_max, tables in plan:
+        for row, key, length in tables:
+            if length:
+                sine = np.multiply(key, t[:length], out=work[row, :length])
+                np.sin(sine, out=sine)
+        sines = [work[row] for row, _, _ in tables]
         tau = DECAY_SECONDS_AT_C4 * 2.0 ** ((60 - pitch) / 24)
         t_pitch = t[:n_max]
-        decay = np.exp(-t_pitch / tau)
-        attack_len = int(np.ceil(ATTACK_SECONDS * sample_rate)) + 1  # the factor is 1.0 after
+        decay = np.negative(t_pitch, out=decay_row[:n_max])
+        np.exp(np.divide(decay, tau, out=decay), out=decay)
         decay[:attack_len] *= np.minimum(t_pitch[:attack_len] / ATTACK_SECONDS, 1.0)
-        scratch = np.empty(n_max)
         for _, n, at, held, velocity in members:
             amp = velocity / 127.0
             tone = mixed[at:at + n]
@@ -153,9 +182,6 @@ def _render_pitch_class(pitches: list, t: np.ndarray, sample_rate: int, mixed: n
             lo = min(max(int(held * sample_rate) - 2, 0), n)
             env[lo:] *= np.clip((held + RELEASE_SECONDS - t[lo:n]) / RELEASE_SECONDS, 0.0, 1.0)
             tone *= env
-        for key in keys:
-            if last[key] == i:
-                del tables[key]
 
 
 def check_sample_rate(sample_rate: int) -> None:
@@ -182,6 +208,8 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     the notes are mixed into the output in their original order. Pitch
     classes write disjoint slots of one buffer, and the mix is cut in two
     halves by time, so each runs on two threads without changing a sample.
+    Each thread's tables, decay and scratch rows share one array allocated
+    before the split.
     ValueError for a sample_rate outside 1..MAX_SAMPLE_RATE, or for a last
     release that ends past MAX_AUDIO_SECONDS.
     """
@@ -209,8 +237,13 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     by_class: dict[int, list[tuple]] = {}
     for pitch in sorted(by_pitch):
         by_class.setdefault(pitch % 12, []).append((pitch, by_pitch[pitch]))
-    _split_work(lambda group: _render_pitch_class(group, t, sample_rate, mixed),
-                list(by_class.values()))
+    plans = [_plan_pitch_class(group, sample_rate) for group in by_class.values()]
+    # _split_work runs plans[::2] on this thread and plans[1::2] on its worker:
+    # each side gets one work array, allocated here, sized for its largest plan
+    works = [np.empty((max(rows for _, rows, _ in side) + 2, max(n for _, _, n in side)))
+             for side in (plans[::2], plans[1::2]) if side]
+    _split_work(lambda item: _render_pitch_class(*item, t, sample_rate, mixed),
+                [(plan, works[i % 2]) for i, (plan, _, _) in enumerate(plans)])
 
     def mix(span):
         lo, hi = span
@@ -263,10 +296,11 @@ def midi_spectrogram(w: Waveform) -> Spectrogram:
     Frames go through window, rFFT, magnitude, filterbank and log in blocks
     of SPECTROGRAM_BLOCK to 2 * SPECTROGRAM_BLOCK - 1 rows, or as one block
     when there are fewer. Blocks alternate between the calling thread and
-    one worker, so memory is two blocks plus the result at any length. No
-    block is shorter: BLAS rounds a product of fewer than 8 rows differently
-    from the same rows inside a taller one, and the output must not depend
-    on where a block ends.
+    one worker, each with work arrays allocated before the split, so memory
+    is two blocks plus the result at any length. No block is shorter: BLAS
+    rounds a product of fewer than 8 rows differently from the same rows
+    inside a taller one, and the output must not depend on where a block
+    ends.
     """
     if len(w.samples) == 0:
         return Spectrogram(np.zeros((0, 128)), w.sample_rate / HOP)
@@ -278,12 +312,21 @@ def midi_spectrogram(w: Waveform) -> Spectrogram:
     bank_t = midi_filterbank(w.sample_rate).T
     out = np.empty((len(frames), 128))
     n_blocks = max(1, len(frames) // SPECTROGRAM_BLOCK)
+    blocks = list(zip(np.array_split(frames, n_blocks), np.array_split(out, n_blocks)))
+    rows, n_bins = len(blocks[0][0]), FRAME_LEN // 2 + 1  # the first block is a longest one
+    # _split_work runs blocks[::2] on this thread and blocks[1::2] on its
+    # worker: each side gets its own work arrays, allocated here
+    works = [(np.empty((rows, FRAME_LEN)), np.empty((rows, n_bins), complex),
+              np.empty((rows, n_bins))) for _ in blocks[:2]]
 
-    def fill(pair):
-        block, dest = pair
-        np.log1p(np.abs(np.fft.rfft(block * window, axis=1)) @ bank_t, out=dest)
+    def fill(item):
+        (block, dest), (windowed, spectrum, magnitude) = item
+        k = len(block)
+        np.multiply(block, window, out=windowed[:k])
+        np.fft.rfft(windowed[:k], axis=1, out=spectrum[:k])
+        np.log1p(np.abs(spectrum[:k], out=magnitude[:k]) @ bank_t, out=dest)
 
-    _split_work(fill, list(zip(np.array_split(frames, n_blocks), np.array_split(out, n_blocks))))
+    _split_work(fill, [(block, works[i % 2]) for i, block in enumerate(blocks)])
     return Spectrogram(out, w.sample_rate / HOP)
 
 

@@ -1,4 +1,5 @@
 import inspect
+import sys
 import threading
 import time
 import tracemalloc
@@ -184,6 +185,22 @@ class TestRenderAgainstOracle:
         self.assert_same(seq, 24000)
 
 
+@st.composite
+def octave_stacks(draw):
+    """Notes on one or two pitch classes, each over 1-5 octaves, so sine
+    tables are shared by pitches in many orders of first and last use."""
+    pitches = []
+    for base in draw(st.lists(st.integers(21, 32), min_size=1, max_size=2, unique=True)):
+        octaves = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True))
+        pitches += [base + 12 * k for k in octaves]
+    notes = draw(st.lists(
+        st.builds(NoteEvent, st.integers(0, 400), st.integers(1, 400),
+                  st.sampled_from(pitches), st.integers(1, 127)),
+        min_size=1, max_size=12,
+    ))
+    return NoteSequence(ppq=96, notes=tuple(notes), tempi=(TempoEvent(0, 500000),))
+
+
 class TestRenderAgainstSerial:
     """render_audio splits the pitch tables and the mix between two threads;
     every sample must equal the one-thread render bit for bit, and no thread
@@ -222,6 +239,57 @@ class TestRenderAgainstSerial:
         manifest = generate_corpus(spec, tmp_path)
         for item in manifest["items"]:
             self.assert_same(parse_smf((tmp_path / item["performance"]).read_bytes()), 24000)
+
+    @settings(max_examples=40, deadline=None)
+    @given(octave_stacks(), st.sampled_from([8000, 24000]))
+    def test_octave_stacks(self, seq, sample_rate):
+        self.assert_same(seq, sample_rate)
+
+
+def test_each_thread_writes_its_own_work_arrays(tmp_path):
+    """With thread switches every microsecond, the two threads of
+    render_audio and midi_spectrogram still give the one-thread bytes, so
+    neither writes the other's work arrays."""
+    manifest = generate_corpus(SyntheticCorpusSpec(n_pieces=1, seed=0), tmp_path)
+    seq = parse_smf((tmp_path / manifest["items"][0]["performance"]).read_bytes())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        w = render_audio(seq)
+        spec = midi_spectrogram(w)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(w.samples, serial_render_audio(seq, DEFAULT_SAMPLE_RATE).samples)
+    assert np.array_equal(spec.frames, whole_array_spectrogram(w))
+
+
+def test_threaded_work_allocates_nothing_note_long(tmp_path, monkeypatch):
+    """render_audio and midi_spectrogram allocate every array as long as a
+    note or a block of frames before they split the work between threads, so
+    how the threads interleave cannot change how much memory is in use. Here
+    the items run one at a time, each with its own traced peak."""
+    manifest = generate_corpus(SyntheticCorpusSpec(n_pieces=1, seed=0), tmp_path)
+    seq = parse_smf((tmp_path / manifest["items"][0]["performance"]).read_bytes())
+    calls = []
+
+    def one_at_a_time(fn, items):
+        calls.append([])
+        for item in items:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            fn(item)
+            calls[-1].append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(s2a.synth, "_split_work", one_at_a_time)
+    tracemalloc.start()
+    try:
+        midi_spectrogram(render_audio(seq))
+    finally:
+        tracemalloc.stop()
+    pitch_classes, mix, blocks = calls
+    assert max(pitch_classes + mix) < 64 * 2**10
+    # each block still allocates its [rows, 128] filterbank product: 129 rows here
+    assert max(blocks) < 256 * 2**10
 
 
 class CountingNumpy:
