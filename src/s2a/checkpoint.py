@@ -15,7 +15,7 @@ from .model import M2MConfig, M2MModel, parameter_shapes, sinusoidal_positions
 from .tokenizer import SEGMENT_LEN
 
 MAGIC_PREFIX = b"S2A-M2M-CKPT-"
-VERSION = "v2"
+VERSION = "v3"
 MAGIC = MAGIC_PREFIX + VERSION.encode() + b"\n"
 
 

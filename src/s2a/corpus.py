@@ -65,6 +65,9 @@ class SyntheticCorpusSpec:
     profiles: tuple[PerformerProfile, ...] = DEFAULT_PROFILES
 
     def __post_init__(self):
+        for name in ("n_pieces", "notes_per_piece", "n_performers", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if min(self.n_pieces, self.notes_per_piece, self.n_performers, self.seed) < 0:
             raise ValueError("n_pieces, notes_per_piece, n_performers and seed must be >= 0")
         if self.n_performers > len(self.profiles):

@@ -2,9 +2,11 @@
 
 Six per-feature embeddings are concatenated, projected to the model width,
 combined with sinusoidal positions, and run through a bidirectional post-norm
-encoder whose attention masks PAD keys. A performer embedding of the model
-width is summed with the final hidden state at every real position, and
-three linear heads emit categorical logits over the velocity, IOI, and
+encoder whose attention masks PAD keys. Attention has query, value and output
+biases but no key bias: one added to every key shifts all of a query's
+scores by the same q.b, which softmax ignores. A performer embedding of the
+model width is summed with the final hidden state at every real position,
+and three linear heads emit categorical logits over the velocity, IOI, and
 duration vocabularies. `forward` takes one segment's [256, 6] id array and
 returns {feature: logits [256, V]}, the per-segment slice of what
 `forward_batch` returns for a batch.
@@ -127,9 +129,8 @@ def parameter_shapes(config: M2MConfig) -> Iterator[tuple[str, tuple[int, ...]]]
     yield "proj_b", (d,)
     for layer in range(config.n_layers):
         pre = f"l{layer}."
-        for mat in ("wq", "wk", "wv", "wo"):
-            yield pre + mat, (d, d)
-            yield pre + mat.replace("w", "b"), (d,)
+        for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"):
+            yield pre + name, (d, d) if name[0] == "w" else (d,)
         yield pre + "ln1_g", (d,)
         yield pre + "ln1_b", (d,)
         yield pre + "ff_w1", (d, d_ff)
@@ -260,11 +261,12 @@ def _dropout(x, rng, rate):
 
 
 def _linear_backward(grads, w, b, x, dy, weight):
-    """Backward of y = x @ weight + bias: add x^T dy to grads[w] and the summed
-    dy to grads[b]; return d(loss)/dx, shaped like x."""
+    """Backward of y = x @ weight + bias: add x^T dy to grads[w] and, unless b is
+    None (no bias), the summed dy to grads[b]; return d(loss)/dx, shaped like x."""
     flat = dy.reshape(-1, dy.shape[-1])
     grads[w] += x.reshape(-1, x.shape[-1]).T @ flat
-    grads[b] += flat.sum(axis=0)
+    if b is not None:
+        grads[b] += flat.sum(axis=0)
     return (flat @ weight.T).reshape(x.shape)
 
 
@@ -330,7 +332,7 @@ def forward_batch(
         pre = f"l{layer}."
         x_in = h
         q = _split_heads(x_in @ p[pre + "wq"] + p[pre + "bq"], cfg.n_heads)
-        k = _split_heads(x_in @ p[pre + "wk"] + p[pre + "bk"], cfg.n_heads)
+        k = _split_heads(x_in @ p[pre + "wk"], cfg.n_heads)
         v = _split_heads(x_in @ p[pre + "wv"] + p[pre + "bv"], cfg.n_heads)
         attn, ctx = _attention(q, k, v, key_mask, scale)
         ctx = _merge_heads(ctx)
@@ -402,9 +404,9 @@ def backward_batch(
                                          _split_heads(dctx, cfg.n_heads), scale)
 
         dh = dsum  # residual branch
-        for mat, dval in (("wq", dq), ("wk", dk), ("wv", dv)):
-            dh = dh + _linear_backward(grads, pre + mat, pre + mat.replace("w", "b"), lc["x_in"],
-                                       _merge_heads(dval), p[pre + mat])
+        for w, b, dval in ((pre + "wq", pre + "bq", dq), (pre + "wk", None, dk),
+                           (pre + "wv", pre + "bv", dv)):
+            dh = dh + _linear_backward(grads, w, b, lc["x_in"], _merge_heads(dval), p[w])
 
     if cache["drop_in"] is not None:
         dh *= cache["drop_in"]

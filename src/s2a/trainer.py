@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +62,15 @@ class TrainConfig:
     early_stop_loss: float | None = None  # stop once total weighted loss dips below
 
     def __post_init__(self):
+        for name in ("warmup_steps", "max_epochs", "batch_size", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("learning_rate", "alpha", "gradnorm_lr", "early_stop_loss"):
+            value = getattr(self, name)
+            if value is None and name == "early_stop_loss":  # no early stop
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not all(0 < v < math.inf for v in (self.learning_rate, self.warmup_steps,
                                               self.batch_size, self.gradnorm_lr)):
             raise ValueError("learning_rate, warmup_steps, batch_size, gradnorm_lr must be "

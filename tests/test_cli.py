@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from test_midi_io import smf, vlq
 from test_model import LAST_TENSOR_BYTES, edit_header
 import s2a
-from s2a.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from s2a.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, build_parser, main
 from s2a.midi_io import NoteEvent, NoteSequence, parse_smf, write_smf
-from s2a.model import M2MConfig, init_model
+from s2a.model import M2MConfig, init_model, parameter_shapes
 from s2a.synth import load_matrix, midi_spectrogram, read_wav, render_audio, write_wav
 from s2a.tokenizer import SCORE_VELOCITY, VOCAB
 
@@ -73,6 +73,18 @@ def v1_checkpoint(model) -> bytes:
         blob += tensor.tobytes()
     header = json.dumps({"config": config, "tensors": manifest}).encode()
     return b"S2A-M2M-CKPT-v1\n" + struct.pack("<Q", len(header)) + header + blob
+
+
+def v2_checkpoint(model) -> bytes:
+    """The model in the version 2 format: the version 3 layout with a zero key
+    bias after each layer's wk."""
+    header = json.dumps(dataclasses.asdict(model.config)).encode()
+    blob = b""
+    for name, _ in parameter_shapes(model.config):
+        blob += np.ascontiguousarray(model.params[name], dtype="<f4").tobytes()
+        if name.endswith(".wk"):
+            blob += np.zeros(model.config.d_model, dtype="<f4").tobytes()
+    return b"S2A-M2M-CKPT-v2\n" + struct.pack("<Q", len(header)) + header + blob
 
 
 def render_with(tmp_path, checkpoint: bytes) -> int:
@@ -525,11 +537,14 @@ class TestExitCodes:
         blob = edit_header(tiny_checkpoint(), lambda c: {**c, key: value})
         assert render_with(tmp_path, blob) == EXIT_DATA
 
-    def test_v1_checkpoint_is_data_error_naming_its_version(self, tmp_path, capsys):
+    @pytest.mark.parametrize("version, write", [("v1", v1_checkpoint), ("v2", v2_checkpoint)],
+                             ids=["v1", "v2"])
+    def test_old_checkpoint_is_data_error_naming_its_version(self, tmp_path, capsys, version,
+                                                              write):
         model = init_model(M2MConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32))
-        assert render_with(tmp_path, v1_checkpoint(model)) == EXIT_DATA
+        assert render_with(tmp_path, write(model)) == EXIT_DATA
         err = capsys.readouterr().err
-        assert "checkpoint version 'v1'" in err and "Traceback" not in err
+        assert f"checkpoint version {version!r}" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +769,11 @@ class TestSettings:
         flags = {s for p in [parser, *subparsers.values()] for a in p._actions
                  for s in a.option_strings} - {"--help", "-h"}
         assert documented == flags
+
+    def test_readme_names_the_checkpoint_version(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        row = next(line for line in readme.splitlines() if line.startswith("| `s2a.checkpoint`"))
+        assert re.findall(r"\bv\d+\b", row) == [VERSION]
 
 
 # Flag and config values: accepted values stay tiny (epochs <= 2, pieces <= 2,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradcheck import group_relative_errors
+from gradcheck import group_relative_errors, random_inputs
 from oracles import (
     loop_sample,
     scalar_nucleus_sample_row,
@@ -33,7 +33,8 @@ from s2a.model import (
     prepare_batch,
     sample,
 )
-from s2a.tokenizer import PAD, SEGMENT_LEN, VOCAB, TokenSegment
+from s2a.tokenizer import FEATURE_NAMES, PAD, PREDICTED, SEGMENT_LEN, VOCAB, TokenSegment
+from s2a.trainer import cross_entropy
 
 LAST_TENSOR_BYTES = 4 * VOCAB.duration  # head_dur_b, the last tensor of a checkpoint
 
@@ -133,6 +134,40 @@ class TestGradients:
         errors = group_relative_errors(model, seed=5, dropout_seed=2)
         worst = max(errors.values())
         assert worst < 1e-4, f"worst group error {worst}: {errors}"
+
+
+@pytest.mark.parametrize("n_layers", [0, 2])
+def test_every_parameter_gets_a_gradient(n_layers):
+    """A tensor that cannot change the loss gets a gradient of rounding noise
+    alone; every parameter's must reach 1e-12 of the largest."""
+    model = init_model(toy_config(n_layers=n_layers))
+    ids, nonpad, performer, targets = random_inputs(model.config, np.random.default_rng(0))
+    assert not nonpad.all()
+    logits, cache = forward_batch(model, ids, nonpad, performer)
+    dlogits = {f: cross_entropy(logits[f], targets[f], nonpad)[1] for f in PREDICTED}
+    largest = {name: np.abs(g).max() for name, g in backward_batch(model, cache, dlogits).items()}
+    floor = 1e-12 * max(largest.values())
+    assert {name: value for name, value in largest.items() if value < floor} == {}
+
+
+def test_init_draws_every_matrix_in_order():
+    """Each matrix gets the next rng.normal(0, 0.02) draw, in parameter_shapes
+    order. Biases draw nothing, so adding or dropping one keeps every bit."""
+    config = toy_config(n_layers=2)
+    d, e = config.d_model, config.d_embed
+    shapes = [(f"emb_{name}", (VOCAB.size(name), e)) for name in FEATURE_NAMES]
+    shapes.append(("proj_w", (6 * e, d)))
+    for layer in range(config.n_layers):
+        shapes += [(f"l{layer}.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo")]
+        shapes += [(f"l{layer}.ff_w1", (d, config.d_ff)), (f"l{layer}.ff_w2", (config.d_ff, d))]
+    shapes.append(("perf_emb", (config.n_performers, d)))
+    shapes += [(f"head_{name}_w", (d, VOCAB.size(feature)))
+               for name, feature in zip(("vel", "ioi", "dur"), PREDICTED)]
+    params = init_model(config).params
+    assert [n for n, v in params.items() if v.ndim == 2] == [n for n, _ in shapes]
+    rng = np.random.default_rng(config.seed)
+    for name, shape in shapes:
+        assert np.array_equal(params[name], rng.normal(0.0, 0.02, size=shape)), name
 
 
 def split_heads(rng, B, T, n_heads, d_head):

@@ -343,6 +343,14 @@ def test_each_distinct_partial_is_computed_once_at_its_longest_note(tmp_path, mo
     assert total <= 0.75 * total_per_pitch
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_pieces", 1.0), ("notes_per_piece", "200"), ("n_performers", True), ("seed", 0.5),
+])
+def test_corpus_spec_field_types_checked(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SyntheticCorpusSpec(**{field: value})
+
+
 def test_split_work_raises_the_workers_error_and_leaves_no_thread():
     threads = threading.active_count()
     done = []
