@@ -24,13 +24,13 @@ import functools
 import io
 import json
 import wave
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .midi_io import NoteSequence, ticks_to_seconds
+from .parallel import split_work
 
 DEFAULT_SAMPLE_RATE = 24000
 N_HARMONICS = 8
@@ -99,17 +99,6 @@ class Chromagram:
 
 def midi_pitch_hz(pitch: float) -> float:
     return 440.0 * 2.0 ** ((pitch - 69) / 12)
-
-
-def _split_work(fn, items: list) -> None:
-    """fn(item) for every item: the caller runs items[::2] and one worker
-    thread items[1::2]. The items must write disjoint memory, and fn must not
-    call a function perfbench traces: its tracer keeps one span stack."""
-    with ThreadPoolExecutor(1) as pool:
-        worker = pool.submit(lambda: [fn(item) for item in items[1::2]])
-        for item in items[::2]:
-            fn(item)
-        worker.result()
 
 
 def _plan_pitch_class(pitches: list, sample_rate: int) -> tuple[list, int, int]:
@@ -238,12 +227,12 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     for pitch in sorted(by_pitch):
         by_class.setdefault(pitch % 12, []).append((pitch, by_pitch[pitch]))
     plans = [_plan_pitch_class(group, sample_rate) for group in by_class.values()]
-    # _split_work runs plans[::2] on this thread and plans[1::2] on its worker:
+    # split_work runs plans[::2] on this thread and plans[1::2] on its worker:
     # each side gets one work array, allocated here, sized for its largest plan
     works = [np.empty((max(rows for _, rows, _ in side) + 2, max(n for _, _, n in side)))
              for side in (plans[::2], plans[1::2]) if side]
-    _split_work(lambda item: _render_pitch_class(*item, t, sample_rate, mixed),
-                [(plan, works[i % 2]) for i, (plan, _, _) in enumerate(plans)])
+    split_work(lambda item: _render_pitch_class(*item, t, sample_rate, mixed),
+               [(plan, works[i % 2]) for i, (plan, _, _) in enumerate(plans)])
 
     def mix(span):
         lo, hi = span
@@ -253,7 +242,7 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
                 out[a:b] += mixed[at + a - start:at + b - start]
 
     half = len(out) // 2
-    _split_work(mix, [(0, half), (half, len(out))])
+    split_work(mix, [(0, half), (half, len(out))])
     peak = max(out.max(), -out.min())
     if peak > 0:
         out *= PEAK_LEVEL / peak
@@ -314,7 +303,7 @@ def midi_spectrogram(w: Waveform) -> Spectrogram:
     n_blocks = max(1, len(frames) // SPECTROGRAM_BLOCK)
     blocks = list(zip(np.array_split(frames, n_blocks), np.array_split(out, n_blocks)))
     rows, n_bins = len(blocks[0][0]), FRAME_LEN // 2 + 1  # the first block is a longest one
-    # _split_work runs blocks[::2] on this thread and blocks[1::2] on its
+    # split_work runs blocks[::2] on this thread and blocks[1::2] on its
     # worker: each side gets its own work arrays, allocated here
     works = [(np.empty((rows, FRAME_LEN)), np.empty((rows, n_bins), complex),
               np.empty((rows, n_bins))) for _ in blocks[:2]]
@@ -326,7 +315,7 @@ def midi_spectrogram(w: Waveform) -> Spectrogram:
         np.fft.rfft(windowed[:k], axis=1, out=spectrum[:k])
         np.log1p(np.abs(spectrum[:k], out=magnitude[:k]) @ bank_t, out=dest)
 
-    _split_work(fill, [(block, works[i % 2]) for i, block in enumerate(blocks)])
+    split_work(fill, [(block, works[i % 2]) for i, block in enumerate(blocks)])
     return Spectrogram(out, w.sample_rate / HOP)
 
 

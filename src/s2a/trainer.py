@@ -7,7 +7,9 @@ renormalized to sum to 3 after every update. Optimization is Adam with a
 linear warm-up; all shuffling and dropout derive from one seed, so a run is
 bit-reproducible. Each batch is cut to its longest real row: PAD keys get
 zero attention weight and PAD rows zero loss, so the cut changes only float
-rounding.
+rounding. The three tasks' cross-entropy and backward passes share the
+forward cache and write their own gradients, so they run on the calling
+thread and one worker thread with the same bytes as on one thread.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import M2MModel, backward_batch, forward_batch, prepare_batch
+from .parallel import split_work
 from .tokenizer import FEATURE_NAMES, PREDICTED, TokenSegment
 
 ADAM_BETA1 = 0.9
@@ -71,6 +74,10 @@ class TrainConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:  # an int past the float range
+                raise ValueError(f"{name} must be within the float range") from None
         if not all(0 < v < math.inf for v in (self.learning_rate, self.warmup_steps,
                                               self.batch_size, self.gradnorm_lr)):
             raise ValueError("learning_rate, warmup_steps, batch_size, gradnorm_lr must be "
@@ -180,10 +187,13 @@ def train(
 
     Each step runs one backward pass per task; the task gradients give both
     the GradNorm norms at the input projection and, reweighted by the
-    updated task weights, the Adam update. The learning rate ramps linearly
-    over warmup_steps and stays constant after. Each step runs on its batch
-    cut to the longest real row in it, and to at least one row, so a batch
-    with no real row still fails in cross_entropy.
+    updated task weights, the Adam update. The tasks run on two threads:
+    velocity then ioi on this one and duration, the slowest, on a worker,
+    which is joined before GradNorm and Adam run. Each task's logits are
+    dropped once its cross-entropy has given their gradient. The learning
+    rate ramps linearly over warmup_steps and stays constant after. Each step
+    runs on its batch cut to the longest real row in it, and to at least one
+    row, so a batch with no real row still fails in cross_entropy.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -218,13 +228,15 @@ def train(
 
             logits, cache = forward_batch(model, ids, nonpad, perf_ids, train_rng=dropout_rng)
 
-            losses = []
-            task_grads = []
-            for feature in PREDICTED:
+            losses, task_grads = [0.0] * 3, [None] * 3
+
+            def task(k):
+                feature = PREDICTED[k]
                 t = targets[:, :, FEATURE_COLUMN[feature]]
-                loss, dlog = cross_entropy(logits[feature], t, nonpad)
-                losses.append(loss)
-                task_grads.append(backward_batch(model, cache, {feature: dlog}))
+                losses[k], dlog = cross_entropy(logits.pop(feature), t, nonpad)
+                task_grads[k] = backward_batch(model, cache, {feature: dlog})
+
+            split_work(task, [0, 2, 1])  # velocity, ioi here; duration, the slowest, on the worker
             if not all(math.isfinite(l) for l in losses):
                 raise TrainingDivergedError(step)
 

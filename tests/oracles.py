@@ -348,6 +348,12 @@ def whole_array_attention_backward(attn, q, k, v, dctx, scale):
     return dq, dk, dv
 
 
+def one_thread_split_work(fn, items: list) -> None:
+    """parallel.split_work with every item run in order on the calling thread."""
+    for item in items:
+        fn(item)
+
+
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray, nonpad: np.ndarray):
     """(mean CE over non-pad positions, d(loss)/d(logits)), with the
     exponentials taken once for the loss and again inside softmax."""

@@ -18,6 +18,7 @@ from oracles import (
 from s2a.corpus import SyntheticCorpusSpec, generate_corpus
 import s2a.synth
 from s2a.midi_io import NoteEvent, NoteSequence, TempoEvent, parse_smf
+from s2a.parallel import split_work
 from s2a.synth import (
     DEFAULT_SAMPLE_RATE,
     FRAME_LEN,
@@ -28,7 +29,6 @@ from s2a.synth import (
     PEAK_LEVEL,
     RELEASE_SECONDS,
     Waveform,
-    _split_work,
     check_sample_rate,
     chromagram,
     concat_crosscorr,
@@ -280,7 +280,7 @@ def test_threaded_work_allocates_nothing_note_long(tmp_path, monkeypatch):
             fn(item)
             calls[-1].append(tracemalloc.get_traced_memory()[1] - start)
 
-    monkeypatch.setattr(s2a.synth, "_split_work", one_at_a_time)
+    monkeypatch.setattr(s2a.synth, "split_work", one_at_a_time)
     tracemalloc.start()
     try:
         midi_spectrogram(render_audio(seq))
@@ -361,7 +361,7 @@ def test_split_work_raises_the_workers_error_and_leaves_no_thread():
         done.append(i)
 
     with pytest.raises(KeyError):
-        _split_work(fn, [0, 1, 2, 3])
+        split_work(fn, [0, 1, 2, 3])
     assert threading.active_count() == threads
     assert done == [0, 2]
 

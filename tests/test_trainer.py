@@ -1,10 +1,12 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import softmax_cross_entropy
+from oracles import one_thread_split_work, softmax_cross_entropy
 from s2a import trainer
 from s2a.model import M2MConfig, backward_batch, forward_batch, init_model, prepare_batch
 from s2a.tokenizer import PAD, PREDICTED, SEGMENT_LEN, TokenSegment
@@ -182,6 +184,15 @@ def test_config_field_types_checked(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, sign", [
+    ("learning_rate", 1), ("alpha", 1), ("gradnorm_lr", 1), ("early_stop_loss", 1),
+    ("early_stop_loss", -1),
+], ids=["learning_rate", "alpha", "gradnorm_lr", "early_stop_loss", "early_stop_loss_negative"])
+def test_config_real_fields_within_the_float_range(field, sign):
+    with pytest.raises(ValueError, match=f"{field} must be within the float range"):
+        TrainConfig(**{field: sign * 10**400})
+
+
 def test_config_takes_ints_for_real_fields():
     cfg = TrainConfig(learning_rate=1, alpha=0, gradnorm_lr=1, early_stop_loss=0)
     assert (cfg.learning_rate, cfg.alpha, cfg.early_stop_loss) == (1, 0, 0)
@@ -269,18 +280,20 @@ class TestTrimmedBatch:
     def trimmed_step(monkeypatch, n_layers, lengths):
         """One train step over one segment per length (one batch); returns what
         forward_batch and backward_batch got and gave, and the step's record."""
-        seen = {"task_grads": []}
+        seen = {"task_grads": {}}
 
         def traced_forward(model, ids, nonpad, performer, train_rng):
             seen["inputs"] = (ids, nonpad, performer)
             seen["state_before"] = train_rng.bit_generator.state
-            seen["logits"], seen["cache"] = forward_batch(model, ids, nonpad, performer, train_rng)
+            logits, seen["cache"] = forward_batch(model, ids, nonpad, performer, train_rng)
+            seen["logits"] = dict(logits)  # train pops each task's logits
             seen["state_after"] = train_rng.bit_generator.state
-            return seen["logits"], seen["cache"]
+            return logits, seen["cache"]
 
         def traced_backward(model, cache, dlogits):
-            seen["task_grads"].append(backward_batch(model, cache, dlogits))
-            return seen["task_grads"][-1]
+            (feature,) = dlogits  # the tasks may run in any order, on two threads
+            seen["task_grads"][feature] = backward_batch(model, cache, dlogits)
+            return seen["task_grads"][feature]
 
         monkeypatch.setattr(trainer, "forward_batch", traced_forward)
         monkeypatch.setattr(trainer, "backward_batch", traced_backward)
@@ -288,6 +301,7 @@ class TestTrimmedBatch:
                        TrainConfig(max_epochs=1, batch_size=len(lengths), seed=3))
         record = log.records[0]
         seen["losses"] = [record.loss_vel, record.loss_ioi, record.loss_dur]
+        seen["task_grads"] = [seen["task_grads"][feature] for feature in PREDICTED]
         return seen
 
     @staticmethod
@@ -370,8 +384,10 @@ class TestTrimmedBatch:
 
     def test_batch_without_real_rows_errors(self):
         empty = TokenSegment(np.full((SEGMENT_LEN, 6), PAD, dtype=np.int64), 0, 0)
+        threads = threading.active_count()
         with pytest.raises(ValueError, match="no non-pad positions to average over"):
             train(tiny_model(), [(empty, empty)] * 4, TrainConfig(max_epochs=1, batch_size=4))
+        assert threading.active_count() == threads
 
     def test_epoch_peak_memory(self):
         # the benchmark's train config over four 200-note segments: the traced
@@ -386,3 +402,27 @@ class TestTrimmedBatch:
         finally:
             tracemalloc.stop()
         assert peak < 75 * 2**20
+
+
+@pytest.mark.parametrize("n_layers", [0, 2])
+def test_two_thread_tasks_equal_one_thread_oracle(monkeypatch, n_layers):
+    """train runs the three tasks' cross-entropy and backward pass on two
+    threads; with a thread switch forced every microsecond, the weights and
+    the log equal a run with every task on the calling thread, bit for bit,
+    and no thread outlives the call."""
+    dataset = toy_dataset((1, 57, 200, 255, 30, 256))
+    cfg = TrainConfig(learning_rate=1e-3, warmup_steps=2, max_epochs=3, batch_size=4, seed=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = threading.active_count()
+        model, log = train(TestTrimmedBatch.model(n_layers), dataset, cfg)
+        assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(trainer, "split_work", one_thread_split_work)
+    want_model, want_log = train(TestTrimmedBatch.model(n_layers), dataset, cfg)
+    assert len(log.records) == 6
+    assert log.to_csv() == want_log.to_csv()
+    for key, value in want_model.params.items():
+        assert np.array_equal(model.params[key], value), key
