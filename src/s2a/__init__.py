@@ -3,8 +3,9 @@ piano synthesis, and objective evaluation.
 
 Importing s2a before numpy sets BLAS to one thread unless the environment
 says otherwise: a product split between BLAS threads rounds differently, so
-outputs would depend on the core count. Training and the audio path use a
-second core through one worker thread of their own (s2a.parallel).
+outputs would depend on the core count. Training, rendering and the audio
+path use a second core through one worker thread of their own
+(s2a.parallel).
 """
 
 import os

@@ -17,6 +17,12 @@ randomness flows through explicit generators, so training and decoding are
 bit-reproducible. Attention and its backward run one (batch item, head)
 slice at a time, in place on the cached [T, T] weights, with the bits of the
 whole-array expressions.
+
+`predict_performance` runs a score's segments, each one `forward` and one
+`sample`, on two threads (s2a.parallel). The calling thread draws every
+uniform they take before the split, in the order a loop over the segments
+would, so the ids and the generator's state are those of one thread; after
+an error in a segment, the generator has drawn them all.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .midi_io import NoteSequence, resample_grid
+from .parallel import split_work
 from .tokenizer import (
     FEATURE_NAMES,
     N_SPECIALS,
@@ -356,7 +363,8 @@ def forward_batch(
     logits = {}
     for feature in PREDICTED:
         key = HEAD_KEYS[feature]
-        logits[feature] = h @ p[key + "_w"] + p[key + "_b"]
+        logits[feature] = h @ p[key + "_w"]
+        logits[feature] += p[key + "_b"]
     return logits, cache
 
 
@@ -442,24 +450,34 @@ def nucleus_sample(
     logits: np.ndarray,
     temperature: float,
     top_p: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | np.ndarray,
+    n_masked: int = 0,
 ) -> np.ndarray:
     """Temperature + nucleus sampling of every row of [rows, V] logits.
 
-    The nucleus of a row is the smallest prefix of its probability-sorted
-    tokens (ties broken by lower id) whose mass reaches top_p. Temperatures
-    below 1e-6 short-circuit to argmax and draw nothing; otherwise one
-    uniform is drawn per row, in row order. Each row gets the id, and the
-    generator the state, that sampling the rows one at a time gives.
-    ValueError for a bad top_p or temperature, or for a row whose
-    logits / temperature hold NaN or +inf.
+    Ids below n_masked are never drawn: their logits are taken as NEG_MASK,
+    set after the division by the temperature as NEG_MASK / temperature (the
+    same float), and logits itself is left unchanged. The nucleus of a row is the smallest
+    prefix of its probability-sorted tokens (ties broken by lower id) whose
+    mass reaches top_p. Temperatures below 1e-6 short-circuit to argmax and
+    draw nothing; otherwise each row takes one uniform, in row order, drawn
+    from rng when it is a Generator, or read from it when it is the [rows]
+    uniforms drawn already. Each row gets the id, and the generator the
+    state, that sampling the rows one at a time gives. ValueError for a bad
+    top_p or temperature, or for a row whose logits / temperature hold NaN
+    or +inf.
     """
     if len(logits) == 0:  # as with no rows sampled one at a time: no checks, no draws
         return np.zeros(0, dtype=np.int64)
     check_sampling(temperature, top_p)
     if temperature < ARGMAX_TEMPERATURE:
+        if n_masked:
+            logits = logits.copy()
+            logits[:, :n_masked] = NEG_MASK
         return np.argmax(logits, axis=-1)
-    probs = _softmax_in_place(logits / temperature)
+    scaled = logits / temperature
+    scaled[:, :n_masked] = NEG_MASK / temperature
+    probs = _softmax_in_place(scaled)
     # The sorted values fix the cumsum, the cut and the picked position; any
     # order of tied values gives the same ones, so the values alone are sorted.
     sorted_probs = np.negative(probs)
@@ -469,6 +487,7 @@ def nucleus_sample(
     if np.isnan(cumulative[:, -1]).any():
         raise ValueError("logits / temperature must not be NaN or +inf")
     cut = np.minimum((cumulative < top_p).sum(axis=-1), probs.shape[-1] - 1)
+    del cumulative
     # The nucleus mass is the sum of a contiguous prefix. Rows with one
     # nucleus length are summed together, so each gets the pairwise
     # summation of its own prefix.
@@ -477,8 +496,10 @@ def nucleus_sample(
         same = np.flatnonzero(cut == c)
         mass[same] = sorted_probs[same, :c + 1].sum(axis=-1)
     head = sorted_probs[:, :int(cut.max()) + 1]
-    weights = np.cumsum(head / mass[:, None], axis=-1)
-    r = rng.random(len(probs))  # the same stream as one rng.random() per row
+    weights = head / mass[:, None]
+    np.cumsum(weights, axis=-1, out=weights)
+    # one rng.random(rows) is the same stream as one rng.random() per row
+    r = rng if isinstance(rng, np.ndarray) else rng.random(len(probs))
     pick = np.minimum((weights <= r[:, None]).sum(axis=-1), cut)
     # Probability-sorted order puts equal values in id order, so the picked
     # position holds the rank-th id with that value, where rank is the
@@ -504,21 +525,22 @@ def sample(
     dist: dict[str, np.ndarray],
     temperature: float,
     top_p: float,
-    seed: int | np.random.Generator,
+    seed: int | np.random.Generator | np.ndarray,
 ) -> tuple[list[int], list[int], list[int]]:
     """Draw (velocity, ioi, duration) token ids at every position of
-    forward's {feature: logits [T, V]}.
+    forward's {feature: logits [T, V]}, leaving dist unchanged.
 
-    Special ids 0..3 are masked out before sampling; draws consume the
-    generator feature by feature, positions in order.
+    Special ids 0..3 are never drawn. seed is an int or a Generator to draw
+    from, feature by feature, positions in order, or the [3, T] uniforms
+    those draws give, drawn already.
     """
-    rng = np.random.default_rng(seed)
-    out = []
-    for feature in PREDICTED:
-        logits = dist[feature].copy()
-        logits[:, :N_SPECIALS] = NEG_MASK
-        out.append(nucleus_sample(logits, temperature, top_p, rng).tolist())
-    return out[0], out[1], out[2]
+    if isinstance(seed, np.ndarray):
+        draws = list(seed)
+    else:
+        draws = [np.random.default_rng(seed)] * len(PREDICTED)
+    vel, ioi, dur = (nucleus_sample(dist[feature], temperature, top_p, rng, N_SPECIALS).tolist()
+                     for feature, rng in zip(PREDICTED, draws))
+    return vel, ioi, dur
 
 
 def predict_performance(
@@ -536,23 +558,36 @@ def predict_performance(
     temperature/nucleus sampling. Pitches come verbatim from the score;
     velocity, IOI, and duration come only from the model. The score's tempo
     map is carried over so the result plays back at the notated tempo.
-    A Generator given as seed is drawn from as it is. ValueError for a
-    performer_id outside 0..n_performers - 1.
+
+    The segments run on two threads (s2a.parallel.split_work), each its
+    forward and sample. The calling thread first draws every uniform the
+    segments take, as one array in the order a loop over the segments
+    would draw them, so the ids, and the state of a Generator given as
+    seed, are the same as on one thread. Below ARGMAX_TEMPERATURE, and for
+    a score with no notes, nothing is drawn. After an error in a segment,
+    such as logits that hold NaN, the generator has drawn every segment's
+    uniforms. ValueError for a performer_id outside 0..n_performers - 1.
     """
     if not 0 <= performer_id < model.config.n_performers:
         raise ValueError(f"performer id outside 0..{model.config.n_performers - 1}: {performer_id}")
     grid = resample_grid(score)
     tokens = tokenize(grid, is_score=True)
+    segments = segment_tokens(tokens, performer_id)
     rng = np.random.default_rng(seed)
-    vel: list[int] = []
-    ioi: list[int] = []
-    dur: list[int] = []
-    for seg in segment_tokens(tokens, performer_id):
-        dist = forward(model, seg)
-        v, i, d = sample(dist, temperature, top_p, rng)
-        vel.extend(v[:seg.n_real])
-        ioi.extend(i[:seg.n_real])
-        dur.extend(d[:seg.n_real])
+    draws = [rng] * len(segments)  # argmax draws nothing
+    if segments:
+        check_sampling(temperature, top_p)
+        if temperature >= ARGMAX_TEMPERATURE:
+            draws = rng.random((len(segments), len(PREDICTED), SEGMENT_LEN))
+    parts: list = [None] * len(segments)
+
+    def render_segment(k: int) -> None:
+        seg = segments[k]
+        ids = sample(forward(model, seg), temperature, top_p, draws[k])
+        parts[k] = [feature_ids[:seg.n_real] for feature_ids in ids]
+
+    split_work(render_segment, list(range(len(segments))))
+    vel, ioi, dur = ([t for part in parts for t in part[f]] for f in range(len(PREDICTED)))
     pitches = [t.pitch_tok for t in tokens]
     performance = detokenize(pitches, vel, ioi, dur, grid.effective_time_signatures())
     return replace(performance, tempi=grid.tempi)

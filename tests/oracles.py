@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from s2a.midi_io import (
     NoteEvent,
     NoteSequence,
     TimeSignatureEvent,
+    resample_grid,
     ticks_to_seconds,
 )
 from s2a.model import (
@@ -19,6 +21,8 @@ from s2a.model import (
     NEG_MASK,
     N_SPECIALS,
     PREDICTED,
+    M2MModel,
+    forward,
 )
 from s2a.synth import (
     ATTACK_SECONDS,
@@ -41,6 +45,9 @@ from s2a.tokenizer import (
     SEGMENT_LEN,
     VOCAB,
     TokenTuple,
+    detokenize,
+    segment,
+    tokenize,
 )
 
 
@@ -404,6 +411,27 @@ def loop_sample(
         logits[:, :N_SPECIALS] = NEG_MASK
         out.append([scalar_nucleus_sample_row(row, temperature, top_p, rng) for row in logits])
     return out[0], out[1], out[2]
+
+
+def loop_render(
+    model: M2MModel, score: NoteSequence, performer_id: int, temperature: float,
+    top_p: float, rng: np.random.Generator,
+) -> NoteSequence:
+    """model.predict_performance one segment after another on the calling
+    thread: each segment's forward, then loop_sample drawing from rng."""
+    grid = resample_grid(score)
+    tokens = tokenize(grid, is_score=True)
+    vel: list[int] = []
+    ioi: list[int] = []
+    dur: list[int] = []
+    for seg in segment(tokens, performer_id):
+        v, i, d = loop_sample(forward(model, seg), temperature, top_p, rng)
+        vel.extend(v[:seg.n_real])
+        ioi.extend(i[:seg.n_real])
+        dur.extend(d[:seg.n_real])
+    pitches = [t.pitch_tok for t in tokens]
+    performance = detokenize(pitches, vel, ioi, dur, grid.effective_time_signatures())
+    return replace(performance, tempi=grid.tempi)
 
 
 def tuple_prepare_batch(

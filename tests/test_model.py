@@ -2,7 +2,10 @@ import itertools
 import json
 import math
 import struct
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +14,9 @@ from hypothesis import strategies as st
 
 from gradcheck import group_relative_errors, random_inputs
 from oracles import (
+    loop_render,
     loop_sample,
+    one_thread_split_work,
     scalar_nucleus_sample_row,
     softmax,
     whole_array_attention,
@@ -33,7 +38,16 @@ from s2a.model import (
     prepare_batch,
     sample,
 )
-from s2a.tokenizer import FEATURE_NAMES, PAD, PREDICTED, SEGMENT_LEN, VOCAB, TokenSegment
+from s2a.tokenizer import (
+    FEATURE_NAMES,
+    N_SPECIALS,
+    PAD,
+    PITCH_MIN,
+    PREDICTED,
+    SEGMENT_LEN,
+    VOCAB,
+    TokenSegment,
+)
 from s2a.trainer import cross_entropy
 
 LAST_TENSOR_BYTES = 4 * VOCAB.duration  # head_dur_b, the last tensor of a checkpoint
@@ -366,17 +380,97 @@ class TestSamplerMatchesLoop:
         with pytest.raises(ValueError) as got:
             nucleus_sample_row(logits[0], temperature, top_p, np.random.default_rng(0))
         assert str(got.value) == str(want.value)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError) as got:
+            predict_performance(small_model(), patterned_score(3), 0, temperature, top_p, rng)
+        assert str(got.value) == str(want.value)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
-    def test_predict_performance_equals_loop_render(self, monkeypatch):
-        model = small_model()
-        rng = np.random.default_rng(8)
-        for key in ("head_vel_b", "head_ioi_b", "head_dur_b"):  # peaked, varied rows
-            model.params[key] = rng.normal(0.0, 3.0, size=model.params[key].shape)
-        notes = [NoteEvent(i * 48, 40 + (i * 7) % 36, 30 + (i * 11) % 60, 60) for i in range(640)]
-        score = NoteSequence(ppq=96, notes=tuple(notes))
-        fast = write_smf(predict_performance(model, score, 2, 1.0, 0.9, seed=3))
-        monkeypatch.setattr(model_module, "sample", loop_sample)
-        assert fast == write_smf(predict_performance(model, score, 2, 1.0, 0.9, seed=3))
+    def test_sample_leaves_dist_unchanged(self):
+        dist = forward(small_model(), make_segment(n_real=40))
+        dist["velocity"][:, :2] = [np.nan, np.inf]  # special ids: masked in a copy only
+        before = {feature: logits.copy() for feature, logits in dist.items()}
+        for temperature in (0.0, 1.0):
+            sample(dist, temperature, 0.9, seed=0)
+            for feature, logits in before.items():
+                assert np.array_equal(dist[feature], logits, equal_nan=True), feature
+
+    def test_predict_performance_equals_loop_render(self):
+        """predict_performance against tests/oracles.py's one-thread loop, which
+        draws through loop_sample segment by segment: equal MIDI bytes and an
+        equal state afterwards of the Generator passed as seed."""
+        model = peaked_model()
+        for n_notes in (0, 1, 255, 256, 257, 640, 1000):
+            score = patterned_score(n_notes)
+            for temperature, top_p in itertools.product((0.0, 1e-7, 1.0, 2.0), (0.05, 0.9, 1.0)):
+                case = (n_notes, temperature, top_p)
+                fast, slow = np.random.default_rng(3), np.random.default_rng(3)
+                got = predict_performance(model, score, 2, temperature, top_p, fast)
+                want = loop_render(model, score, 2, temperature, top_p, slow)
+                assert write_smf(got) == write_smf(want), case
+                assert fast.bit_generator.state == slow.bit_generator.state, case
+
+
+def peaked_model():
+    """small_model with peaked, varied head biases, so samples differ by row."""
+    model = small_model()
+    rng = np.random.default_rng(8)
+    for key in ("head_vel_b", "head_ioi_b", "head_dur_b"):
+        model.params[key] = rng.normal(0.0, 3.0, size=model.params[key].shape)
+    return model
+
+
+def patterned_score(n_notes: int) -> NoteSequence:
+    notes = [NoteEvent(i * 48, 40 + (i * 7) % 36, 30 + (i * 11) % 60, 60) for i in range(n_notes)]
+    return NoteSequence(ppq=96, notes=tuple(notes))
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_two_thread_render_equals_one_thread_oracle(monkeypatch, temperature):
+    """predict_performance runs its segments on two threads; with a thread
+    switch forced every microsecond, the MIDI bytes and the generator's
+    state equal a run with every segment on the calling thread, and no
+    thread outlives the call."""
+    model = peaked_model()
+    score = patterned_score(1000)  # 4 segments, 2 per thread
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = threading.active_count()
+        rng = np.random.default_rng(6)
+        got = write_smf(predict_performance(model, score, 1, temperature, 0.9, rng))
+        assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(model_module, "split_work", one_thread_split_work)
+    want_rng = np.random.default_rng(6)
+    assert got == write_smf(predict_performance(model, score, 1, temperature, 0.9, want_rng))
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", ["head_bias", "worker_segment_only"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_render_error_on_the_worker_leaves_no_thread(bad):
+    """A NaN in the logits makes the worker's segment raise ValueError, and
+    no thread outlives the call. A NaN head bias reaches every segment;
+    a NaN embedding of a pitch only segment 1 holds reaches the worker's
+    segment alone. The generator has then already drawn every segment's
+    uniforms: they are drawn before the segments run."""
+    model = peaked_model()
+    score = patterned_score(300)  # segment 0 on the calling thread, segment 1 on the worker
+    if bad == "head_bias":
+        model.params["head_dur_b"][N_SPECIALS + 7] = np.nan
+    else:
+        score = replace(score, notes=score.notes[:-1] + (replace(score.notes[-1], pitch=100),))
+        model.params["emb_pitch"][N_SPECIALS + 100 - PITCH_MIN] = np.nan
+    threads = threading.active_count()
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="NaN"):
+        predict_performance(model, score, 0, 1.0, 0.9, rng)
+    assert threading.active_count() == threads
+    drawn = np.random.default_rng(0)
+    drawn.random((2, 3, SEGMENT_LEN))
+    assert rng.bit_generator.state == drawn.bit_generator.state
 
 
 class TestPredictPerformance:
@@ -408,6 +502,8 @@ class TestPredictPerformance:
         model = small_model()
         out = predict_performance(model, NoteSequence(ppq=96), 0, seed=0)
         assert out.notes == ()
+        # no segment is sampled, so the settings are not checked, as in a loop over segments
+        assert predict_performance(model, NoteSequence(ppq=96), 0, temperature=-1.0).notes == ()
 
     def test_empty_score_gets_the_maps_of_a_one_note_score(self):
         """Both renders carry the 4/4 default of a score with no signature event."""
