@@ -6,8 +6,9 @@ the same arguments produces byte-identical outputs. A setting is its flag,
 else its `--config` value, else the default of the library code that takes
 it and checks its range. Exit codes: 0 success, 1 usage error (a bad flag or
 setting), 2 data error, 3 empty evaluation. A data error is a ValueError from
-any layer, which is what each documents for bad input, or an OSError such as
-an unreadable input or an unwritable output; `main` alone maps both to exit 2.
+any layer, which is what each documents for bad input, an OSError such as an
+unreadable input or an unwritable output, or a MemoryError such as a model
+too large to allocate; `main` alone maps all three to exit 2.
 """
 
 from __future__ import annotations
@@ -387,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         log.debug("traceback", exc_info=err)  # S2A_LOG_LEVEL=DEBUG shows where it was raised
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA

@@ -171,8 +171,12 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) -> dict:
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(spec.seed)
+    # 8:1:1 split per performer over pieces, deterministic by piece index:
+    # every performer plays every piece
+    n_train, n_valid, _ = split_counts(spec.n_pieces)
     items = []
     for piece in range(spec.n_pieces):
+        split = "train" if piece < n_train else "valid" if piece < n_train + n_valid else "test"
         score = generate_score(rng, spec.notes_per_piece)
         score_rel = f"scores/piece_{piece:03d}.mid"
         (out / score_rel).write_bytes(write_smf(score))
@@ -189,20 +193,9 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) -> dict:
                     "score": score_rel,
                     "performance": perf_rel,
                     "alignment": align_rel,
+                    "split": split,
                 }
             )
-
-    # 8:1:1 split per performer over pieces, deterministic by piece index
-    for performer in range(spec.n_performers):
-        rows = [it for it in items if it["performer_id"] == performer]
-        n_train, n_valid, n_test = split_counts(len(rows))
-        for i, row in enumerate(rows):
-            if i < n_train:
-                row["split"] = "train"
-            elif i < n_train + n_valid:
-                row["split"] = "valid"
-            else:
-                row["split"] = "test"
 
     manifest = {
         "version": 1,

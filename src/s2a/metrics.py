@@ -362,18 +362,15 @@ def _window_metrics(
     window; correlation None when undefined. The features' sequences have
     equal lengths, so their DTWs run as one wavefront; each value is the one
     dtwd gives."""
+    pairs = window.values()
+    paths = dtw_path_costs([p.values for p, _ in pairs], [q.values for _, q in pairs])
     out = {}
-    for feature, (p, q) in window.items():
+    for (feature, (p, q)), (cost, length) in zip(window.items(), paths):
         try:
             correlation = pearson(p, q)
         except ValueError:
             correlation = None
-        out[feature] = (kld(p, q), correlation)
-    pairs = window.values()
-    paths = dtw_path_costs([p.values for p, _ in pairs], [q.values for _, q in pairs])
-    for (feature, (divergence, correlation)), (p, _), (cost, length) in zip(
-            out.items(), pairs, paths):
-        out[feature] = (divergence, cost / length / p.vocab_size, correlation)
+        out[feature] = (kld(p, q), cost / length / p.vocab_size, correlation)
     return out
 
 

@@ -349,10 +349,10 @@ def forward_batch(
         h, lcache["ln1"] = _layernorm_forward(x_in + out, p[pre + "ln1_g"], p[pre + "ln1_b"])
 
         ff_in = h
-        pre_act = ff_in @ p[pre + "ff_w1"] + p[pre + "ff_b1"]
-        act = np.maximum(pre_act, 0.0)
+        act = ff_in @ p[pre + "ff_w1"] + p[pre + "ff_b1"]
+        np.maximum(act, 0.0, out=act)
         ff_out = act @ p[pre + "ff_w2"] + p[pre + "ff_b2"]
-        lcache.update({"ff_in": ff_in, "pre_act": pre_act, "act": act,
+        lcache.update({"ff_in": ff_in, "act": act,
                        "drop_ff": _dropout(ff_out, train_rng, rate)})
         h, lcache["ln2"] = _layernorm_forward(ff_in + ff_out, p[pre + "ln2_g"], p[pre + "ln2_b"])
         cache["layers"].append(lcache)
@@ -402,7 +402,7 @@ def backward_batch(
         dff_out = dsum if lc["drop_ff"] is None else dsum * lc["drop_ff"]
         w1, w2 = pre + "ff_w1", pre + "ff_w2"
         dact = _linear_backward(grads, w2, pre + "ff_b2", lc["act"], dff_out, p[w2])
-        dpre = dact * (lc["pre_act"] > 0.0)
+        dpre = dact * (lc["act"] > 0.0)  # act > 0 exactly where its pre-activation is
         dh = dsum + _linear_backward(grads, w1, pre + "ff_b1", lc["ff_in"], dpre, p[w1])
 
         dsum = _layernorm_backward(grads, pre + "ln1_g", pre + "ln1_b", dh, lc["ln1"])

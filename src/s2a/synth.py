@@ -194,11 +194,11 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     per note. Every sample gets the same float operations, in the same
     order, as a note-by-note loop would apply: the attack and release
     factors are exactly 1.0 outside the ranges they are applied over, and
-    the notes are mixed into the output in their original order. Pitch
-    classes write disjoint slots of one buffer, and the mix is cut in two
-    halves by time, so each runs on two threads without changing a sample.
-    Each thread's tables, decay and scratch rows share one array allocated
-    before the split.
+    the notes are mixed into the output in their original order, on the
+    calling thread. Pitch classes write disjoint slots of one buffer, so
+    they run on two threads without changing a sample. Each thread's
+    tables, decay and scratch rows share one array allocated before the
+    split.
     ValueError for a sample_rate outside 1..MAX_SAMPLE_RATE, or for a last
     release that ends past MAX_AUDIO_SECONDS.
     """
@@ -233,16 +233,9 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
              for side in (plans[::2], plans[1::2]) if side]
     split_work(lambda item: _render_pitch_class(*item, t, sample_rate, mixed),
                [(plan, works[i % 2]) for i, (plan, _, _) in enumerate(plans)])
-
-    def mix(span):
-        lo, hi = span
-        for start, n_samples, at, _, _ in notes:
-            a, b = max(start, lo), min(start + n_samples, hi)
-            if a < b:
-                out[a:b] += mixed[at + a - start:at + b - start]
-
-    half = len(out) // 2
-    split_work(mix, [(0, half), (half, len(out))])
+    for start, n_samples, at, _, _ in notes:
+        end = min(start + n_samples, len(out))
+        out[start:end] += mixed[at:at + end - start]
     peak = max(out.max(), -out.min())
     if peak > 0:
         out *= PEAK_LEVEL / peak

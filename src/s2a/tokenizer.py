@@ -24,6 +24,7 @@ first n_real rows are notes, the rest PAD rows of zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +74,7 @@ class VocabSpec:
 VOCAB = VocabSpec()  # the only spec __post_init__ accepts
 
 
-@dataclass(frozen=True)
-class TokenTuple:
+class TokenTuple(NamedTuple):
     pitch_tok: int
     velocity_tok: int
     duration_tok: int
@@ -83,14 +83,7 @@ class TokenTuple:
     bar_tok: int
 
     def as_tuple(self) -> tuple[int, ...]:
-        return (
-            self.pitch_tok,
-            self.velocity_tok,
-            self.duration_tok,
-            self.ioi_tok,
-            self.position_tok,
-            self.bar_tok,
-        )
+        return tuple(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +154,7 @@ def tokenize(seq: NoteSequence, is_score: bool) -> list[TokenTuple]:
         np.clip(position, 0, VOCAB.n_values("position") - 1),
         np.clip(bar, 0, VOCAB.n_values("bar") - 1),
     ], axis=1)
-    return [TokenTuple(*row) for row in ids.tolist()]
+    return list(map(TokenTuple._make, ids.tolist()))
 
 
 def detokenize(
@@ -197,7 +190,7 @@ def detokenize(
 def segment(tuples: list[TokenTuple], performer_id: int) -> list[TokenSegment]:
     """Cut a token stream into consecutive 256-note windows, in stream order,
     PAD-filling the last one."""
-    rows = np.array([t.as_tuple() for t in tuples], dtype=np.int64).reshape(-1, len(FEATURE_NAMES))
+    rows = np.array(tuples, dtype=np.int64).reshape(-1, len(FEATURE_NAMES))
     segments = []
     for start in range(0, len(rows), SEGMENT_LEN):
         window = rows[start:start + SEGMENT_LEN]
@@ -213,7 +206,7 @@ def segment(tuples: list[TokenTuple], performer_id: int) -> list[TokenSegment]:
 def dump_tokens(tuples: list[TokenTuple]) -> str:
     lines = ["\t".join(FEATURE_NAMES)]
     for t in tuples:
-        lines.append("\t".join(str(v) for v in t.as_tuple()))
+        lines.append("\t".join(map(str, t)))
     return "\n".join(lines) + "\n"
 
 

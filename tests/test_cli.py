@@ -20,6 +20,7 @@ from test_model import LAST_TENSOR_BYTES, edit_header
 import s2a
 from s2a.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from s2a.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, build_parser, main
+from s2a.corpus import SyntheticCorpusSpec, generate_corpus, split_counts
 from s2a.midi_io import NoteEvent, NoteSequence, parse_smf, write_smf
 from s2a.model import M2MConfig, init_model, parameter_shapes
 from s2a.synth import load_matrix, midi_spectrogram, read_wav, render_audio, write_wav
@@ -121,6 +122,26 @@ class TestDemoData:
         manifest = json.loads((corpus / "manifest.json").read_text())
         splits = {it["split"] for it in manifest["items"]}
         assert splits == {"train", "valid", "test"}
+
+    def test_each_performer_splits_its_pieces_in_order(self, tmp_path):
+        """Every performer plays every piece, so each performer's items, in
+        piece order, carry the split_counts(n_pieces) splits, and "split" is
+        each item's last key."""
+        keys = ["piece", "performer_id", "score", "performance", "alignment", "split"]
+        for n_pieces in range(13):
+            n_train, n_valid, n_test = split_counts(n_pieces)
+            expected = ["train"] * n_train + ["valid"] * n_valid + ["test"] * n_test
+            for n_performers in range(5):
+                out = tmp_path / f"{n_pieces}_{n_performers}"
+                generate_corpus(SyntheticCorpusSpec(n_pieces=n_pieces, notes_per_piece=1,
+                                                    n_performers=n_performers), out)
+                items = json.loads((out / "manifest.json").read_text())["items"]
+                assert len(items) == n_pieces * n_performers
+                assert all(list(item) == keys for item in items)
+                for performer in range(n_performers):
+                    rows = [item for item in items if item["performer_id"] == performer]
+                    assert [item["piece"] for item in rows] == list(range(n_pieces))
+                    assert [item["split"] for item in rows] == expected
 
 
 class TestTokenizeAlign:
@@ -682,6 +703,19 @@ class TestSettings:
         monkeypatch.setattr(f"s2a.cli.{name}", reject)
         assert run_in(workspace, tmp_path, argv) == EXIT_DATA
         assert capsys.readouterr().err == "error: no such input\n"
+
+    def test_memory_error_is_data_error(self, workspace, tmp_path, capsys, monkeypatch):
+        """A model too large for memory (`--d-model 4000000000` asks numpy
+        for 685 GiB) is an error line, not a traceback. The allocation is
+        faked: a host that overcommits memory would grant the real one."""
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 685. GiB for an array")
+        monkeypatch.setattr("s2a.cli.init_model", too_large)
+        argv = TRAIN + ("--epochs", "1", "--d-model", "4000000000")
+        assert run_in(workspace, tmp_path, argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 685. GiB for an array\n"
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_debug_log_has_the_data_error_traceback(self, workspace, tmp_path, capsys,
                                                     monkeypatch, caplog):

@@ -202,9 +202,9 @@ def octave_stacks(draw):
 
 
 class TestRenderAgainstSerial:
-    """render_audio splits the pitch tables and the mix between two threads;
-    every sample must equal the one-thread render bit for bit, and no thread
-    may outlive the call."""
+    """render_audio splits the pitch tables between two threads; every
+    sample must equal the one-thread render bit for bit, and no thread may
+    outlive the call."""
 
     @staticmethod
     def assert_same(seq, sample_rate):
@@ -217,7 +217,7 @@ class TestRenderAgainstSerial:
     @pytest.mark.parametrize("notes", [
         (NoteEvent(0, 192, 69, 100),),
         tuple(NoteEvent(48 * i, 60 + 7 * i, 60, 20 + 9 * i) for i in range(8)),
-        # the mix is cut at the middle sample, about tick 480: five notes span it
+        # five notes span the middle sample, about tick 480
         (NoteEvent(0, 960, 48, 90), NoteEvent(96, 700, 55, 70), NoteEvent(300, 200, 60, 127),
          NoteEvent(470, 20, 60, 40), NoteEvent(479, 2, 72, 100), NoteEvent(600, 50, 76, 60)),
         # octaves share partials; the tables are as long as their longest user
@@ -267,10 +267,12 @@ def test_threaded_work_allocates_nothing_note_long(tmp_path, monkeypatch):
     """render_audio and midi_spectrogram allocate every array as long as a
     note or a block of frames before they split the work between threads, so
     how the threads interleave cannot change how much memory is in use. Here
-    the items run one at a time, each with its own traced peak."""
+    the items run one at a time, each with its own traced peak. The mix, on
+    the calling thread after the split, allocates no array as long as a note
+    either: its peak is traced from the split's return to render_audio's."""
     manifest = generate_corpus(SyntheticCorpusSpec(n_pieces=1, seed=0), tmp_path)
     seq = parse_smf((tmp_path / manifest["items"][0]["performance"]).read_bytes())
-    calls = []
+    calls, returned = [], []
 
     def one_at_a_time(fn, items):
         calls.append([])
@@ -279,15 +281,19 @@ def test_threaded_work_allocates_nothing_note_long(tmp_path, monkeypatch):
             tracemalloc.reset_peak()
             fn(item)
             calls[-1].append(tracemalloc.get_traced_memory()[1] - start)
+        tracemalloc.reset_peak()
+        returned.append(tracemalloc.get_traced_memory()[0])
 
     monkeypatch.setattr(s2a.synth, "split_work", one_at_a_time)
     tracemalloc.start()
     try:
-        midi_spectrogram(render_audio(seq))
+        w = render_audio(seq)
+        mix = tracemalloc.get_traced_memory()[1] - returned[0]
+        midi_spectrogram(w)
     finally:
         tracemalloc.stop()
-    pitch_classes, mix, blocks = calls
-    assert max(pitch_classes + mix) < 64 * 2**10
+    pitch_classes, blocks = calls
+    assert max(pitch_classes + [mix]) < 64 * 2**10
     # each block still allocates its [rows, 128] filterbank product: 129 rows here
     assert max(blocks) < 256 * 2**10
 
