@@ -278,6 +278,9 @@ def cmd_synth(args, config) -> int:
 def cmd_evaluate(args, config) -> int:
     pred_dir = Path(args.pred)
     target_dir = Path(args.target)
+    for path in (pred_dir, target_dir):
+        if not path.is_dir():
+            raise ValueError(f"not a directory: {path}")
     pred_files = sorted(p.name for p in pred_dir.glob("*.mid"))
     target_files = {p.name for p in target_dir.glob("*.mid")}
     matched = [name for name in pred_files if name in target_files]

@@ -52,7 +52,6 @@ HEAD_KEYS = {"velocity": "head_vel", "ioi": "head_ioi", "duration": "head_dur"}
 
 ARGMAX_TEMPERATURE = 1e-6
 NEG_MASK = -1e30
-MAX_TEMPERATURE = 1e6  # NEG_MASK / 1e6 still gives the masked special ids probability 0
 LN_EPS = 1e-5
 # perf_emb has a row per performer id: far above ATEPP's 49 pianists, and at
 # d_model 64 the rows take 5 MB, so a corpus keeps its own ids
@@ -437,13 +436,11 @@ def forward(model: M2MModel, seg: TokenSegment) -> dict[str, np.ndarray]:
 # Decoding
 
 def check_sampling(temperature: float, top_p: float) -> None:
-    """ValueError unless top_p is in (0, 1] and temperature in [0, MAX_TEMPERATURE]."""
+    """ValueError unless top_p is in (0, 1] and temperature >= 0 (+inf included, NaN not)."""
     if not 0.0 < top_p <= 1.0:
         raise ValueError("top_p must be in (0, 1]")
     if not temperature >= 0.0:
         raise ValueError("temperature must be >= 0")
-    if temperature > MAX_TEMPERATURE:
-        raise ValueError(f"temperature must be <= {MAX_TEMPERATURE:,.0f}")
 
 
 def nucleus_sample(
@@ -451,33 +448,26 @@ def nucleus_sample(
     temperature: float,
     top_p: float,
     rng: np.random.Generator | np.ndarray,
-    n_masked: int = 0,
 ) -> np.ndarray:
     """Temperature + nucleus sampling of every row of [rows, V] logits.
 
-    Ids below n_masked are never drawn: their logits are taken as NEG_MASK,
-    set after the division by the temperature as NEG_MASK / temperature (the
-    same float), and logits itself is left unchanged. The nucleus of a row is the smallest
-    prefix of its probability-sorted tokens (ties broken by lower id) whose
-    mass reaches top_p. Temperatures below 1e-6 short-circuit to argmax and
-    draw nothing; otherwise each row takes one uniform, in row order, drawn
-    from rng when it is a Generator, or read from it when it is the [rows]
-    uniforms drawn already. Each row gets the id, and the generator the
-    state, that sampling the rows one at a time gives. ValueError for a bad
-    top_p or temperature, or for a row whose logits / temperature hold NaN
-    or +inf.
+    The nucleus of a row is the smallest prefix of its probability-sorted
+    tokens (ties broken by lower id) whose cumulative mass reaches top_p.
+    The row takes the first token whose cumulative mass exceeds r times the
+    nucleus mass, for one uniform r per row, drawn in row order from rng
+    when it is a Generator, or read from it when it is the [rows] uniforms
+    drawn already. Each row gets the id, and the generator the state, that
+    sampling the rows one at a time gives. Temperatures below 1e-6
+    short-circuit to argmax and draw nothing; at +inf every token is equally
+    likely. ValueError for a bad top_p or temperature, for V = 0, or for a
+    row whose logits / temperature hold NaN or +inf; logits is left unchanged.
     """
     if len(logits) == 0:  # as with no rows sampled one at a time: no checks, no draws
         return np.zeros(0, dtype=np.int64)
     check_sampling(temperature, top_p)
     if temperature < ARGMAX_TEMPERATURE:
-        if n_masked:
-            logits = logits.copy()
-            logits[:, :n_masked] = NEG_MASK
         return np.argmax(logits, axis=-1)
-    scaled = logits / temperature
-    scaled[:, :n_masked] = NEG_MASK / temperature
-    probs = _softmax_in_place(scaled)
+    probs = _softmax_in_place(logits / temperature)
     # The sorted values fix the cumsum, the cut and the picked position; any
     # order of tied values gives the same ones, so the values alone are sorted.
     sorted_probs = np.negative(probs)
@@ -487,26 +477,15 @@ def nucleus_sample(
     if np.isnan(cumulative[:, -1]).any():
         raise ValueError("logits / temperature must not be NaN or +inf")
     cut = np.minimum((cumulative < top_p).sum(axis=-1), probs.shape[-1] - 1)
-    del cumulative
-    # The nucleus mass is the sum of a contiguous prefix. Rows with one
-    # nucleus length are summed together, so each gets the pairwise
-    # summation of its own prefix.
-    mass = np.empty(len(probs))
-    for c in np.unique(cut):
-        same = np.flatnonzero(cut == c)
-        mass[same] = sorted_probs[same, :c + 1].sum(axis=-1)
-    head = sorted_probs[:, :int(cut.max()) + 1]
-    weights = head / mass[:, None]
-    np.cumsum(weights, axis=-1, out=weights)
+    rows = np.arange(len(probs))
     # one rng.random(rows) is the same stream as one rng.random() per row
     r = rng if isinstance(rng, np.ndarray) else rng.random(len(probs))
-    pick = np.minimum((weights <= r[:, None]).sum(axis=-1), cut)
+    pick = np.minimum((cumulative <= (r * cumulative[rows, cut])[:, None]).sum(axis=-1), cut)
     # Probability-sorted order puts equal values in id order, so the picked
     # position holds the rank-th id with that value, where rank is the
     # position's offset into its run of equal values.
-    rows = np.arange(len(probs))
-    value = head[rows, pick]
-    rank = pick - (head > value[:, None]).sum(axis=-1)
+    value = sorted_probs[rows, pick]
+    rank = pick - (sorted_probs > value[:, None]).sum(axis=-1)
     hit_row, hit_id = np.nonzero(probs == value[:, None])
     return hit_id[np.searchsorted(hit_row, rows) + rank]
 
@@ -530,17 +509,19 @@ def sample(
     """Draw (velocity, ioi, duration) token ids at every position of
     forward's {feature: logits [T, V]}, leaving dist unchanged.
 
-    Special ids 0..3 are never drawn. seed is an int or a Generator to draw
-    from, feature by feature, positions in order, or the [3, T] uniforms
-    those draws give, drawn already.
+    Only the value columns, ids N_SPECIALS.., are sampled, so the special
+    ids 0..3 are never drawn; a row with no value column (V <= N_SPECIALS)
+    is a ValueError. seed is an int or a Generator to draw from, feature by
+    feature, positions in order, or the [3, T] uniforms those draws give,
+    drawn already.
     """
     if isinstance(seed, np.ndarray):
         draws = list(seed)
     else:
         draws = [np.random.default_rng(seed)] * len(PREDICTED)
-    vel, ioi, dur = (nucleus_sample(dist[feature], temperature, top_p, rng, N_SPECIALS).tolist()
-                     for feature, rng in zip(PREDICTED, draws))
-    return vel, ioi, dur
+    vel, ioi, dur = (nucleus_sample(dist[feature][:, N_SPECIALS:], temperature, top_p, rng)
+                     + N_SPECIALS for feature, rng in zip(PREDICTED, draws))
+    return vel.tolist(), ioi.tolist(), dur.tolist()
 
 
 def predict_performance(

@@ -18,7 +18,6 @@ from s2a.midi_io import (
 )
 from s2a.model import (
     ARGMAX_TEMPERATURE,
-    NEG_MASK,
     N_SPECIALS,
     PREDICTED,
     M2MModel,
@@ -381,7 +380,9 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray, nonpad: np.nd
 def scalar_nucleus_sample_row(
     logits: np.ndarray, temperature: float, top_p: float, rng: np.random.Generator
 ) -> int:
-    """Temperature + nucleus sampling of one row with its own stable sort."""
+    """Temperature + nucleus sampling of one row with its own stable sort: the
+    first token of the nucleus whose cumulative mass exceeds r times the
+    nucleus mass."""
     if not 0.0 < top_p <= 1.0:
         raise ValueError("top_p must be in (0, 1]")
     if temperature < 0.0:
@@ -391,25 +392,20 @@ def scalar_nucleus_sample_row(
     probs = softmax(logits / temperature)
     order = np.argsort(-probs, kind="stable")
     cumulative = np.cumsum(probs[order])
-    cut = int(np.searchsorted(cumulative, top_p, side="left"))
-    cut = min(cut, len(order) - 1)
-    nucleus = order[:cut + 1]
-    weights = probs[nucleus]
-    weights = weights / weights.sum()
-    r = rng.random()
-    pick = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-    return int(nucleus[min(pick, len(nucleus) - 1)])
+    cut = min(int(np.searchsorted(cumulative, top_p, side="left")), len(order) - 1)
+    pick = int(np.searchsorted(cumulative, rng.random() * cumulative[cut], side="right"))
+    return int(order[min(pick, cut)])
 
 
 def loop_sample(
     dist: dict[str, np.ndarray], temperature: float, top_p: float, rng: np.random.Generator
 ) -> tuple[list[int], list[int], list[int]]:
-    """model.sample one row at a time: specials masked, features in order."""
+    """model.sample one row at a time over the value columns, features in order."""
     out = []
     for feature in PREDICTED:
-        logits = dist[feature].copy()
-        logits[:, :N_SPECIALS] = NEG_MASK
-        out.append([scalar_nucleus_sample_row(row, temperature, top_p, rng) for row in logits])
+        values = dist[feature][:, N_SPECIALS:]
+        out.append([N_SPECIALS + scalar_nucleus_sample_row(row, temperature, top_p, rng)
+                    for row in values])
     return out[0], out[1], out[2]
 
 

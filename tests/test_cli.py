@@ -630,8 +630,6 @@ class TestSettings:
         (None, SYNTH + ("--sample-rate", "5000000000")),
         (None, RENDER + ("--top-p", "2")),
         (None, RENDER + ("--temperature", "nan")),
-        (None, RENDER + ("--temperature", "1e300")),
-        (None, RENDER + ("--temperature", "inf")),
         (None, RENDER + ("--seed", "-1")),
     ], ids=["string-pieces", "float-seed", "zero-heads", "zero-warmup", "unknown-key",
             "section-not-object", "unknown-section", "zero-embedding", "infinite-number",
@@ -640,13 +638,19 @@ class TestSettings:
             "negative-layers", "negative-train-seed", "performers-past-profiles", "negative-pieces",
             "zero-sample-rate", "negative-sample-rate", "sample-rate-past-192k",
             "sample-rate-past-wav-header", "top-p-past-one", "nan-temperature",
-            "temperature-past-1e6", "infinite-temperature",
             "negative-sampling-seed"])
     def test_bad_setting_is_usage_error(self, workspace, tmp_path, capsys, config, argv):
         assert run_in(workspace, tmp_path, argv, config) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not (tmp_path / "d").exists() and not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("temperature", ["1e300", "inf"],
+                             ids=["temperature-past-1e6", "infinite-temperature"])
+    def test_any_large_temperature_renders(self, workspace, tmp_path, temperature):
+        assert run_in(workspace, tmp_path, RENDER + ("--temperature", temperature)) == EXIT_OK
+        score = parse_smf((workspace / "corpus/scores/piece_000.mid").read_bytes())
+        assert len(parse_smf((tmp_path / "r.mid").read_bytes()).notes) == len(score.notes)
 
     def test_settings_checked_before_data(self, workspace, tmp_path):
         missing = ("train", "--data", "{o}/missing", "--out", "{o}/m.ckpt")
@@ -671,20 +675,28 @@ class TestSettings:
                 "--out", "{w}/file/r.mid")),
         (None, ("evaluate", "--pred", "{c}/performances", "--target", "{c}/performances",
                 "--out-dir", "{w}/file")),
+        (None, ("evaluate", "--pred", "{o}/missing", "--target", "{c}/performances",
+                "--out-dir", "{o}/d")),
+        (None, ("evaluate", "--pred", "{c}/performances", "--target", "{o}/missing",
+                "--out-dir", "{o}/d")),
+        (None, ("evaluate", "--pred", PERF, "--target", "{c}/performances", "--out-dir", "{o}/d")),
+        (None, ("evaluate", "--pred", "{c}/performances", "--target", PERF, "--out-dir", "{o}/d")),
         (None, TRAIN + ("--epochs", "3", "--learning-rate", "1e300")),
         (None, RENDER + ("--performer-id", "99999999999999999999")),
         ("[]", ("demo-data", "--out", "{o}/d")),
         ({"version": True}, ("demo-data", "--out", "{o}/d")),
         ('{"version": 1, "model": ' * 2000 + "}" * 2000, ("demo-data", "--out", "{o}/d")),
     ], ids=["tokenize-dir", "synth-dir", "synth-out", "align-out", "tokenize-out", "train-out",
-            "demo-data-out", "render-out", "evaluate-out-dir", "training-diverges",
+            "demo-data-out", "render-out", "evaluate-out-dir", "evaluate-missing-pred",
+            "evaluate-missing-target", "evaluate-file-as-pred", "evaluate-file-as-target",
+            "training-diverges",
             "performer-id-past-int64", "config-not-object", "config-version-bool",
             "config-nested-deep"])
     def test_os_and_data_problems_are_data_errors(self, workspace, tmp_path, capsys,
                                                   config, argv):
         assert run_in(workspace, tmp_path, argv, config) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("argv, name", [

@@ -33,6 +33,7 @@ from s2a.model import (
     forward,
     forward_batch,
     init_model,
+    nucleus_sample,
     nucleus_sample_row,
     predict_performance,
     prepare_batch,
@@ -271,15 +272,27 @@ class TestSampling:
         assert picks == {0, 1}
 
     def test_empirical_frequencies(self):
+        """Draw counts within 3 sigma of the nucleus's renormalised
+        probabilities; a token of probability 0 is never drawn."""
         rng = np.random.default_rng(123)
         logits = np.array([0.0, math.log(2.0), math.log(4.0)])
         n = 100_000
-        counts = np.zeros(3)
-        for _ in range(n):
-            counts[nucleus_sample_row(logits, 1.0, 1.0, rng)] += 1
-        probs = np.array([1 / 7, 2 / 7, 4 / 7])
-        sigma = np.sqrt(n * probs * (1 - probs))
-        assert np.all(np.abs(counts - n * probs) <= 3 * sigma)
+
+        def assert_within_3_sigma(ids, probs):
+            counts = np.bincount(ids, minlength=len(probs))
+            sigma = np.sqrt(n * probs * (1 - probs))
+            assert np.all(np.abs(counts - n * probs) <= 3 * sigma), counts
+
+        assert_within_3_sigma([nucleus_sample_row(logits, 1.0, 1.0, rng) for _ in range(n)],
+                              np.array([1 / 7, 2 / 7, 4 / 7]))
+        # top-p 0.6: the nucleus is {4/7, 2/7}, renormalised to 2/3 and 1/3
+        assert_within_3_sigma(nucleus_sample(np.tile(logits, (n, 1)), 1.0, 0.6, rng),
+                              np.array([0.0, 1 / 3, 2 / 3]))
+        # temperature +inf: every value id equally likely, whatever its logit
+        width = N_SPECIALS + 8
+        dist = {feature: np.tile(rng.normal(0.0, 3.0, width), (n, 1)) for feature in PREDICTED}
+        for ids in sample(dist, float("inf"), 1.0, rng):
+            assert_within_3_sigma(ids, np.array([0.0] * N_SPECIALS + [1 / 8] * 8))
 
     @pytest.mark.parametrize("logits,temperature", [
         ([0.0, np.inf, 1.0], 1.0), ([0.0, np.nan], 1.0), ([1e303, 0.0], 1e-6),
@@ -298,11 +311,18 @@ class TestSampling:
             assert min(toks) >= 4
 
     @pytest.mark.parametrize("temperature", [1.000001e6, 1e30, 1e300, float("inf")])
-    def test_temperature_past_a_million_raises(self, temperature):
-        # NEG_MASK / temperature would no longer keep the special ids out
+    def test_specials_never_sampled_past_a_million(self, temperature):
+        # the logits are all but flat here, so a special id in reach would be drawn
         dist = forward(small_model(), make_segment(n_real=40))
-        with pytest.raises(ValueError, match="temperature"):
-            sample(dist, temperature, 1.0, seed=0)
+        for toks in sample(dist, temperature, 1.0, seed=0):
+            assert min(toks) >= N_SPECIALS
+
+    @pytest.mark.parametrize("width", range(1, N_SPECIALS + 1))
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_no_value_column_raises(self, width, temperature):
+        logits = np.zeros((3, width))
+        with pytest.raises(ValueError):
+            sample({feature: logits for feature in PREDICTED}, temperature, 0.9, seed=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_specials_never_sampled_at_a_million(self, seed):
@@ -328,7 +348,7 @@ def random_logits(rng: np.random.Generator, kind: str, rows: int, width: int) ->
     return logits
 
 
-TEMPERATURES = [0.0, 1e-7, 0.5, 1.0, 2.0]
+TEMPERATURES = [0.0, 1e-7, 0.5, 1.0, 2.0, 1e6, 1e300, float("inf")]
 TOP_PS = [0.05, 0.9, 1.0]
 LOGIT_KINDS = ["normal", "integer", "flat", "masked"]
 
@@ -338,13 +358,14 @@ class TestSamplerMatchesLoop:
     equal ids and an equal generator state afterwards."""
 
     @settings(max_examples=80, deadline=None)
-    @given(rows=st.integers(0, 300), widths=st.tuples(*[st.integers(1, 1200)] * 3),
+    @given(rows=st.integers(0, 300),
+           widths=st.tuples(*[st.integers(N_SPECIALS + 1, 1200)] * 3),
            kind=st.sampled_from(LOGIT_KINDS), temperature=st.sampled_from(TEMPERATURES),
            top_p=st.sampled_from(TOP_PS), seed=st.integers(0, 2**32 - 1))
     @example(rows=300, widths=(68, 772, 1156), kind="normal", temperature=1.0, top_p=0.9, seed=1)
     @example(rows=300, widths=(1200, 1200, 1200), kind="integer", temperature=2.0, top_p=1.0,
              seed=2)
-    @example(rows=257, widths=(1, 4, 5), kind="flat", temperature=0.5, top_p=0.05, seed=3)
+    @example(rows=257, widths=(5, 6, 7), kind="flat", temperature=0.5, top_p=0.05, seed=3)
     @example(rows=300, widths=(900, 1200, 17), kind="masked", temperature=1e-7, top_p=0.9, seed=4)
     def test_sample(self, rows, widths, kind, temperature, top_p, seed):
         data_rng = np.random.default_rng(seed)
@@ -388,7 +409,7 @@ class TestSamplerMatchesLoop:
 
     def test_sample_leaves_dist_unchanged(self):
         dist = forward(small_model(), make_segment(n_real=40))
-        dist["velocity"][:, :2] = [np.nan, np.inf]  # special ids: masked in a copy only
+        dist["velocity"][:, :2] = [np.nan, np.inf]  # special ids: never read
         before = {feature: logits.copy() for feature, logits in dist.items()}
         for temperature in (0.0, 1.0):
             sample(dist, temperature, 0.9, seed=0)
