@@ -387,7 +387,10 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=level)
         args = parser.parse_args(argv)
         config = load_config_file(args.config)
-        return args.func(args, config)
+        # numpy's float warnings would print beside the one error line; the
+        # checks for non-finite losses, parameters and logits raise instead
+        with np.errstate(all="ignore"):
+            return args.func(args, config)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,8 +18,9 @@ bit-reproducible. Attention and its backward run one (batch item, head)
 slice at a time, in place on the cached [T, T] weights, with the bits of the
 whole-array expressions.
 
-`predict_performance` runs a score's segments, each one `forward` and one
-`sample`, on two threads (s2a.parallel). The calling thread draws every
+`sample` and `nucleus_sample` draw nothing: they read the uniforms they are
+given. `predict_performance` runs a score's segments, each one `forward` and
+one `sample`, on two threads (s2a.parallel). The calling thread draws every
 uniform they take before the split, in the order a loop over the segments
 would, so the ids and the generator's state are those of one thread; after
 an error in a segment, the generator has drawn them all.
@@ -28,7 +29,7 @@ an error in a segment, the generator has drawn them all.
 from __future__ import annotations
 
 import numbers
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -447,23 +448,19 @@ def nucleus_sample(
     logits: np.ndarray,
     temperature: float,
     top_p: float,
-    rng: np.random.Generator | np.ndarray,
+    uniforms: np.ndarray | None,
 ) -> np.ndarray:
     """Temperature + nucleus sampling of every row of [rows, V] logits.
 
     The nucleus of a row is the smallest prefix of its probability-sorted
     tokens (ties broken by lower id) whose cumulative mass reaches top_p.
     The row takes the first token whose cumulative mass exceeds r times the
-    nucleus mass, for one uniform r per row, drawn in row order from rng
-    when it is a Generator, or read from it when it is the [rows] uniforms
-    drawn already. Each row gets the id, and the generator the state, that
-    sampling the rows one at a time gives. Temperatures below 1e-6
-    short-circuit to argmax and draw nothing; at +inf every token is equally
-    likely. ValueError for a bad top_p or temperature, for V = 0, or for a
-    row whose logits / temperature hold NaN or +inf; logits is left unchanged.
+    nucleus mass, where r is its entry of the [rows] uniforms. Temperatures
+    below 1e-6 short-circuit to argmax and read no uniform, so uniforms may
+    be None there; at +inf every token is equally likely. ValueError for a
+    bad top_p or temperature, for V = 0, or for a row whose logits /
+    temperature hold NaN or +inf; logits is left unchanged.
     """
-    if len(logits) == 0:  # as with no rows sampled one at a time: no checks, no draws
-        return np.zeros(0, dtype=np.int64)
     check_sampling(temperature, top_p)
     if temperature < ARGMAX_TEMPERATURE:
         return np.argmax(logits, axis=-1)
@@ -478,9 +475,8 @@ def nucleus_sample(
         raise ValueError("logits / temperature must not be NaN or +inf")
     cut = np.minimum((cumulative < top_p).sum(axis=-1), probs.shape[-1] - 1)
     rows = np.arange(len(probs))
-    # one rng.random(rows) is the same stream as one rng.random() per row
-    r = rng if isinstance(rng, np.ndarray) else rng.random(len(probs))
-    pick = np.minimum((cumulative <= (r * cumulative[rows, cut])[:, None]).sum(axis=-1), cut)
+    pick = np.minimum((cumulative <= (uniforms * cumulative[rows, cut])[:, None]).sum(axis=-1),
+                      cut)
     # Probability-sorted order puts equal values in id order, so the picked
     # position holds the rank-th id with that value, where rank is the
     # position's offset into its run of equal values.
@@ -496,31 +492,32 @@ def nucleus_sample_row(
     top_p: float,
     rng: np.random.Generator,
 ) -> int:
-    """Temperature + nucleus sampling of one categorical row (see nucleus_sample)."""
-    return int(nucleus_sample(np.asarray(logits)[None, :], temperature, top_p, rng)[0])
+    """Temperature + nucleus sampling of one row, its uniform drawn from rng."""
+    check_sampling(temperature, top_p)
+    r = rng.random(1) if temperature >= ARGMAX_TEMPERATURE else None
+    return int(nucleus_sample(np.asarray(logits)[None, :], temperature, top_p, r)[0])
 
 
 def sample(
     dist: dict[str, np.ndarray],
     temperature: float,
     top_p: float,
-    seed: int | np.random.Generator | np.ndarray,
+    uniforms: Sequence[np.ndarray | None],
 ) -> tuple[list[int], list[int], list[int]]:
     """Draw (velocity, ioi, duration) token ids at every position of
     forward's {feature: logits [T, V]}, leaving dist unchanged.
 
-    Only the value columns, ids N_SPECIALS.., are sampled, so the special
-    ids 0..3 are never drawn; a row with no value column (V <= N_SPECIALS)
-    is a ValueError. seed is an int or a Generator to draw from, feature by
-    feature, positions in order, or the [3, T] uniforms those draws give,
-    drawn already.
+    uniforms holds each feature's [T] uniforms for nucleus_sample, in
+    PREDICTED order. Only the value columns, ids N_SPECIALS.., are sampled,
+    so the special ids 0..3 are never drawn; a head with no value column
+    (V <= N_SPECIALS) is a ValueError that names it.
     """
-    if isinstance(seed, np.ndarray):
-        draws = list(seed)
-    else:
-        draws = [np.random.default_rng(seed)] * len(PREDICTED)
-    vel, ioi, dur = (nucleus_sample(dist[feature][:, N_SPECIALS:], temperature, top_p, rng)
-                     + N_SPECIALS for feature, rng in zip(PREDICTED, draws))
+    for feature in PREDICTED:
+        if dist[feature].shape[-1] <= N_SPECIALS:
+            raise ValueError(f"{feature} logits are {dist[feature].shape[-1]} wide: no value "
+                             f"column past the {N_SPECIALS} special ids")
+    vel, ioi, dur = (nucleus_sample(dist[feature][:, N_SPECIALS:], temperature, top_p, r)
+                     + N_SPECIALS for feature, r in zip(PREDICTED, uniforms))
     return vel.tolist(), ioi.tolist(), dur.tolist()
 
 
@@ -555,7 +552,7 @@ def predict_performance(
     tokens = tokenize(grid, is_score=True)
     segments = segment_tokens(tokens, performer_id)
     rng = np.random.default_rng(seed)
-    draws = [rng] * len(segments)  # argmax draws nothing
+    draws = [(None,) * len(PREDICTED)] * len(segments)  # argmax reads no uniform
     if segments:
         check_sampling(temperature, top_p)
         if temperature >= ARGMAX_TEMPERATURE:

@@ -144,7 +144,7 @@ def gradnorm_step(
     weights: TaskWeights,
     losses: tuple[float, float, float],
     shared_grad_norms: tuple[float, float, float],
-    lr: float = 0.025,
+    lr: float,
 ) -> TaskWeights:
     """One subgradient step on the GradNorm objective.
 

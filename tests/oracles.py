@@ -397,6 +397,12 @@ def scalar_nucleus_sample_row(
     return int(order[min(pick, cut)])
 
 
+def seed_uniforms(seed: int, rows: int) -> np.ndarray:
+    """The [3, rows] uniforms for model.sample that np.random.default_rng(seed)
+    gives, drawn as loop_sample draws them: feature by feature, rows in order."""
+    return np.random.default_rng(seed).random((len(PREDICTED), rows))
+
+
 def loop_sample(
     dist: dict[str, np.ndarray], temperature: float, top_p: float, rng: np.random.Generator
 ) -> tuple[list[int], list[int], list[int]]:

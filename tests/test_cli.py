@@ -24,7 +24,7 @@ from s2a.corpus import SyntheticCorpusSpec, generate_corpus, split_counts
 from s2a.midi_io import NoteEvent, NoteSequence, parse_smf, write_smf
 from s2a.model import M2MConfig, init_model, parameter_shapes
 from s2a.synth import load_matrix, midi_spectrogram, read_wav, render_audio, write_wav
-from s2a.tokenizer import SCORE_VELOCITY, VOCAB
+from s2a.tokenizer import FEATURE_NAMES, SCORE_VELOCITY, VOCAB
 
 
 def run(*argv):
@@ -65,7 +65,8 @@ def v1_checkpoint(model) -> bytes:
     c = model.config
     config = {"n_layers": c.n_layers, "d_model": c.d_model, "n_heads": c.n_heads, "d_ff": c.d_ff,
               "dropout": c.dropout, "n_performers": c.n_performers, "max_seq_len": 256,
-              "d_embed": c.d_embed, "seed": c.seed, "vocab": dataclasses.asdict(VOCAB)}
+              "d_embed": c.d_embed, "seed": c.seed,
+              "vocab": dict(zip(FEATURE_NAMES, VOCAB.sizes()))}
     manifest, blob = [], b""
     for name in sorted(model.params):
         tensor = np.ascontiguousarray(model.params[name], dtype="<f4")
@@ -219,12 +220,25 @@ class TestTrainRender:
         assert code == EXIT_DATA
 
 
-def s2a_in_subprocess(env, *argv):
-    """s2a run in a fresh interpreter that imports s2a before numpy."""
+def s2a_in_subprocess(env, *argv, code=EXIT_OK):
+    """s2a run in a fresh interpreter that imports s2a before numpy; its
+    exit code must be code. Returns its stderr."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from s2a.cli import main; sys.exit(main(sys.argv[1:]))",
          *argv], env=env, capture_output=True, text=True, timeout=300, check=False)
-    assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+    assert proc.returncode == code, proc.stderr[-2000:]
+    return proc.stderr
+
+
+def test_diverging_train_prints_one_stderr_line(tmp_path):
+    """numpy's overflow warnings, from either thread of a training step, stay
+    off stderr: a diverged run prints its one error line. Only a fresh
+    interpreter shows this; pytest collects warnings apart from stderr."""
+    corpus = make_corpus(tmp_path, pieces=1, notes=50, performers=1)
+    env = {**os.environ, "PYTHONPATH": str(Path(s2a.__file__).resolve().parents[1])}
+    err = s2a_in_subprocess(env, "train", "--data", str(corpus), "--out", str(tmp_path / "m.ckpt"),
+                            "--split", "all", "--learning-rate", "1e300", code=EXIT_DATA)
+    assert err.startswith("error: training diverged") and err.count("\n") == 1, err
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one BLAS thread")

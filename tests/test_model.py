@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import struct
 import sys
 import threading
@@ -18,6 +19,7 @@ from oracles import (
     loop_sample,
     one_thread_split_work,
     scalar_nucleus_sample_row,
+    seed_uniforms,
     softmax,
     whole_array_attention,
     whole_array_attention_backward,
@@ -26,10 +28,12 @@ from s2a import model as model_module
 from s2a.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from s2a.midi_io import NoteEvent, NoteSequence, TempoEvent, TimeSignatureEvent, write_smf
 from s2a.model import (
+    ARGMAX_TEMPERATURE,
     MAX_PERFORMERS,
     NEG_MASK,
     M2MConfig,
     backward_batch,
+    check_sampling,
     forward,
     forward_batch,
     init_model,
@@ -51,7 +55,7 @@ from s2a.tokenizer import (
 )
 from s2a.trainer import cross_entropy
 
-LAST_TENSOR_BYTES = 4 * VOCAB.duration  # head_dur_b, the last tensor of a checkpoint
+LAST_TENSOR_BYTES = 4 * VOCAB.size("duration")  # head_dur_b, the last tensor of a checkpoint
 
 
 def toy_config(**overrides):
@@ -286,12 +290,12 @@ class TestSampling:
         assert_within_3_sigma([nucleus_sample_row(logits, 1.0, 1.0, rng) for _ in range(n)],
                               np.array([1 / 7, 2 / 7, 4 / 7]))
         # top-p 0.6: the nucleus is {4/7, 2/7}, renormalised to 2/3 and 1/3
-        assert_within_3_sigma(nucleus_sample(np.tile(logits, (n, 1)), 1.0, 0.6, rng),
+        assert_within_3_sigma(nucleus_sample(np.tile(logits, (n, 1)), 1.0, 0.6, rng.random(n)),
                               np.array([0.0, 1 / 3, 2 / 3]))
         # temperature +inf: every value id equally likely, whatever its logit
         width = N_SPECIALS + 8
         dist = {feature: np.tile(rng.normal(0.0, 3.0, width), (n, 1)) for feature in PREDICTED}
-        for ids in sample(dist, float("inf"), 1.0, rng):
+        for ids in sample(dist, float("inf"), 1.0, rng.random((len(PREDICTED), n))):
             assert_within_3_sigma(ids, np.array([0.0] * N_SPECIALS + [1 / 8] * 8))
 
     @pytest.mark.parametrize("logits,temperature", [
@@ -306,7 +310,7 @@ class TestSampling:
     def test_specials_never_sampled(self):
         model = small_model()
         dist = forward(model, make_segment(n_real=40))
-        vel, ioi, dur = sample(dist, temperature=2.0, top_p=1.0, seed=9)
+        vel, ioi, dur = sample(dist, 2.0, 1.0, seed_uniforms(9, SEGMENT_LEN))
         for toks in (vel, ioi, dur):
             assert min(toks) >= 4
 
@@ -314,26 +318,41 @@ class TestSampling:
     def test_specials_never_sampled_past_a_million(self, temperature):
         # the logits are all but flat here, so a special id in reach would be drawn
         dist = forward(small_model(), make_segment(n_real=40))
-        for toks in sample(dist, temperature, 1.0, seed=0):
+        for toks in sample(dist, temperature, 1.0, seed_uniforms(0, SEGMENT_LEN)):
             assert min(toks) >= N_SPECIALS
 
     @pytest.mark.parametrize("width", range(1, N_SPECIALS + 1))
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_no_value_column_raises(self, width, temperature):
         logits = np.zeros((3, width))
+        with pytest.raises(ValueError, match=rf"^velocity logits are {width} wide"):
+            sample({feature: logits for feature in PREDICTED}, temperature, 0.9,
+                   seed_uniforms(0, 3))
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_zero_rows(self, temperature):
+        """No rows give no ids once the settings pass; no columns is an error."""
+        got = nucleus_sample(np.zeros((0, 5)), temperature, 0.9, np.empty(0))
+        assert got.dtype == np.int64 and got.shape == (0,)
+        for bad_temperature, top_p in ((temperature, 1.5), (-1.0, 0.9)):
+            with pytest.raises(ValueError) as want:
+                check_sampling(bad_temperature, top_p)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                nucleus_sample(np.zeros((0, 5)), bad_temperature, top_p, np.empty(0))
         with pytest.raises(ValueError):
-            sample({feature: logits for feature in PREDICTED}, temperature, 0.9, seed=0)
+            nucleus_sample(np.zeros((0, 0)), temperature, 0.9, np.empty(0))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_specials_never_sampled_at_a_million(self, seed):
         dist = forward(small_model(), make_segment(n_real=40))
-        for toks in sample(dist, 1e6, 1.0, seed=seed):
+        for toks in sample(dist, 1e6, 1.0, seed_uniforms(seed, SEGMENT_LEN)):
             assert min(toks) >= 4
 
     def test_seeded_reproducibility(self):
         model = small_model()
         dist = forward(model, make_segment(n_real=40))
-        assert sample(dist, 1.0, 0.9, seed=7) == sample(dist, 1.0, 0.9, seed=7)
+        uniforms = seed_uniforms(7, SEGMENT_LEN)
+        assert sample(dist, 1.0, 0.9, uniforms) == sample(dist, 1.0, 0.9, uniforms)
 
 
 def random_logits(rng: np.random.Generator, kind: str, rows: int, width: int) -> np.ndarray:
@@ -372,7 +391,10 @@ class TestSamplerMatchesLoop:
         vel, ioi, dur = (random_logits(data_rng, kind, rows, w) for w in widths)
         dist = {"velocity": vel, "ioi": ioi, "duration": dur}
         fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        assert sample(dist, temperature, top_p, fast) == loop_sample(dist, temperature, top_p, slow)
+        uniforms = (fast.random((len(PREDICTED), rows)) if temperature >= ARGMAX_TEMPERATURE
+                    else (None,) * len(PREDICTED))
+        assert (sample(dist, temperature, top_p, uniforms)
+                == loop_sample(dist, temperature, top_p, slow))
         assert fast.bit_generator.state == slow.bit_generator.state
 
     @settings(max_examples=80, deadline=None)
@@ -396,7 +418,7 @@ class TestSamplerMatchesLoop:
         with pytest.raises(ValueError) as want:
             loop_sample(dist, temperature, top_p, np.random.default_rng(0))
         with pytest.raises(ValueError) as got:
-            sample(dist, temperature, top_p, seed=0)
+            sample(dist, temperature, top_p, seed_uniforms(0, 3))
         assert str(got.value) == str(want.value)
         with pytest.raises(ValueError) as got:
             nucleus_sample_row(logits[0], temperature, top_p, np.random.default_rng(0))
@@ -412,7 +434,7 @@ class TestSamplerMatchesLoop:
         dist["velocity"][:, :2] = [np.nan, np.inf]  # special ids: never read
         before = {feature: logits.copy() for feature, logits in dist.items()}
         for temperature in (0.0, 1.0):
-            sample(dist, temperature, 0.9, seed=0)
+            sample(dist, temperature, 0.9, seed_uniforms(0, SEGMENT_LEN))
             for feature, logits in before.items():
                 assert np.array_equal(dist[feature], logits, equal_nan=True), feature
 

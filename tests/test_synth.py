@@ -372,6 +372,20 @@ def test_split_work_raises_the_workers_error_and_leaves_no_thread():
     assert done == [0, 2]
 
 
+def test_split_work_runs_the_worker_under_the_callers_error_state():
+    """The worker runs under the caller's np.errstate, so it handles an
+    overflow as the caller asked."""
+    states = {}
+
+    def fn(i):
+        states[i] = np.geterr()
+
+    with np.errstate(all="ignore"):
+        split_work(fn, [0, 1])
+        want = np.geterr()
+    assert states == {0: want, 1: want}
+
+
 def test_render_reads_the_tempo_map_once():
     """8,000 notes, each under its own tempo event: one pass over the map,
     not two per note."""

@@ -41,10 +41,6 @@ class TestVocabSpec:
         vocab = VocabSpec()
         assert [vocab.n_values(f) for f in FEATURE_NAMES] == [88, 64, 1152, 768, 384, 3000]
 
-    def test_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            VocabSpec(pitch=93)
-
 
 class TestTokenize:
     def test_lowest_note_layout(self):

@@ -165,12 +165,12 @@ class TestGradNorm:
 
     def test_zero_initial_loss_errors(self):
         with pytest.raises(ValueError):
-            gradnorm_step(TaskWeights(), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+            gradnorm_step(TaskWeights(), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0), lr=0.025)
 
     def test_initial_losses_recorded_once(self):
-        weights = gradnorm_step(TaskWeights(), (2.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+        weights = gradnorm_step(TaskWeights(), (2.0, 1.0, 1.0), (1.0, 1.0, 1.0), lr=0.025)
         assert weights.initial_losses == (2.0, 1.0, 1.0)
-        weights2 = gradnorm_step(weights, (0.5, 0.6, 0.7), (1.0, 1.0, 1.0))
+        weights2 = gradnorm_step(weights, (0.5, 0.6, 0.7), (1.0, 1.0, 1.0), lr=0.025)
         assert weights2.initial_losses == (2.0, 1.0, 1.0)
 
 
