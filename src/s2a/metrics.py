@@ -238,16 +238,18 @@ def dtw_path_costs(xs, ys) -> list[tuple[float, int]]:
 
 
 def chroma_mse(a: Chromagram, b: Chromagram) -> float:
-    return _matrix_mse(a.frames, b.frames, a.frame_rate, b.frame_rate, "chromagrams")
+    return _matrix_mse(a, b)
 
 
 def spectrogram_mse(a: Spectrogram, b: Spectrogram) -> float:
-    return _matrix_mse(a.frames, b.frames, a.frame_rate, b.frame_rate, "spectrograms")
+    return _matrix_mse(a, b)
 
 
-def _matrix_mse(fa, fb, ra, rb, what: str) -> float:
-    if ra != rb:
+def _matrix_mse(a: Chromagram | Spectrogram, b: Chromagram | Spectrogram) -> float:
+    what = f"{type(a).__name__.lower()}s"
+    if a.frame_rate != b.frame_rate:
         raise ValueError(f"{what} must share a frame rate")
+    fa, fb = a.frames, b.frames
     n = min(len(fa), len(fb))
     if n == 0:
         raise ValueError(f"no overlapping frames between {what}")

@@ -9,7 +9,10 @@ model width is summed with the final hidden state at every real position,
 and three linear heads emit categorical logits over the velocity, IOI, and
 duration vocabularies. `forward` takes one segment's [256, 6] id array and
 returns {feature: logits [256, V]}, the per-segment slice of what
-`forward_batch` returns for a batch.
+`forward_batch` returns for a batch. A `forward_batch` given a generator
+is a training pass: dropout fires and it returns the cache that
+`backward_batch` reads. Without one it is an inference pass, which keeps
+no cache and drops each layer's activations once the layer is done.
 
 Everything is numpy float64 with hand-written backpropagation: gradients are
 exact enough to verify against central finite differences, and all
@@ -311,9 +314,12 @@ def forward_batch(
 ):
     """Run the encoder; returns ({feature: logits [B,T,V]}, cache).
 
-    Dropout fires only when train_rng is given; inference is deterministic.
-    Each dropout mask is drawn for whole SEGMENT_LEN-row segments and cut to
-    T rows, so a batch cut short gets the first T rows of its full-width masks.
+    With train_rng the pass trains: dropout fires at the config's rate and
+    cache holds what backward_batch reads. Without it the pass is inference:
+    deterministic, cache is None, and each layer's activations are dropped
+    once the layer is done. Each dropout mask is drawn for whole
+    SEGMENT_LEN-row segments and cut to T rows, so a batch cut short gets
+    the first T rows of its full-width masks.
     """
     cfg = model.config
     p = model.params
@@ -327,14 +333,13 @@ def forward_batch(
     concat = np.concatenate(embeds, axis=-1)  # [B,T,6*d_e]
     h = concat @ p["proj_w"] + p["proj_b"]
     h += model.pos_encoding[None, :T]
-
-    cache: dict = {"ids": ids, "nonpad": nonpad, "performer": performer, "concat": concat,
-                   "drop_in": _dropout(h, train_rng, rate), "layers": []}
+    drop_in = _dropout(h, train_rng, rate)
 
     # additive attention mask: PAD keys excluded everywhere
     key_mask = np.where(nonpad[:, None, None, :], 0.0, NEG_MASK)  # [B,1,1,T]
     scale = 1.0 / np.sqrt(cfg.d_head)
 
+    layers = []
     for layer in range(cfg.n_layers):
         pre = f"l{layer}."
         x_in = h
@@ -344,28 +349,33 @@ def forward_batch(
         attn, ctx = _attention(q, k, v, key_mask, scale)
         ctx = _merge_heads(ctx)
         out = ctx @ p[pre + "wo"] + p[pre + "bo"]
-        lcache = {"x_in": x_in, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
-                  "drop_attn": _dropout(out, train_rng, rate)}
-        h, lcache["ln1"] = _layernorm_forward(x_in + out, p[pre + "ln1_g"], p[pre + "ln1_b"])
+        drop_attn = _dropout(out, train_rng, rate)
+        h, ln1 = _layernorm_forward(x_in + out, p[pre + "ln1_g"], p[pre + "ln1_b"])
 
         ff_in = h
         act = ff_in @ p[pre + "ff_w1"] + p[pre + "ff_b1"]
         np.maximum(act, 0.0, out=act)
         ff_out = act @ p[pre + "ff_w2"] + p[pre + "ff_b2"]
-        lcache.update({"ff_in": ff_in, "act": act,
-                       "drop_ff": _dropout(ff_out, train_rng, rate)})
-        h, lcache["ln2"] = _layernorm_forward(ff_in + ff_out, p[pre + "ln2_g"], p[pre + "ln2_b"])
-        cache["layers"].append(lcache)
+        drop_ff = _dropout(ff_out, train_rng, rate)
+        h, ln2 = _layernorm_forward(ff_in + ff_out, p[pre + "ln2_g"], p[pre + "ln2_b"])
+        if train_rng is not None:
+            layers.append({"x_in": x_in, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
+                           "drop_attn": drop_attn, "ln1": ln1, "ff_in": ff_in, "act": act,
+                           "drop_ff": drop_ff, "ln2": ln2})
+        # nothing of the layer outlives it but what the cache holds
+        del x_in, q, k, v, attn, ctx, out, ln1, ff_in, act, ff_out, ln2
 
     h = h + p["perf_emb"][performer][:, None, :] * nonpad[:, :, None]
-    cache["encoded"] = h
 
     logits = {}
     for feature in PREDICTED:
         key = HEAD_KEYS[feature]
         logits[feature] = h @ p[key + "_w"]
         logits[feature] += p[key + "_b"]
-    return logits, cache
+    if train_rng is None:
+        return logits, None
+    return logits, {"ids": ids, "nonpad": nonpad, "performer": performer, "concat": concat,
+                    "drop_in": drop_in, "layers": layers, "encoded": h}
 
 
 def backward_batch(
@@ -458,11 +468,14 @@ def nucleus_sample(
     nucleus mass, where r is its entry of the [rows] uniforms. Temperatures
     below 1e-6 short-circuit to argmax and read no uniform, so uniforms may
     be None there; at +inf every token is equally likely. ValueError for a
-    bad top_p or temperature, for V = 0, or for a row whose logits /
-    temperature hold NaN or +inf; logits is left unchanged.
+    bad top_p or temperature, for V = 0, or for a row whose logits hold NaN
+    or +inf, or whose logits / temperature do at 1e-6 and above; logits is
+    left unchanged.
     """
     check_sampling(temperature, top_p)
     if temperature < ARGMAX_TEMPERATURE:
+        if not (logits < np.inf).all():  # NaN or +inf, where argmax would pick either
+            raise ValueError("logits / temperature must not be NaN or +inf")
         return np.argmax(logits, axis=-1)
     probs = _softmax_in_place(logits / temperature)
     # The sorted values fix the cumsum, the cut and the picked position; any

@@ -70,31 +70,31 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class Spectrogram:
+class _Frames:
+    """T x WIDTH float64 matrix of frame_rate frames per second; a subclass
+    sets WIDTH."""
+
+    frames: np.ndarray
+    frame_rate: float
+
+    def __post_init__(self):
+        frames = np.asarray(self.frames, dtype=np.float64)
+        if frames.ndim != 2 or frames.shape[1] != self.WIDTH:
+            raise ValueError(f"{type(self).__name__.lower()} must be T x {self.WIDTH}, "
+                             f"got {frames.shape}")
+        object.__setattr__(self, "frames", frames)
+
+
+class Spectrogram(_Frames):
     """T x 128 non-negative matrix, one bin per MIDI pitch."""
 
-    frames: np.ndarray
-    frame_rate: float
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != 128:
-            raise ValueError(f"spectrogram must be T x 128, got {frames.shape}")
-        object.__setattr__(self, "frames", frames)
+    WIDTH = 128
 
 
-@dataclass(frozen=True)
-class Chromagram:
+class Chromagram(_Frames):
     """T x 12 pitch-class matrix, rows L1-normalized where voiced."""
 
-    frames: np.ndarray
-    frame_rate: float
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != 12:
-            raise ValueError(f"chromagram must be T x 12, got {frames.shape}")
-        object.__setattr__(self, "frames", frames)
+    WIDTH = 12
 
 
 def midi_pitch_hz(pitch: float) -> float:

@@ -5,8 +5,11 @@ Analytic gradients come from one backward pass; numeric ones from central
 differences at a deterministic sample of coordinates per parameter group
 (all coordinates for small groups, used-plus-spare embedding rows for the
 big tables). Relative error is compared per group over the sampled vector.
-With a dropout seed, every forward pass draws its masks from a fresh
-generator of that seed, so each evaluation of the loss sees the same masks.
+Every forward pass is a training pass, since only a training pass keeps
+the cache that backward_batch reads. With a dropout seed, each draws its
+masks from a fresh generator of that seed, so each evaluation of the loss
+sees the same masks. Without one the config must have dropout 0, so the
+pass draws no mask and the check is a plain gradient check.
 """
 
 from __future__ import annotations
@@ -51,8 +54,11 @@ def random_inputs(config, rng, batch=2, T=8):
 
 
 def _forward(model: M2MModel, ids, nonpad, performer, dropout_seed):
-    train_rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
-    return forward_batch(model, ids, nonpad, performer, train_rng)
+    """A training pass, which keeps the cache; without a dropout seed the
+    config must have dropout 0, so the generator draws nothing."""
+    if dropout_seed is None:
+        assert model.config.dropout == 0, "a check without a dropout seed needs dropout 0"
+    return forward_batch(model, ids, nonpad, performer, np.random.default_rng(dropout_seed))
 
 
 def weighted_loss(model: M2MModel, ids, nonpad, performer, targets,
@@ -98,8 +104,8 @@ def sample_coords(name: str, shape, ids, rng) -> list[tuple]:
 def group_relative_errors(
     model: M2MModel, seed: int = 0, dropout_seed: int | None = None
 ) -> dict[str, float]:
-    """Relative FD-vs-analytic error per parameter group; dropout (at the
-    config's rate) only with a dropout seed."""
+    """Relative FD-vs-analytic error per parameter group; dropout at the
+    config's rate with a dropout seed, and a config of dropout 0 without one."""
     rng = np.random.default_rng(seed)
     randomize_parameters(model, rng)
     ids, nonpad, performer, targets = random_inputs(model.config, rng)

@@ -64,3 +64,15 @@ def test_op_zero_passes_the_benchmark_check(tmp_path, name):
     result = workload.check(0)
     assert result.problems == []
     assert run.values_differ(result.values, reference["workloads"][name][0]["values"]) == []
+
+
+def test_render_ops_write_the_reference_midi(tmp_path):
+    """Each render op at seed 0 writes the out.mid whose sha256
+    perfbench/reference.json holds. The harness only reports a render that
+    differs (outputs_identical: false); this test fails on it."""
+    reference = json.loads(load("run").REFERENCE.read_text())["workloads"]["render"]
+    workload = load("workloads").WORKLOADS["render"](tmp_path, 0)
+    assert len(reference) == workload.cycle
+    for i, want in enumerate(reference):
+        workload.run(i)
+        assert workload.check(i).sha256 == want["sha256"], f"op {i}"

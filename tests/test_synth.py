@@ -28,6 +28,8 @@ from s2a.synth import (
     N_HARMONICS,
     PEAK_LEVEL,
     RELEASE_SECONDS,
+    Chromagram,
+    Spectrogram,
     Waveform,
     check_sample_rate,
     chromagram,
@@ -481,6 +483,16 @@ class TestSpectrogram:
         for m in range(128):
             if midi_pitch_hz(m) >= 4000:
                 assert np.all(bank[m] == 0)
+
+
+@pytest.mark.parametrize("matrix,width", [(Spectrogram, 128), (Chromagram, 12)])
+def test_frames_must_be_t_by_width(matrix, width):
+    """Both matrices hold float64 frames of their own width and no other shape."""
+    name = matrix.__name__.lower()
+    assert matrix(np.zeros((0, width), dtype=int), 10.0).frames.dtype == np.float64
+    for shape in [(3, width - 1), (3, width + 1), (3, 140 - width), (width,), (1, 3, width)]:
+        with pytest.raises(ValueError, match=rf"^{name} must be T x {width}, got \("):
+            matrix(np.zeros(shape), 10.0)
 
 
 class TestChromagram:
