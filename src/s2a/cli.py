@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -241,13 +242,13 @@ def cmd_train(args, config) -> int:
 def cmd_render(args, config) -> int:
     sampling = resolve(args, config, "sampling")
     _usage(check_sampling, sampling["temperature"], sampling["top_p"])
-    rng = _usage(np.random.default_rng, sampling["seed"])
+    _usage(np.random.default_rng, sampling["seed"])
     try:
         model = load_checkpoint(Path(args.checkpoint).read_bytes())
     except ValueError as err:
         raise ValueError(f"cannot load checkpoint {args.checkpoint}: {err}") from err
     perf = predict_performance(model, read_midi(args.score), args.performer_id,
-                               sampling["temperature"], sampling["top_p"], rng)
+                               sampling["temperature"], sampling["top_p"], sampling["seed"])
     Path(args.out).write_bytes(write_smf(perf))
     log.info("render: %s", sampling)
     print(f"render: {len(perf.notes)} notes -> {args.out}")
@@ -388,8 +389,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = load_config_file(args.config)
         # numpy's float warnings would print beside the one error line; the
-        # checks for non-finite losses, parameters and logits raise instead
-        with np.errstate(all="ignore"):
+        # checks for non-finite losses, parameters and logits raise instead.
+        # Any other warning prints as one line, without its source location.
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                             file=sys.stderr)
             return args.func(args, config)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

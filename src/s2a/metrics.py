@@ -302,7 +302,7 @@ def matched_feature_sequences(
 
 def evaluate_m2m(
     pairs: list[tuple[NoteSequence, NoteSequence, AlignmentMap]],
-    labels: list[str] | None = None,
+    labels: list[str],
 ) -> MetricReport:
     """The report over (predicted, target, alignment) triples: every
     ITEM_COLUMNS column of each item, and their aggregates.
@@ -312,17 +312,24 @@ def evaluate_m2m(
     (final partial window included). Constant sequences make correlation
     undefined and are counted as missing rather than zero. Audio metrics:
     chroma and spectrogram MSE between both sides rendered by render_audio.
+    labels names the items, one per pair; ValueError if the counts differ.
     An item that cannot be scored (a side without notes, a matched pitch off
-    the piano) raises ValueError naming the item.
+    the piano) raises ValueError naming the item, and the warning that its
+    audio lengths differ starts with its label.
     """
-    labels = labels or [f"item_{i:04d}" for i in range(len(pairs))]
+    if len(labels) != len(pairs):
+        raise ValueError(f"{len(labels)} labels for {len(pairs)} pairs")
     windows = {f: ([], []) for f in PREDICTED}  # (kld, dtwd, correlation) per window
     items = []
     for label, (pred, target, alignment) in zip(labels, pairs):
-        try:
-            row = _item_row(pred, target, alignment, windows)
-        except ValueError as err:
-            raise ValueError(f"{label}: {err}") from err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                row = _item_row(pred, target, alignment, windows)
+            except ValueError as err:
+                raise ValueError(f"{label}: {err}") from err
+        for warning in caught:
+            warnings.warn(f"{label}: {warning.message}", warning.category, stacklevel=2)
         items.append({"item": label, **row})
     return MetricReport(
         performance_wise={f: _aggregate_row(perf) for f, (perf, _) in windows.items()},

@@ -24,9 +24,8 @@ whole-array expressions.
 `sample` and `nucleus_sample` draw nothing: they read the uniforms they are
 given. `predict_performance` runs a score's segments, each one `forward` and
 one `sample`, on two threads (s2a.parallel). The calling thread draws every
-uniform they take before the split, in the order a loop over the segments
-would, so the ids and the generator's state are those of one thread; after
-an error in a segment, the generator has drawn them all.
+uniform they take from its seed before the split, in the order a loop over
+the segments would, so the ids are those of one thread.
 """
 
 from __future__ import annotations
@@ -540,7 +539,7 @@ def predict_performance(
     performer_id: int,
     temperature: float = 1.0,
     top_p: float = 0.9,
-    seed: int | np.random.Generator = 0,
+    seed: int = 0,
 ) -> NoteSequence:
     """Render an expressive performance of a score.
 
@@ -552,24 +551,16 @@ def predict_performance(
 
     The segments run on two threads (s2a.parallel.split_work), each its
     forward and sample. The calling thread first draws every uniform the
-    segments take, as one array in the order a loop over the segments
-    would draw them, so the ids, and the state of a Generator given as
-    seed, are the same as on one thread. Below ARGMAX_TEMPERATURE, and for
-    a score with no notes, nothing is drawn. After an error in a segment,
-    such as logits that hold NaN, the generator has drawn every segment's
-    uniforms. ValueError for a performer_id outside 0..n_performers - 1.
+    segments take from default_rng(seed), as one array in the order a loop
+    over the segments would draw them, so the ids are the same as on one
+    thread. ValueError for a performer_id outside 0..n_performers - 1.
     """
     if not 0 <= performer_id < model.config.n_performers:
         raise ValueError(f"performer id outside 0..{model.config.n_performers - 1}: {performer_id}")
     grid = resample_grid(score)
     tokens = tokenize(grid, is_score=True)
     segments = segment_tokens(tokens, performer_id)
-    rng = np.random.default_rng(seed)
-    draws = [(None,) * len(PREDICTED)] * len(segments)  # argmax reads no uniform
-    if segments:
-        check_sampling(temperature, top_p)
-        if temperature >= ARGMAX_TEMPERATURE:
-            draws = rng.random((len(segments), len(PREDICTED), SEGMENT_LEN))
+    draws = np.random.default_rng(seed).random((len(segments), len(PREDICTED), SEGMENT_LEN))
     parts: list = [None] * len(segments)
 
     def render_segment(k: int) -> None:

@@ -241,6 +241,28 @@ def test_diverging_train_prints_one_stderr_line(tmp_path):
     assert err.startswith("error: training diverged") and err.count("\n") == 1, err
 
 
+def test_warnings_print_one_line_each(tmp_path):
+    """A Python warning is one `warning: ` line on stderr, with no source
+    location: a note-on left open in synth's input, and evaluate's
+    truncated spectrograms, each line led by its item's label."""
+    env = {**os.environ, "PYTHONPATH": str(Path(s2a.__file__).resolve().parents[1])}
+    midi = tmp_path / "open.mid"
+    midi.write_bytes(smf([[vlq(0) + bytes([0x90, 60, 80]), vlq(480) + bytes([0x90, 64, 80]),
+                           vlq(480) + bytes([0x80, 64, 0])]]))
+    err = s2a_in_subprocess(env, "synth", "--in", str(midi), "--out", str(tmp_path / "o.wav"))
+    for side, duration in (("pred", 96), ("target", 960)):
+        (tmp_path / side).mkdir()
+        notes = (NoteEvent(0, duration, 60, 80), NoteEvent(96, 96, 64, 80))
+        (tmp_path / side / "piece.mid").write_bytes(write_smf(NoteSequence(96, notes)))
+    err += s2a_in_subprocess(env, "evaluate", "--pred", str(tmp_path / "pred"), "--target",
+                             str(tmp_path / "target"), "--out-dir", str(tmp_path / "r"))
+    lines = err.splitlines()
+    assert len(lines) == 3, err
+    assert lines[0].startswith("warning: note-on (pitch 60"), err
+    assert all(line.startswith("warning: piece: ") for line in lines[1:]), err
+    assert not any(".py:" in line for line in lines), err
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one BLAS thread")
 def test_same_bytes_at_one_blas_thread_and_at_one_per_core(tmp_path):
     """Unset, the BLAS thread variables let OpenBLAS run a thread per core,

@@ -237,7 +237,7 @@ def test_window_errors_keep_their_item_label_and_message(monkeypatch, window, me
     monkeypatch.setattr(metrics, "matched_feature_sequences",
                         lambda *_: {f: window(f) for f in PREDICTED})
     with pytest.raises(ValueError) as err:
-        evaluate_m2m([(piece, piece, align_notes(piece, piece))])
+        evaluate_m2m([(piece, piece, align_notes(piece, piece))], labels=["item_0000"])
     assert str(err.value) == message
 
 
@@ -330,7 +330,7 @@ class TestEvaluateM2M:
         for piece in pieces:
             amap = align_notes(piece, piece)
             triples.append((piece, piece, amap))
-        report = evaluate_m2m(triples)
+        report = evaluate_m2m(triples, labels=["a", "b", "c"])
         for feat in ("velocity", "ioi", "duration"):
             row = report.performance_wise[feat]
             assert row["kld"].mean < 1e-9
@@ -341,7 +341,7 @@ class TestEvaluateM2M:
         rng = random.Random(6)
         piece = make_piece(rng, 600)
         amap = align_notes(piece, piece)
-        report = evaluate_m2m([(piece, piece, amap)])
+        report = evaluate_m2m([(piece, piece, amap)], labels=["x"])
         perf_n = report.performance_wise["velocity"]["kld"].n
         seg_n = report.segment_wise["velocity"]["kld"].n
         assert perf_n == 1
@@ -352,12 +352,32 @@ class TestEvaluateM2M:
         notes = [NoteEvent(i * 96, 96, 60, 61) for i in range(10)]
         piece = grid_seq(notes)
         amap = align_notes(piece, piece)
-        report = evaluate_m2m([(piece, piece, amap)])
+        report = evaluate_m2m([(piece, piece, amap)], labels=["x"])
         vel_row = report.performance_wise["velocity"]
         assert vel_row["correlation"].n == 0
         assert vel_row["correlation"].n_missing == 1
         # KLD and DTWD still report
         assert vel_row["kld"].n == 1
+
+    @pytest.mark.parametrize("n_pairs,labels", [(3, ["only"]), (1, ["a", "b", "c"]), (2, [])])
+    def test_labels_and_pairs_must_match(self, monkeypatch, n_pairs, labels):
+        """A label per pair, checked before any item is scored."""
+        piece = make_piece(random.Random(4), 10)
+
+        def never_scored(*_):
+            raise AssertionError("an item was scored")
+
+        monkeypatch.setattr(metrics, "_item_row", never_scored)
+        with pytest.raises(ValueError, match=f"^{len(labels)} labels for {n_pairs} pairs$"):
+            evaluate_m2m([(piece, piece, align_notes(piece, piece))] * n_pairs, labels)
+
+    def test_truncation_warning_names_its_item(self):
+        short = grid_seq([NoteEvent(0, 96, 60, 80)])
+        long = grid_seq([NoteEvent(0, 960, 60, 80)])
+        with pytest.warns(UserWarning) as caught:
+            evaluate_m2m([(short, short, align_notes(short, short)),
+                          (short, long, align_notes(short, long))], labels=["same", "longer"])
+        assert [str(w.message).split(": ")[0] for w in caught] == ["longer", "longer"]
 
 
 def direct_window_metrics(p, q):
@@ -452,7 +472,7 @@ def test_summary_table_splits_back_into_its_cells():
 def test_report_json_key_order():
     rng = random.Random(8)
     pieces = [make_piece(rng, 20) for _ in range(2)]
-    report = evaluate_m2m([(p, p, align_notes(p, p)) for p in pieces])
+    report = evaluate_m2m([(p, p, align_notes(p, p)) for p in pieces], labels=["a", "b"])
     doc = json.loads(report.to_json())
     assert list(doc) == ["performance_wise", "segment_wise", "chroma_mse", "spectrogram_mse",
                          "items"]
