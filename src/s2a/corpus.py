@@ -101,18 +101,14 @@ def perform_score(
 ) -> NoteSequence:
     """Apply a performer profile to a score; note order is preserved, so the
     ground-truth alignment is the identity."""
-    src = score.notes
-    onsets = []
-    velocities = []
-    durations = []
+    notes = []
     prev_score_onset = None
     prev_perf_onset = 0
-    for note in src:
+    for note in score.notes:
         phase = (note.onset_ticks % PHRASE_TICKS) / PHRASE_TICKS
         arch = math.sin(math.pi * phase)
         velocity = SCORE_VELOCITY + profile.arch_depth * (arch - 0.5)
         velocity += float(rng.normal(0.0, profile.noise))
-        velocities.append(int(min(127, max(1, round(velocity)))))
 
         if prev_score_onset is None:
             perf_onset = 0
@@ -122,21 +118,16 @@ def perform_score(
                 2 * math.pi * note.onset_ticks / PHRASE_TICKS
             )
             perf_onset = prev_perf_onset + int(round(ioi * stretch))
-        onsets.append(perf_onset)
         if prev_score_onset != note.onset_ticks:
             prev_score_onset = note.onset_ticks
             prev_perf_onset = perf_onset
 
         duration = int(round(note.duration_ticks * profile.articulation))
-        durations.append(min(1152, max(1, duration)))
-
-    notes = tuple(
-        NoteEvent(onsets[i], durations[i], src[i].pitch, velocities[i], src[i].channel)
-        for i in range(len(src))
-    )
+        notes.append(NoteEvent(perf_onset, min(1152, max(1, duration)), note.pitch,
+                               int(min(127, max(1, round(velocity)))), note.channel))
     return NoteSequence(
         ppq=score.ppq,
-        notes=notes,
+        notes=tuple(notes),
         tempi=score.tempi,
         time_signatures=score.time_signatures,
     )

@@ -553,8 +553,10 @@ def predict_performance(
     forward and sample. The calling thread first draws every uniform the
     segments take from default_rng(seed), as one array in the order a loop
     over the segments would draw them, so the ids are the same as on one
-    thread. ValueError for a performer_id outside 0..n_performers - 1.
+    thread. ValueError for settings check_sampling rejects, a score with no
+    notes included, and for a performer_id outside 0..n_performers - 1.
     """
+    check_sampling(temperature, top_p)
     if not 0 <= performer_id < model.config.n_performers:
         raise ValueError(f"performer id outside 0..{model.config.n_performers - 1}: {performer_id}")
     grid = resample_grid(score)

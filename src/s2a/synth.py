@@ -326,27 +326,29 @@ def chromagram(s: Spectrogram) -> Chromagram:
 # ---------------------------------------------------------------------------
 # Segmentation and stitching
 
+def _whole_samples(seconds: float, sample_rate: int) -> int:
+    """seconds rounded to whole samples; ValueError for NaN or infinity."""
+    try:
+        return int(round(seconds * sample_rate))
+    except (ValueError, OverflowError):
+        raise ValueError(f"{seconds} s is no finite count of whole samples") from None
+
+
 def segment_audio(
     w: Waveform, seg_seconds: float = SEGMENT_SECONDS, overlap_seconds: float = 0.0
 ) -> list[Waveform]:
     """Cut into seg_seconds windows whose consecutive members share
-    overlap_seconds of material; the last window may be shorter."""
-    if not 0 <= overlap_seconds < seg_seconds:
-        raise ValueError("need 0 <= overlap < segment length")
+    overlap_seconds of material; the last window may be shorter, and an
+    empty waveform gives one empty window. Both lengths are rounded to whole
+    samples; ValueError unless they are finite and 0 <= overlap < window."""
+    seg = _whole_samples(seg_seconds, w.sample_rate)
+    overlap = _whole_samples(overlap_seconds, w.sample_rate)
+    if not 0 <= overlap < seg:
+        raise ValueError(f"need 0 <= overlap < segment length in whole samples, "
+                         f"got {overlap} and {seg}")
     n = len(w.samples)
-    seg = int(round(seg_seconds * w.sample_rate))
-    overlap = int(round(overlap_seconds * w.sample_rate))
-    step = seg - overlap
-    segments = []
-    start = 0
-    while start < n:
-        if start > 0 and start + overlap >= n:
-            break  # nothing new past the shared overlap
-        segments.append(Waveform(w.samples[start:start + seg].copy(), w.sample_rate))
-        start += step
-    if not segments:
-        segments.append(Waveform(w.samples.copy(), w.sample_rate))
-    return segments
+    return [Waveform(w.samples[start:start + seg].copy(), w.sample_rate)
+            for start in range(0, max(n - overlap, 1), seg - overlap)]
 
 
 @dataclass(frozen=True)
@@ -365,52 +367,52 @@ def concat_crosscorr(
 ) -> StitchResult:
     """Join two segments at the cross-correlation-optimal point.
 
-    The last overlap_seconds of `a` (default max_lag + fade) are taken to
-    nominally coincide with the head of `b`. The lag in [-max_lag, +max_lag]
-    maximizing normalized cross-correlation between those windows is
-    selected (ties: smallest |lag|, negative first), then a crossfade of
-    fade_seconds is applied at the join: equal-gain when that correlation
-    exceeds EQUAL_GAIN_CORRELATION, equal-power otherwise. Inputs shorter
-    than the correlation window fall back to a plain faded butt-join.
+    Every length is rounded to whole samples. The last overlap_seconds of `a`
+    (default max_lag + fade, at least one fade) nominally coincide with the
+    head of `b`. Of the lags in [-max_lag, +max_lag] that leave at least one
+    fade of overlap, the one maximizing normalized cross-correlation between
+    those windows is taken (ties: smallest |lag|, negative first), then a
+    crossfade of fade_seconds is applied at the join: equal-gain when that
+    correlation exceeds EQUAL_GAIN_CORRELATION, equal-power otherwise. An `a`
+    shorter than the window or a `b` shorter than window + max_lag gets a
+    plain faded butt-join at lag 0 (fallback). ValueError for a non-finite
+    length, a negative fade or max lag, unequal sample rates, or a segment
+    shorter than one fade.
     """
     if a.sample_rate != b.sample_rate:
         raise ValueError("sample rates must match")
     sr = a.sample_rate
-    fade = int(round(fade_seconds * sr))
+    fade = _whole_samples(fade_seconds, sr)
+    max_lag = _whole_samples(max_lag_seconds, sr)
+    if fade < 0 or max_lag < 0:
+        raise ValueError(f"fade and max lag must be >= 0 whole samples, got {fade} and {max_lag}")
     if len(a.samples) < fade or len(b.samples) < fade:
         raise ValueError("both segments must be at least one fade long")
-    max_lag = int(round(max_lag_seconds * sr))
     if overlap_seconds is None:
         overlap_seconds = max_lag_seconds + fade_seconds
-    window = int(round(overlap_seconds * sr))
+    window = _whole_samples(overlap_seconds, sr)
     window = max(window, fade)
 
     if len(a.samples) < window or len(b.samples) < window + max_lag:
         joined = _crossfade_join(a.samples, b.samples, fade)
         return StitchResult(Waveform(joined, sr), 0, True)
 
-    tail = a.samples[-window:]
+    tail = a.samples[len(a.samples) - window:]  # [-window:] would be all of a at window 0
     best_lag = 0
-    best_key = None
-    for lag in range(-max_lag, max_lag + 1):
+    best_score = -np.inf
+    # sorted() is stable, so of two lags of equal |lag| the negative comes first
+    for lag in sorted(range(max(-max_lag, fade - window), max_lag + 1), key=abs):
         t0 = max(0, -lag)
-        t1 = min(window, len(b.samples) - lag)
-        if t1 - t0 < fade:
-            continue
-        x = tail[t0:t1]
-        y = b.samples[t0 + lag:t1 + lag]
+        x = tail[t0:]
+        y = b.samples[t0 + lag:window + lag]
         denom = np.sqrt(np.dot(x, x) * np.dot(y, y))
         score = float(np.dot(x, y) / denom) if denom > 0 else -1.0
-        key = (-score, abs(lag), 0 if lag < 0 else 1)
-        if best_key is None or key < best_key:
-            best_key = key
+        if score > best_score:
+            best_score = score
             best_lag = lag
 
     join = window + best_lag  # b's sample that continues a's last one
-    if join < fade or join > len(b.samples):
-        joined = _crossfade_join(a.samples, b.samples, fade)
-        return StitchResult(Waveform(joined, sr), best_lag, True)
-    equal_gain = -best_key[0] > EQUAL_GAIN_CORRELATION
+    equal_gain = best_score > EQUAL_GAIN_CORRELATION
     joined = _crossfade_join(a.samples, b.samples[join - fade:], fade, equal_gain)
     return StitchResult(Waveform(joined, sr), best_lag, False)
 

@@ -26,13 +26,17 @@ from s2a.model import (
 from s2a.synth import (
     ATTACK_SECONDS,
     DECAY_SECONDS_AT_C4,
+    EQUAL_GAIN_CORRELATION,
     FRAME_LEN,
     HARMONIC_ROLLOFF,
     HOP,
     N_HARMONICS,
     PEAK_LEVEL,
     RELEASE_SECONDS,
+    SEGMENT_SECONDS,
+    StitchResult,
     Waveform,
+    _crossfade_join,
     midi_filterbank,
     midi_pitch_hz,
 )
@@ -319,6 +323,82 @@ def serial_render_audio(seq: NoteSequence, sample_rate: int) -> Waveform:
     if peak > 0:
         out *= PEAK_LEVEL / peak
     return Waveform(out, sample_rate)
+
+
+def loop_segment_audio(
+    w: Waveform, seg_seconds: float = SEGMENT_SECONDS, overlap_seconds: float = 0.0
+) -> list[Waveform]:
+    """synth.segment_audio as a while loop over window starts that stops past
+    the shared overlap, with an empty-input fallback. It never returns when
+    the step rounds to 0 samples, so callers pass a step of at least one."""
+    if not 0 <= overlap_seconds < seg_seconds:
+        raise ValueError("need 0 <= overlap < segment length")
+    n = len(w.samples)
+    seg = int(round(seg_seconds * w.sample_rate))
+    overlap = int(round(overlap_seconds * w.sample_rate))
+    step = seg - overlap
+    segments = []
+    start = 0
+    while start < n:
+        if start > 0 and start + overlap >= n:
+            break  # nothing new past the shared overlap
+        segments.append(Waveform(w.samples[start:start + seg].copy(), w.sample_rate))
+        start += step
+    if not segments:
+        segments.append(Waveform(w.samples.copy(), w.sample_rate))
+    return segments
+
+
+def loop_concat_crosscorr(
+    a: Waveform,
+    b: Waveform,
+    max_lag_seconds: float = 0.05,
+    fade_seconds: float = 0.02,
+    overlap_seconds: float | None = None,
+) -> StitchResult:
+    """synth.concat_crosscorr visiting the lags from -max_lag up, each clipped
+    to b's length, and keeping the least (-score, |lag|, sign) key; a join
+    before the fade or past b's end falls back to a butt-join."""
+    if a.sample_rate != b.sample_rate:
+        raise ValueError("sample rates must match")
+    sr = a.sample_rate
+    fade = int(round(fade_seconds * sr))
+    if len(a.samples) < fade or len(b.samples) < fade:
+        raise ValueError("both segments must be at least one fade long")
+    max_lag = int(round(max_lag_seconds * sr))
+    if overlap_seconds is None:
+        overlap_seconds = max_lag_seconds + fade_seconds
+    window = int(round(overlap_seconds * sr))
+    window = max(window, fade)
+
+    if len(a.samples) < window or len(b.samples) < window + max_lag:
+        joined = _crossfade_join(a.samples, b.samples, fade)
+        return StitchResult(Waveform(joined, sr), 0, True)
+
+    tail = a.samples[-window:]
+    best_lag = 0
+    best_key = None
+    for lag in range(-max_lag, max_lag + 1):
+        t0 = max(0, -lag)
+        t1 = min(window, len(b.samples) - lag)
+        if t1 - t0 < fade:
+            continue
+        x = tail[t0:t1]
+        y = b.samples[t0 + lag:t1 + lag]
+        denom = np.sqrt(np.dot(x, x) * np.dot(y, y))
+        score = float(np.dot(x, y) / denom) if denom > 0 else -1.0
+        key = (-score, abs(lag), 0 if lag < 0 else 1)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_lag = lag
+
+    join = window + best_lag  # b's sample that continues a's last one
+    if join < fade or join > len(b.samples):
+        joined = _crossfade_join(a.samples, b.samples, fade)
+        return StitchResult(Waveform(joined, sr), best_lag, True)
+    equal_gain = -best_key[0] > EQUAL_GAIN_CORRELATION
+    joined = _crossfade_join(a.samples, b.samples[join - fade:], fade, equal_gain)
+    return StitchResult(Waveform(joined, sr), best_lag, False)
 
 
 def whole_array_spectrogram(w: Waveform) -> np.ndarray:

@@ -583,8 +583,10 @@ class TestPredictPerformance:
         model = small_model()
         out = predict_performance(model, NoteSequence(ppq=96), 0, seed=0)
         assert out.notes == ()
-        # no segment is sampled, so the settings are not checked, as in a loop over segments
-        assert predict_performance(model, NoteSequence(ppq=96), 0, temperature=-1.0).notes == ()
+        # the settings are checked before the score is read, so no segment need reach them
+        for bad in ({"temperature": -1.0}, {"top_p": 2.0}, {"temperature": float("nan")}):
+            with pytest.raises(ValueError, match="temperature must be|top_p must be"):
+                predict_performance(model, NoteSequence(ppq=96), 0, **bad)
 
     def test_empty_score_gets_the_maps_of_a_one_note_score(self):
         """Both renders carry the 4/4 default of a score with no signature event."""

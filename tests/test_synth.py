@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    loop_concat_crosscorr,
+    loop_segment_audio,
     scalar_render_audio,
     scalar_ticks_to_seconds,
     serial_render_audio,
@@ -533,8 +535,104 @@ class TestSegmentAudio:
         starts = [int(s.samples[0]) for s in segs]
         assert starts == [0, int(9.1 * sr), int(18.2 * sr)]
 
+    @pytest.mark.parametrize("seg_seconds, overlap_seconds", [
+        (1.4 / 24000, 0.6 / 24000),  # 1-sample window and overlap: the step rounds to 0
+        (0.4 / 24000, 0.0),  # a window under half a sample rounds to 0
+        (1.0, 1.0),
+        (1.0, -0.5),
+        (1.0, float("inf")),
+        (float("nan"), 0.0),
+    ], ids=["zero-step", "half-sample-window", "overlap-equals-window", "negative-overlap",
+            "infinite-overlap", "nan-window"])
+    def test_lengths_are_checked_in_whole_samples(self, seg_seconds, overlap_seconds):
+        with pytest.raises(ValueError, match="whole samples"):
+            segment_audio(Waveform(np.zeros(10), 24000), seg_seconds, overlap_seconds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_loop_oracle(self, data):
+        sr = data.draw(st.sampled_from([1000, 24000]))
+        off = st.floats(-0.45, 0.45)  # seconds round to the drawn whole samples
+        seg = data.draw(st.integers(1, 40))
+        overlap = data.draw(st.integers(0, seg - 1))
+        kwargs = {"seg_seconds": data.draw(st.sampled_from([None, (seg + data.draw(off)) / sr])),
+                  "overlap_seconds": data.draw(st.sampled_from(
+                      [None, 0.0, max(0.0, (overlap + data.draw(off)) / sr)]))}
+        kwargs = {k: v for k, v in kwargs.items() if v is not None}
+        w = Waveform(np.arange(data.draw(st.integers(0, 200)), dtype=float), sr)
+        got, want = segment_audio(w, **kwargs), loop_segment_audio(w, **kwargs)
+        assert len(got) == len(want)
+        for g, o in zip(got, want):
+            assert g.sample_rate == o.sample_rate and np.array_equal(g.samples, o.samples)
+
+
+def stitch_outcome(fn, a, b, **kwargs):
+    """(lag, fallback, samples) of a stitch, or the ValueError type it raised."""
+    try:
+        result = fn(a, b, **kwargs)
+    except ValueError:
+        return ValueError
+    return result.lag, result.fallback, result.waveform.samples.tolist()
+
+
+@st.composite
+def stitch_side(draw, n, rng):
+    """n samples at sample rate 1000: silence or a constant (both tie every
+    lag), a square wave (ties lags of opposite sign) or noise."""
+    kind = draw(st.sampled_from(["zeros", "constant", "square", "noise"]))
+    if kind == "zeros":
+        return np.zeros(n)
+    level = draw(st.floats(-1.0, 1.0))
+    if kind == "constant":
+        return np.full(n, level)
+    if kind == "square":
+        half, phase = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+        return np.where((np.arange(n) + phase) // half % 2, -level, level)
+    return rng.uniform(-1.0, 1.0, n)
+
 
 class TestConcatCrosscorr:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_loop_oracle(self, data):
+        sr = 1000
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_a, n_b = data.draw(st.integers(0, 120)), data.draw(st.integers(0, 120))
+        a = data.draw(stitch_side(n_a, rng))
+        if data.draw(st.booleans()):  # b starts with a copy of up to a's last 60 samples
+            whole = np.concatenate([a, data.draw(stitch_side(n_b + 30, rng))])
+            start = max(0, n_a - data.draw(st.integers(0, 60)))
+            b = whole[start:start + n_b]
+        else:
+            b = data.draw(stitch_side(n_b, rng))
+        off = st.floats(-0.45, 0.45)  # seconds round to the drawn whole samples
+        kwargs = {"max_lag_seconds": (data.draw(st.integers(0, 20)) + data.draw(off)) / sr,
+                  "fade_seconds": (data.draw(st.sampled_from([0, 0, 1, 5, 10])) + data.draw(off)) / sr,
+                  "overlap_seconds": data.draw(st.sampled_from(
+                      [None, 0.0, (data.draw(st.integers(0, 40)) + data.draw(off)) / sr]))}
+        a, b = Waveform(a, sr), Waveform(b, sr)
+        assert (stitch_outcome(concat_crosscorr, a, b, **kwargs)
+                == stitch_outcome(loop_concat_crosscorr, a, b, **kwargs))
+
+    @pytest.mark.parametrize("shift", [0, 120, 600, -300, 1199, -1200])
+    def test_equals_the_loop_oracle_at_the_default_lengths(self, shift):
+        x = self.make_signal(seed=2)
+        n = len(x.samples)
+        a = Waveform(x.samples[: n // 2], x.sample_rate)
+        b = Waveform(x.samples[n // 2 - int(0.07 * x.sample_rate) + shift:], x.sample_rate)
+        assert stitch_outcome(concat_crosscorr, a, b) == stitch_outcome(loop_concat_crosscorr, a, b)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_lag_seconds": -0.01}, "fade and max lag must be >= 0"),
+        ({"fade_seconds": -0.01}, "fade and max lag must be >= 0"),
+        ({"overlap_seconds": float("inf")}, "whole samples"),
+        ({"fade_seconds": float("nan")}, "whole samples"),
+    ], ids=["negative-lag", "negative-fade", "infinite-overlap", "nan-fade"])
+    def test_lengths_are_checked_in_whole_samples(self, kwargs, message):
+        a = self.make_signal()
+        with pytest.raises(ValueError, match=message):
+            concat_crosscorr(a, a, **kwargs)
+
     def make_signal(self, seconds=3.0, sr=24000, seed=0):
         rng = np.random.default_rng(seed)
         t = np.arange(int(seconds * sr)) / sr
