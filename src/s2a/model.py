@@ -22,10 +22,12 @@ slice at a time, in place on the cached [T, T] weights, with the bits of the
 whole-array expressions.
 
 `sample` and `nucleus_sample` draw nothing: they read the uniforms they are
-given. `predict_performance` runs a score's segments, each one `forward` and
-one `sample`, on two threads (s2a.parallel). The calling thread draws every
-uniform they take from its seed before the split, in the order a loop over
-the segments would, so the ids are those of one thread.
+given. `nucleus_sample` samples its rows SAMPLE_BLOCK at a time, so no
+temporary is larger than one block. `predict_performance` runs a score's
+segments, each one `forward` and one `sample`, on two threads
+(s2a.parallel). The calling thread draws every uniform they take from its
+seed before the split, in the order a loop over the segments would, so the
+ids are those of one thread.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ from .tokenizer import (
 HEAD_KEYS = {"velocity": "head_vel", "ioi": "head_ioi", "duration": "head_dur"}
 
 ARGMAX_TEMPERATURE = 1e-6
+# rows nucleus_sample takes at a time: over duration's 1,152 value columns a
+# block's float temporaries take 295 KB each, where a whole segment's took 2.4 MB
+SAMPLE_BLOCK = 32
 NEG_MASK = -1e30
 LN_EPS = 1e-5
 # perf_emb has a row per performer id: far above ATEPP's 49 pianists, and at
@@ -467,11 +472,25 @@ def nucleus_sample(
     nucleus mass, where r is its entry of the [rows] uniforms. Temperatures
     below 1e-6 short-circuit to argmax and read no uniform, so uniforms may
     be None there; at +inf every token is equally likely. ValueError for a
-    bad top_p or temperature, for V = 0, or for a row whose logits hold NaN
-    or +inf, or whose logits / temperature do at 1e-6 and above; logits is
-    left unchanged.
+    bad top_p or temperature, for V = 0, for other than one uniform per row
+    when sampling, or for a row whose logits hold NaN or +inf, or whose
+    logits / temperature do at 1e-6 and above; logits is left unchanged.
+
+    Rows are sampled SAMPLE_BLOCK at a time, so no temporary is larger than
+    one block of [SAMPLE_BLOCK, V]. Every step works row by row, so the ids
+    are those of one pass over all rows.
     """
     check_sampling(temperature, top_p)
+    if temperature >= ARGMAX_TEMPERATURE and len(uniforms) != len(logits):
+        raise ValueError(f"{len(uniforms)} uniforms for {len(logits)} rows")
+    return np.concatenate([
+        _nucleus_sample_block(logits[start:start + SAMPLE_BLOCK], temperature, top_p,
+                              None if uniforms is None else uniforms[start:start + SAMPLE_BLOCK])
+        for start in range(0, max(len(logits), 1), SAMPLE_BLOCK)])
+
+
+def _nucleus_sample_block(logits, temperature, top_p, uniforms):
+    """nucleus_sample of one block of rows, its settings already checked."""
     if temperature < ARGMAX_TEMPERATURE:
         if not (logits < np.inf).all():  # NaN or +inf, where argmax would pick either
             raise ValueError("logits / temperature must not be NaN or +inf")

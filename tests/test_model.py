@@ -31,6 +31,7 @@ from s2a.model import (
     ARGMAX_TEMPERATURE,
     MAX_PERFORMERS,
     NEG_MASK,
+    SAMPLE_BLOCK,
     M2MConfig,
     backward_batch,
     check_sampling,
@@ -395,6 +396,63 @@ class TestSampling:
         dist = forward(model, make_segment(n_real=40))
         uniforms = seed_uniforms(7, SEGMENT_LEN)
         assert sample(dist, 1.0, 0.9, uniforms) == sample(dist, 1.0, 0.9, uniforms)
+
+    def test_sample_peak_memory(self):
+        """sample on one segment at the real vocabulary widths peaks under
+        2 MiB: 0.95 MiB, against 7.11 MiB when nucleus_sample took all 256
+        rows in one block."""
+        rng = np.random.default_rng(0)
+        dist = {feature: rng.normal(0.0, 3.0, (SEGMENT_LEN, VOCAB.size(feature)))
+                for feature in PREDICTED}
+        uniforms = seed_uniforms(0, SEGMENT_LEN)
+        sample(dist, 1.0, 0.9, uniforms)  # warm-up
+        tracemalloc.start()
+        try:
+            sample(dist, 1.0, 0.9, uniforms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
+
+    @pytest.mark.parametrize("temperature,top_p", [
+        (1.0, 0.9), (2.0, 1.0), (0.5, 0.05), (1e-7, 0.9), (0.0, 1.0),
+    ])
+    def test_ids_do_not_depend_on_the_block_size(self, monkeypatch, temperature, top_p):
+        """300 rows of every logit kind, some columns -inf: blocks of 1, 7,
+        32 and all rows give the same ids."""
+        rng = np.random.default_rng(5)
+        logits = np.concatenate([random_logits(rng, kind, 75, 40) for kind in LOGIT_KINDS])
+        logits[rng.random(logits.shape) < 0.05] = -np.inf
+        logits = logits[rng.permutation(len(logits))]
+        uniforms = rng.random(len(logits)) if temperature >= ARGMAX_TEMPERATURE else None
+        got = {}
+        for block in (1, 7, 32, len(logits)):
+            monkeypatch.setattr(model_module, "SAMPLE_BLOCK", block)
+            got[block] = nucleus_sample(logits, temperature, top_p, uniforms)
+        for block, ids in got.items():
+            assert np.array_equal(ids, got[1]), block
+
+    @pytest.mark.parametrize("n_uniforms", [0, 1, 255, 257, 300])
+    def test_one_uniform_per_row(self, n_uniforms):
+        """A block reads its rows' slice of the uniforms, so a count that is
+        not one per row is an error, not a shorter or broadcast slice."""
+        logits = np.zeros((256, 10))
+        with pytest.raises(ValueError, match=f"^{n_uniforms} uniforms for 256 rows$"):
+            nucleus_sample(logits, 1.0, 0.9, np.full(n_uniforms, 0.5))
+        assert len(nucleus_sample(logits, 0.0, 0.9, np.full(n_uniforms, 0.5))) == 256
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_bad_row_in_a_later_block_raises_the_same_error(self, bad, temperature):
+        messages = []
+        for row in (0, 2 * SAMPLE_BLOCK + 5):  # the first block, then the third
+            logits = np.zeros((300, 10))
+            logits[row, 3] = bad
+            with pytest.raises(ValueError) as err:
+                nucleus_sample(logits, temperature, 0.9, np.full(300, 0.5))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 def random_logits(rng: np.random.Generator, kind: str, rows: int, width: int) -> np.ndarray:
