@@ -388,7 +388,10 @@ def concat_crosscorr(
         raise ValueError(f"fade and max lag must be >= 0 whole samples, got {fade} and {max_lag}")
     if len(a.samples) < fade or len(b.samples) < fade:
         raise ValueError("both segments must be at least one fade long")
-    window = _stitch_window(sr, max_lag_seconds, fade_seconds, overlap_seconds)
+    if overlap_seconds is None:
+        overlap_seconds = max_lag_seconds + fade_seconds
+    window = _whole_samples(overlap_seconds, sr)
+    window = max(window, fade)
 
     if len(a.samples) < window or len(b.samples) < window + max_lag:
         joined = _crossfade_join(a.samples, b.samples, fade)
@@ -414,17 +417,6 @@ def concat_crosscorr(
     return StitchResult(Waveform(joined, sr), best_lag, False)
 
 
-def _stitch_window(
-    sample_rate: int, max_lag_seconds: float, fade_seconds: float, overlap_seconds: float | None
-) -> int:
-    """Whole samples at the end of `a` that concat_crosscorr reads: the
-    overlap (default max lag + fade), at least one fade."""
-    if overlap_seconds is None:
-        overlap_seconds = max_lag_seconds + fade_seconds
-    return max(_whole_samples(overlap_seconds, sample_rate),
-               _whole_samples(fade_seconds, sample_rate))
-
-
 def _crossfade_join(
     a: np.ndarray, b: np.ndarray, fade: int, equal_gain: bool = False
 ) -> np.ndarray:
@@ -445,22 +437,13 @@ def stitch_segments(
     fade_seconds: float = 0.02,
     overlap_seconds: float | None = None,
 ) -> Waveform:
-    """Fold concat_crosscorr over a segment list in order. A join reads and
-    rewrites only the last window of what is stitched so far, so each runs
-    on that tail, and the samples before it are concatenated once at the
-    end: time and memory are linear in the total length."""
+    """Fold concat_crosscorr over a segment list in order."""
     if not segments:
         raise ValueError("no segments to stitch")
-    sr = segments[0].sample_rate
-    done = []  # stitched samples that no later join reads
-    tail = segments[0].samples
+    out = segments[0]
     for nxt in segments[1:]:
-        window = _stitch_window(sr, max_lag_seconds, fade_seconds, overlap_seconds)
-        keep = max(len(tail) - window, 0)
-        done.append(tail[:keep])
-        tail = concat_crosscorr(Waveform(tail[keep:], sr), nxt, max_lag_seconds, fade_seconds,
-                                overlap_seconds).waveform.samples
-    return Waveform(np.concatenate(done + [tail]), sr)
+        out = concat_crosscorr(out, nxt, max_lag_seconds, fade_seconds, overlap_seconds).waveform
+    return out
 
 
 # ---------------------------------------------------------------------------

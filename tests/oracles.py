@@ -37,7 +37,6 @@ from s2a.synth import (
     StitchResult,
     Waveform,
     _crossfade_join,
-    concat_crosscorr,
     midi_filterbank,
     midi_pitch_hz,
 )
@@ -400,22 +399,6 @@ def loop_concat_crosscorr(
     equal_gain = -best_key[0] > EQUAL_GAIN_CORRELATION
     joined = _crossfade_join(a.samples, b.samples[join - fade:], fade, equal_gain)
     return StitchResult(Waveform(joined, sr), best_lag, False)
-
-
-def fold_stitch_segments(
-    segments: list[Waveform],
-    max_lag_seconds: float = 0.05,
-    fade_seconds: float = 0.02,
-    overlap_seconds: float | None = None,
-) -> Waveform:
-    """synth.stitch_segments as a fold of concat_crosscorr over the whole
-    stitched prefix, which each join copies again."""
-    if not segments:
-        raise ValueError("no segments to stitch")
-    out = segments[0]
-    for nxt in segments[1:]:
-        out = concat_crosscorr(out, nxt, max_lag_seconds, fade_seconds, overlap_seconds).waveform
-    return out
 
 
 def whole_array_spectrogram(w: Waveform) -> np.ndarray:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    fold_stitch_segments,
     loop_concat_crosscorr,
     loop_segment_audio,
     scalar_render_audio,
@@ -754,65 +753,6 @@ def test_matrix_export_round_trip(tmp_path):
     assert rate == spec.frame_rate
     assert frames.shape == spec.frames.shape
     assert np.allclose(frames, spec.frames, atol=1e-6)
-
-
-def stitch_or_error(segments, **kwargs):
-    """(sample rate, samples) of stitch_segments and of fold_stitch_segments,
-    or the ValueError type each raised."""
-    outcomes = []
-    for fn in (stitch_segments, fold_stitch_segments):
-        try:
-            w = fn(segments, **kwargs)
-        except ValueError:
-            outcomes.append(ValueError)
-        else:
-            outcomes.append((w.sample_rate, w.samples.tolist()))
-    return outcomes
-
-
-class TestStitchSegments:
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_equals_the_fold_oracle(self, data):
-        """Up to six segments of 0-120 samples, so many are shorter than one
-        window or one fade and their joins fall back, some starting with a
-        copy of the tail before them: every sample is the fold's."""
-        sr = 1000
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        sides = [data.draw(stitch_side(data.draw(st.integers(0, 120)), rng))]
-        for _ in range(data.draw(st.integers(0, 5))):
-            n = data.draw(st.integers(0, 120))
-            if data.draw(st.booleans()):  # starts with a copy of up to 60 samples before it
-                whole = np.concatenate([sides[-1], data.draw(stitch_side(n + 60, rng))])
-                start = max(0, len(sides[-1]) - data.draw(st.integers(0, 60)))
-                sides.append(whole[start:start + n])
-            else:
-                sides.append(data.draw(stitch_side(n, rng)))
-        off = st.floats(-0.45, 0.45)  # seconds round to the drawn whole samples
-        kwargs = {"max_lag_seconds": (data.draw(st.integers(0, 20)) + data.draw(off)) / sr,
-                  "fade_seconds": (data.draw(st.sampled_from([0, 0, 1, 5, 10])) + data.draw(off)) / sr,
-                  "overlap_seconds": data.draw(st.sampled_from(
-                      [None, 0.0, (data.draw(st.integers(0, 40)) + data.draw(off)) / sr]))}
-        got, want = stitch_or_error([Waveform(x, sr) for x in sides], **kwargs)
-        assert got == want
-
-    @pytest.mark.parametrize("overlap_seconds", [None, 0.07, 0.5])
-    def test_equals_the_fold_oracle_at_the_default_lengths(self, overlap_seconds):
-        x = TestConcatCrosscorr().make_signal(seconds=12.0, seed=3)
-        segments = segment_audio(x, 1.0, 0.07 if overlap_seconds is None else overlap_seconds)
-        got, want = stitch_or_error(segments, overlap_seconds=overlap_seconds)
-        assert got == want
-
-    def test_errors_are_the_fold_oracles(self):
-        a = Waveform(np.ones(100), 1000)
-        for segments, kwargs in [([], {}), ([a, Waveform(np.ones(100), 2000)], {}),
-                                 ([a, a], {"fade_seconds": -0.01}),
-                                 ([a, a], {"overlap_seconds": float("nan")}),
-                                 ([a, Waveform(np.ones(3), 1000)], {"fade_seconds": 0.01})]:
-            assert stitch_or_error(segments, **kwargs) == [ValueError, ValueError], kwargs
-        # one segment is returned as it is, whatever the settings
-        got, want = stitch_or_error([a], fade_seconds=float("nan"))
-        assert got == want == (1000, [1.0] * 100)
 
 
 class TestWav:
