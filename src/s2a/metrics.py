@@ -314,22 +314,18 @@ def evaluate_m2m(
     chroma and spectrogram MSE between both sides rendered by render_audio.
     labels names the items, one per pair; ValueError if the counts differ.
     An item that cannot be scored (a side without notes, a matched pitch off
-    the piano) raises ValueError naming the item, and the warning that its
-    audio lengths differ starts with its label.
+    the piano) raises ValueError naming the item; one whose audio lengths
+    differ is scored on their common frames, with a warning led by its label.
     """
     if len(labels) != len(pairs):
         raise ValueError(f"{len(labels)} labels for {len(pairs)} pairs")
     windows = {f: ([], []) for f in PREDICTED}  # (kld, dtwd, correlation) per window
     items = []
     for label, (pred, target, alignment) in zip(labels, pairs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                row = _item_row(pred, target, alignment, windows)
-            except ValueError as err:
-                raise ValueError(f"{label}: {err}") from err
-        for warning in caught:
-            warnings.warn(f"{label}: {warning.message}", warning.category, stacklevel=2)
+        try:
+            row = _item_row(label, pred, target, alignment, windows)
+        except ValueError as err:
+            raise ValueError(f"{label}: {err}") from err
         items.append({"item": label, **row})
     return MetricReport(
         performance_wise={f: _aggregate_row(perf) for f, (perf, _) in windows.items()},
@@ -340,8 +336,9 @@ def evaluate_m2m(
     )
 
 
-def _item_row(pred, target, alignment, windows) -> dict:
-    """One item's metric columns; its windows are appended to windows."""
+def _item_row(label, pred, target, alignment, windows) -> dict:
+    """One item's metric columns; its windows are appended to windows. Its
+    audio metrics read both spectrograms cut to their common frames."""
     row = {}
     if alignment.pairs:
         whole = matched_feature_sequences(pred, target, alignment)
@@ -359,6 +356,12 @@ def _item_row(pred, target, alignment, windows) -> dict:
             perf.append(metrics[feature])
             seg.extend(window[feature] for window in segments)
     spec_p, spec_t = (midi_spectrogram(render_audio(seq)) for seq in (pred, target))
+    lengths = len(spec_p.frames), len(spec_t.frames)
+    n = min(lengths)
+    if 0 < n < max(lengths):
+        warnings.warn(f"{label}: spectrograms lengths differ ({lengths[0]} vs {lengths[1]}); "
+                      f"truncating to {n}", stacklevel=3)
+        spec_p, spec_t = (replace(spec, frames=spec.frames[:n]) for spec in (spec_p, spec_t))
     row["chroma_mse"] = chroma_mse(chromagram(spec_p), chromagram(spec_t))
     row["spectrogram_mse"] = spectrogram_mse(spec_p, spec_t)
     return row

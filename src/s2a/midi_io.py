@@ -365,13 +365,13 @@ def _encode_track(events: list[tuple[int, int, bytes]]) -> bytes:
 # ---------------------------------------------------------------------------
 # Time arithmetic
 
-def ticks_to_seconds(seq: NoteSequence, ticks: int | np.ndarray) -> float | np.ndarray:
-    """Piecewise-linear conversion of absolute ticks through the tempo map.
+def ticks_to_seconds(seq: NoteSequence, ticks: np.ndarray) -> np.ndarray:
+    """Piecewise-linear conversion of an int array of absolute ticks through
+    the tempo map, to a float array of its shape.
 
-    ticks is an int (a float comes back) or an int array (a float array of
-    its shape). The whole tempo spans before a tick are summed in map order,
-    then its partial span is added: the float operations, in their order, of
-    a walk over the map from its start.
+    The whole tempo spans before a tick are summed in map order, then its
+    partial span is added: the float operations, in their order, of a walk
+    over the map from its start.
     """
     ticks = np.asarray(ticks)
     if (ticks < 0).any():
@@ -381,8 +381,7 @@ def ticks_to_seconds(seq: NoteSequence, ticks: int | np.ndarray) -> float | np.n
     us = np.array([ev.microseconds_per_quarter for ev in tempi])
     at_start = np.cumsum(np.concatenate(([0.0], np.diff(starts) / seq.ppq * us[:-1] / 1e6)))
     k = np.searchsorted(starts, ticks, side="right") - 1
-    seconds = at_start[k] + (ticks - starts[k]) / seq.ppq * us[k] / 1e6
-    return seconds if seconds.ndim else float(seconds)
+    return at_start[k] + (ticks - starts[k]) / seq.ppq * us[k] / 1e6
 
 
 def _round_half_up(x: float) -> int:

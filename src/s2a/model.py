@@ -534,9 +534,9 @@ def sample(
     temperature: float,
     top_p: float,
     uniforms: Sequence[np.ndarray | None],
-) -> tuple[list[int], list[int], list[int]]:
-    """Draw (velocity, ioi, duration) token ids at every position of
-    forward's {feature: logits [T, V]}, leaving dist unchanged.
+) -> np.ndarray:
+    """Draw token ids at every position of forward's {feature: logits [T, V]},
+    leaving dist unchanged: an int64 [3, T] array whose rows follow PREDICTED.
 
     uniforms holds each feature's [T] uniforms for nucleus_sample, in
     PREDICTED order. Only the value columns, ids N_SPECIALS.., are sampled,
@@ -547,9 +547,9 @@ def sample(
         if dist[feature].shape[-1] <= N_SPECIALS:
             raise ValueError(f"{feature} logits are {dist[feature].shape[-1]} wide: no value "
                              f"column past the {N_SPECIALS} special ids")
-    vel, ioi, dur = (nucleus_sample(dist[feature][:, N_SPECIALS:], temperature, top_p, r)
-                     + N_SPECIALS for feature, r in zip(PREDICTED, uniforms))
-    return vel.tolist(), ioi.tolist(), dur.tolist()
+    return N_SPECIALS + np.stack([
+        nucleus_sample(dist[feature][:, N_SPECIALS:], temperature, top_p, r)
+        for feature, r in zip(PREDICTED, uniforms)])
 
 
 def predict_performance(
@@ -569,28 +569,28 @@ def predict_performance(
     map is carried over so the result plays back at the notated tempo.
 
     The segments run on two threads (s2a.parallel.split_work), each its
-    forward and sample. The calling thread first draws every uniform the
-    segments take from default_rng(seed), as one array in the order a loop
-    over the segments would draw them, so the ids are the same as on one
-    thread. ValueError for settings check_sampling rejects, a score with no
-    notes included, and for a performer_id outside 0..n_performers - 1.
+    forward and sample into its columns of one [3, n_notes] id array. The
+    calling thread first draws every uniform they take from default_rng(seed)
+    in the order a loop over them would, so the ids are those of one thread.
+    ValueError for settings check_sampling rejects, a score with no notes
+    included, and for a performer_id not an int (nor a bool) in 0..n_performers - 1.
     """
     check_sampling(temperature, top_p)
-    if not 0 <= performer_id < model.config.n_performers:
+    if not (type(performer_id) is int and 0 <= performer_id < model.config.n_performers):
         raise ValueError(f"performer id outside 0..{model.config.n_performers - 1}: {performer_id}")
     grid = resample_grid(score)
     tokens = tokenize(grid, is_score=True)
     segments = segment_tokens(tokens, performer_id)
     draws = np.random.default_rng(seed).random((len(segments), len(PREDICTED), SEGMENT_LEN))
-    parts: list = [None] * len(segments)
+    ids = np.empty((len(PREDICTED), len(tokens)), dtype=np.int64)
 
     def render_segment(k: int) -> None:
         seg = segments[k]
-        ids = sample(forward(model, seg), temperature, top_p, draws[k])
-        parts[k] = [feature_ids[:seg.n_real] for feature_ids in ids]
+        start = k * SEGMENT_LEN
+        ids[:, start:start + seg.n_real] = sample(forward(model, seg), temperature, top_p,
+                                                  draws[k])[:, :seg.n_real]
 
     split_work(render_segment, list(range(len(segments))))
-    vel, ioi, dur = ([t for part in parts for t in part[f]] for f in range(len(PREDICTED)))
     pitches = [t.pitch_tok for t in tokens]
-    performance = detokenize(pitches, vel, ioi, dur, grid.effective_time_signatures())
+    performance = detokenize(pitches, *ids, grid.effective_time_signatures())
     return replace(performance, tempi=grid.tempi)

@@ -85,18 +85,21 @@ class TokenSegment:
     def __post_init__(self):
         if self.ids.shape != (SEGMENT_LEN, len(FEATURE_NAMES)):
             raise ValueError(f"segment ids must have shape ({SEGMENT_LEN}, {len(FEATURE_NAMES)})")
+        for name in ("n_real", "performer_id"):  # a float or a bool would be cast to an id
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 <= self.n_real <= SEGMENT_LEN:
             raise ValueError(f"n_real must be in 0..{SEGMENT_LEN}, got {self.n_real}")
 
 
-def bar_and_position(seq: NoteSequence, onsets: int | np.ndarray) -> tuple:
-    """(bar index, ticks since bar start) under seq's time-signature map.
+def bar_and_position(seq: NoteSequence, onsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(bar indices, ticks since bar start) of an int array of onsets under
+    seq's time-signature map, two int arrays of its shape.
 
-    onsets is an int (ints come back) or an int array (two arrays of its
-    shape). A beat is one quarter note regardless of meter, a partial bar
-    before a signature change still counts as a bar, and an onset before
-    the first signature counts from it. ValueError if a bar of the map is
-    shorter than one tick.
+    A beat is one quarter note regardless of meter, a partial bar before a
+    signature change still counts as a bar, and an onset before the first
+    signature counts from it. ValueError if a bar of the map is shorter than
+    one tick.
     """
     sigs = seq.effective_time_signatures()
     starts = np.array([sig.tick for sig in sigs])
@@ -106,11 +109,9 @@ def bar_and_position(seq: NoteSequence, onsets: int | np.ndarray) -> tuple:
         raise ValueError(f"a {sig.numerator}/{sig.denominator} bar at tick {sig.tick} is "
                          f"shorter than one tick at ppq {seq.ppq}")
     bars_before = np.cumsum(np.concatenate(([0], -(-np.diff(starts) // bar_len[:-1]))))
-    onsets = np.asarray(onsets)
     k = np.maximum(np.searchsorted(starts, onsets, side="right") - 1, 0)
     since = onsets - starts[k]
-    bars, positions = bars_before[k] + since // bar_len[k], since % bar_len[k]
-    return (bars, positions) if bars.ndim else (int(bars), int(positions))
+    return bars_before[k] + since // bar_len[k], since % bar_len[k]
 
 
 def tokenize(seq: NoteSequence, is_score: bool) -> list[TokenTuple]:

@@ -193,7 +193,9 @@ def train(
     dropped once its cross-entropy has given their gradient. The learning
     rate ramps linearly over warmup_steps and stays constant after. Each step
     runs on its batch cut to the longest real row in it, and to at least one
-    row, so a batch with no real row still fails in cross_entropy.
+    row, so a batch with no real row still fails in cross_entropy. Training
+    stops after max_epochs, or after the first step whose weighted total
+    loss is below early_stop_loss.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -209,67 +211,57 @@ def train(
     weights = TaskWeights(alpha=cfg.alpha)
     adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
-    param_keys = sorted(model.params)
     records: list[StepRecord] = []
-    step = 0
-    stop = False
+    orders = (shuffle_rng.permutation(len(dataset)) for _ in range(cfg.max_epochs))
+    batches = (order[start:start + cfg.batch_size]
+               for order in orders for start in range(0, len(dataset), cfg.batch_size))
 
-    for _ in range(cfg.max_epochs):
-        if stop:
+    for step, batch in enumerate(batches):
+        width = max(1, int(n_real[batch].max()))
+        ids = score_ids[batch, :width]
+        nonpad = score_nonpad[batch, :width]
+        perf_ids = performers[batch]
+        targets = target_ids[batch, :width]
+
+        logits, cache = forward_batch(model, ids, nonpad, perf_ids, train_rng=dropout_rng)
+
+        losses, task_grads = [0.0] * 3, [None] * 3
+
+        def task(k):
+            feature = PREDICTED[k]
+            t = targets[:, :, FEATURE_COLUMN[feature]]
+            losses[k], dlog = cross_entropy(logits.pop(feature), t, nonpad)
+            task_grads[k] = backward_batch(model, cache, {feature: dlog})
+
+        split_work(task, [0, 2, 1])  # velocity, ioi here; duration, the slowest, on the worker
+        if not all(math.isfinite(l) for l in losses):
+            raise TrainingDivergedError(step)
+
+        norms = tuple(
+            w * math.sqrt(
+                float(np.sum(g["proj_w"] ** 2)) + float(np.sum(g["proj_b"] ** 2))
+            )
+            for w, g in zip(weights.as_tuple(), task_grads)
+        )
+        weights = gradnorm_step(weights, tuple(losses), norms, lr=cfg.gradnorm_lr)
+
+        lr = cfg.learning_rate * min(1.0, (step + 1) / cfg.warmup_steps)
+        w_now = weights.as_tuple()
+        bc1 = 1.0 - ADAM_BETA1 ** (step + 1)
+        bc2 = 1.0 - ADAM_BETA2 ** (step + 1)
+        for key, param in model.params.items():  # each update reads and writes its key only
+            g = sum(w * tg[key] for w, tg in zip(w_now, task_grads))
+            adam_m[key] = ADAM_BETA1 * adam_m[key] + (1 - ADAM_BETA1) * g
+            adam_v[key] = ADAM_BETA2 * adam_v[key] + (1 - ADAM_BETA2) * g * g
+            param -= lr * (adam_m[key] / bc1) / (np.sqrt(adam_v[key] / bc2) + ADAM_EPS)
+
+        total = sum(w * l for w, l in zip(w_now, losses))
+        records.append(
+            StepRecord(step, lr, w_now[0], w_now[1], w_now[2],
+                       losses[0], losses[1], losses[2], total)
+        )
+        if cfg.early_stop_loss is not None and total < cfg.early_stop_loss:
             break
-        order = shuffle_rng.permutation(len(dataset))
-        for start in range(0, len(dataset), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            width = max(1, int(n_real[batch].max()))
-            ids = score_ids[batch, :width]
-            nonpad = score_nonpad[batch, :width]
-            perf_ids = performers[batch]
-            targets = target_ids[batch, :width]
-
-            logits, cache = forward_batch(model, ids, nonpad, perf_ids, train_rng=dropout_rng)
-
-            losses, task_grads = [0.0] * 3, [None] * 3
-
-            def task(k):
-                feature = PREDICTED[k]
-                t = targets[:, :, FEATURE_COLUMN[feature]]
-                losses[k], dlog = cross_entropy(logits.pop(feature), t, nonpad)
-                task_grads[k] = backward_batch(model, cache, {feature: dlog})
-
-            split_work(task, [0, 2, 1])  # velocity, ioi here; duration, the slowest, on the worker
-            if not all(math.isfinite(l) for l in losses):
-                raise TrainingDivergedError(step)
-
-            norms = tuple(
-                w * math.sqrt(
-                    float(np.sum(g["proj_w"] ** 2)) + float(np.sum(g["proj_b"] ** 2))
-                )
-                for w, g in zip(weights.as_tuple(), task_grads)
-            )
-            weights = gradnorm_step(weights, tuple(losses), norms, lr=cfg.gradnorm_lr)
-
-            lr = cfg.learning_rate * min(1.0, (step + 1) / cfg.warmup_steps)
-            w_now = weights.as_tuple()
-            step_t = step + 1
-            bc1 = 1.0 - ADAM_BETA1 ** step_t
-            bc2 = 1.0 - ADAM_BETA2 ** step_t
-            for key in param_keys:
-                g = sum(w * tg[key] for w, tg in zip(w_now, task_grads))
-                adam_m[key] = ADAM_BETA1 * adam_m[key] + (1 - ADAM_BETA1) * g
-                adam_v[key] = ADAM_BETA2 * adam_v[key] + (1 - ADAM_BETA2) * g * g
-                model.params[key] -= lr * (adam_m[key] / bc1) / (
-                    np.sqrt(adam_v[key] / bc2) + ADAM_EPS
-                )
-
-            total = sum(w * l for w, l in zip(w_now, losses))
-            records.append(
-                StepRecord(step, lr, w_now[0], w_now[1], w_now[2],
-                           losses[0], losses[1], losses[2], total)
-            )
-            step += 1
-            if cfg.early_stop_loss is not None and total < cfg.early_stop_loss:
-                stop = True
-                break
 
     model.check_finite()
     return model, TrainingLog(records)

@@ -485,14 +485,11 @@ def seed_uniforms(seed: int, rows: int) -> np.ndarray:
 
 def loop_sample(
     dist: dict[str, np.ndarray], temperature: float, top_p: float, rng: np.random.Generator
-) -> tuple[list[int], list[int], list[int]]:
-    """model.sample one row at a time over the value columns, features in order."""
-    out = []
-    for feature in PREDICTED:
-        values = dist[feature][:, N_SPECIALS:]
-        out.append([N_SPECIALS + scalar_nucleus_sample_row(row, temperature, top_p, rng)
-                    for row in values])
-    return out[0], out[1], out[2]
+) -> list[list[int]]:
+    """model.sample one row at a time over the value columns, features in
+    order: its [3, T] ids as lists."""
+    return [[N_SPECIALS + scalar_nucleus_sample_row(row, temperature, top_p, rng)
+             for row in dist[feature][:, N_SPECIALS:]] for feature in PREDICTED]
 
 
 def loop_render(

@@ -243,8 +243,8 @@ def test_diverging_train_prints_one_stderr_line(tmp_path):
 
 def test_warnings_print_one_line_each(tmp_path):
     """A Python warning is one `warning: ` line on stderr, with no source
-    location: a note-on left open in synth's input, and evaluate's
-    truncated spectrograms, each line led by its item's label."""
+    location: a note-on left open in synth's input, and evaluate's one
+    warning for an item whose audio lengths differ, led by its label."""
     env = {**os.environ, "PYTHONPATH": str(Path(s2a.__file__).resolve().parents[1])}
     midi = tmp_path / "open.mid"
     midi.write_bytes(smf([[vlq(0) + bytes([0x90, 60, 80]), vlq(480) + bytes([0x90, 64, 80]),
@@ -257,10 +257,23 @@ def test_warnings_print_one_line_each(tmp_path):
     err += s2a_in_subprocess(env, "evaluate", "--pred", str(tmp_path / "pred"), "--target",
                              str(tmp_path / "target"), "--out-dir", str(tmp_path / "r"))
     lines = err.splitlines()
-    assert len(lines) == 3, err
+    assert len(lines) == 2, err
     assert lines[0].startswith("warning: note-on (pitch 60"), err
-    assert all(line.startswith("warning: piece: ") for line in lines[1:]), err
+    assert lines[1].startswith("warning: piece: spectrograms lengths differ"), err
     assert not any(".py:" in line for line in lines), err
+
+
+def test_evaluate_of_an_empty_side_prints_its_error_line_only(tmp_path):
+    """An item whose pred side has no notes has no common audio frame: s2a
+    evaluate exits 2 with the item's one error line and no warning line."""
+    env = {**os.environ, "PYTHONPATH": str(Path(s2a.__file__).resolve().parents[1])}
+    for side, notes in (("pred", ()), ("target", (NoteEvent(0, 960, 60, 80),))):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "piece.mid").write_bytes(write_smf(NoteSequence(96, notes)))
+    err = s2a_in_subprocess(env, "evaluate", "--pred", str(tmp_path / "pred"), "--target",
+                            str(tmp_path / "target"), "--out-dir", str(tmp_path / "r"),
+                            code=EXIT_DATA)
+    assert err == "error: piece: no overlapping frames between chromagrams\n", err
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one BLAS thread")

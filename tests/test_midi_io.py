@@ -272,29 +272,29 @@ def test_parse_write_identity_property():
 class TestTicksToSeconds:
     def test_definition_of_tempo(self):
         seq = NoteSequence(ppq=480, tempi=(TempoEvent(0, 500000),))
-        assert ticks_to_seconds(seq, 480) == pytest.approx(0.5)
+        assert ticks_to_seconds(seq, np.array([480])).tolist() == pytest.approx([0.5])
 
     def test_tick_zero(self):
         seq = NoteSequence(ppq=480)
-        assert ticks_to_seconds(seq, 0) == 0.0
+        assert ticks_to_seconds(seq, np.array([0])).tolist() == [0.0]
 
     def test_two_tempo_spans(self):
         seq = NoteSequence(
             ppq=480,
             tempi=(TempoEvent(0, 500000), TempoEvent(480, 250000)),
         )
-        assert ticks_to_seconds(seq, 960) == pytest.approx(0.75)
+        assert ticks_to_seconds(seq, np.array([960])).tolist() == pytest.approx([0.75])
 
     def test_default_tempo_when_absent(self):
         seq = NoteSequence(ppq=480)
-        assert ticks_to_seconds(seq, 480) == pytest.approx(0.5)
+        assert ticks_to_seconds(seq, np.array([480])).tolist() == pytest.approx([0.5])
 
     def test_monotone_property(self):
         rng = random.Random(7)
         for _ in range(50):
             seq = random_sequence(rng)
             ticks = sorted(rng.randrange(0, 10000) for _ in range(20))
-            secs = [ticks_to_seconds(seq, t) for t in ticks]
+            secs = ticks_to_seconds(seq, np.array(ticks)).tolist()
             assert all(a <= b for a, b in zip(secs, secs[1:]))
 
 
@@ -327,12 +327,15 @@ class TestTicksToSecondsOracle:
     def test_equals_the_tempo_walk(self, case):
         seq, ticks = case
         want = [outcome(scalar_ticks_to_seconds, seq, t) for t in ticks]
-        assert [outcome(ticks_to_seconds, seq, t) for t in ticks] == want
+        one_each = [outcome(lambda t: ticks_to_seconds(seq, np.array([t])).item(), t)
+                    for t in ticks]
+        assert one_each == want
         if all(t >= 0 for t in ticks):
             got = ticks_to_seconds(seq, np.array(ticks, dtype=np.int64))
             assert got.dtype == np.float64 and got.tolist() == want
         else:
-            assert outcome(ticks_to_seconds, seq, ticks) == (ValueError, "tick must be >= 0")
+            assert (outcome(ticks_to_seconds, seq, np.array(ticks))
+                    == (ValueError, "tick must be >= 0"))
 
 
 class TestResampleGrid:

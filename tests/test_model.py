@@ -395,7 +395,7 @@ class TestSampling:
         model = small_model()
         dist = forward(model, make_segment(n_real=40))
         uniforms = seed_uniforms(7, SEGMENT_LEN)
-        assert sample(dist, 1.0, 0.9, uniforms) == sample(dist, 1.0, 0.9, uniforms)
+        assert np.array_equal(sample(dist, 1.0, 0.9, uniforms), sample(dist, 1.0, 0.9, uniforms))
 
     def test_sample_peak_memory(self):
         """sample on one segment at the real vocabulary widths peaks under
@@ -493,8 +493,9 @@ class TestSamplerMatchesLoop:
         fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         uniforms = (fast.random((len(PREDICTED), rows)) if temperature >= ARGMAX_TEMPERATURE
                     else (None,) * len(PREDICTED))
-        assert (sample(dist, temperature, top_p, uniforms)
-                == loop_sample(dist, temperature, top_p, slow))
+        got = sample(dist, temperature, top_p, uniforms)
+        assert got.dtype == np.int64 and got.shape == (len(PREDICTED), rows)
+        assert got.tolist() == loop_sample(dist, temperature, top_p, slow)
         assert fast.bit_generator.state == slow.bit_generator.state
 
     @settings(max_examples=80, deadline=None)
@@ -645,6 +646,14 @@ class TestPredictPerformance:
         for bad in ({"temperature": -1.0}, {"top_p": 2.0}, {"temperature": float("nan")}):
             with pytest.raises(ValueError, match="temperature must be|top_p must be"):
                 predict_performance(model, NoteSequence(ppq=96), 0, **bad)
+
+    @pytest.mark.parametrize("performer_id", [1.5, 1.0, True, np.int64(1)],
+                             ids=["float", "whole-float", "bool", "numpy-int"])
+    def test_performer_id_that_is_not_an_int_rejected(self, performer_id):
+        """A float or a bool in range used to render as the id it truncates to."""
+        for score in (self.score(), NoteSequence(ppq=96)):
+            with pytest.raises(ValueError, match="^performer id outside 0..3: "):
+                predict_performance(small_model(), score, performer_id)
 
     def test_empty_score_gets_the_maps_of_a_one_note_score(self):
         """Both renders carry the 4/4 default of a score with no signature event."""

@@ -17,6 +17,7 @@ from s2a.tokenizer import (
     PITCH_MAX,
     PITCH_MIN,
     SEGMENT_LEN,
+    TokenSegment,
     TokenTuple,
     VocabSpec,
     bar_and_position,
@@ -87,35 +88,35 @@ class TestTokenize:
         assert tok.position_tok == 4 + 12
 
 
+def bars_and_positions(seq, onsets):
+    """bar_and_position of an int64 array of onsets, as a list of (bar, position)."""
+    bars, positions = bar_and_position(seq, np.array(onsets, dtype=np.int64))
+    return list(zip(bars.tolist(), positions.tolist()))
+
+
 class TestBarAndPosition:
     def test_default_four_four(self):
         seq = grid_seq([])
-        assert bar_and_position(seq, 0) == (0, 0)
-        assert bar_and_position(seq, 384) == (1, 0)
-        assert bar_and_position(seq, 500) == (1, 116)
+        assert bars_and_positions(seq, [0, 384, 500]) == [(0, 0), (1, 0), (1, 116)]
 
     def test_signature_change(self):
         # 4/4 for two bars, then 2/4 (192 ticks per bar)
         seq = grid_seq([], sigs=[TimeSignatureEvent(0, 4, 2), TimeSignatureEvent(768, 2, 2)])
-        assert bar_and_position(seq, 767) == (1, 383)
-        assert bar_and_position(seq, 768) == (2, 0)
-        assert bar_and_position(seq, 960) == (3, 0)
+        assert bars_and_positions(seq, [767, 768, 960]) == [(1, 383), (2, 0), (3, 0)]
 
     def test_mid_bar_change_counts_partial_bar(self):
         seq = grid_seq([], sigs=[TimeSignatureEvent(0, 4, 2), TimeSignatureEvent(400, 2, 2)])
-        assert bar_and_position(seq, 400) == (2, 0)
+        assert bars_and_positions(seq, [400]) == [(2, 0)]
 
     def test_onset_before_first_signature_counts_from_it(self):
         seq = grid_seq([], sigs=[TimeSignatureEvent(-10, 3, 2), TimeSignatureEvent(500, 2, 2)])
-        assert bar_and_position(seq, -300) == (-2, 286)
-        bars, positions = bar_and_position(seq, np.array([-300, -10, 500]))
-        assert bars.tolist() == [-2, 0, 2] and positions.tolist() == [286, 0, 0]
+        assert bars_and_positions(seq, [-300, -10, 500]) == [(-2, 286), (0, 0), (2, 0)]
 
     def test_bar_shorter_than_one_tick_rejected(self):
         # ppq 7: a 1/64 bar is 4 * 7 / 64 = 0.44 ticks
         seq = NoteSequence(ppq=7, time_signatures=(TimeSignatureEvent(0, 1, 6),))
         with pytest.raises(ValueError, match="1/64 bar at tick 0 is shorter than one tick at ppq 7"):
-            bar_and_position(seq, 10)
+            bar_and_position(seq, np.array([10]))
 
 
 class TestDetokenize:
@@ -209,6 +210,18 @@ class TestSegment:
     def test_empty_stream(self):
         assert segment([], performer_id=0) == []
 
+    @pytest.mark.parametrize("field,value", [
+        ("performer_id", 0.5), ("performer_id", 1.0), ("performer_id", True),
+        ("performer_id", np.int64(1)), ("n_real", 3.0), ("n_real", False),
+    ], ids=["float", "whole-float", "bool", "numpy-int", "n_real-float", "n_real-bool"])
+    def test_ids_that_are_not_ints_rejected(self, field, value):
+        """prepare_batch casts both fields to int64: a float or a bool would
+        train or render as the id it truncates to."""
+        fields = {"ids": np.zeros((SEGMENT_LEN, 6), dtype=np.int64), "n_real": 0,
+                  "performer_id": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+            TokenSegment(**fields)
+
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(0, 700), performer_id=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
@@ -271,12 +284,10 @@ def test_bar_and_position_equals_the_meter_walk(case):
     sigs = seq.effective_time_signatures()
     if any(sig.numerator * seq.ppq * 4 < sig.denominator for sig in sigs):
         with pytest.raises(ValueError, match="shorter than one tick"):
-            bar_and_position(seq, onsets)
+            bar_and_position(seq, np.array(onsets, dtype=np.int64))
         return
     want = [scalar_bar_and_position(seq, onset) for onset in onsets]
-    assert [bar_and_position(seq, onset) for onset in onsets] == want
-    bars, positions = bar_and_position(seq, np.array(onsets, dtype=np.int64))
-    assert list(zip(bars.tolist(), positions.tolist())) == want
+    assert bars_and_positions(seq, onsets) == want
 
 
 note = st.builds(

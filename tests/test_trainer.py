@@ -2,12 +2,17 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import one_thread_split_work, softmax_cross_entropy
 from s2a import trainer
+from s2a.align import align_notes
+from s2a.checkpoint import save_checkpoint
+from s2a.corpus import build_training_pairs
+from s2a.midi_io import NoteEvent, NoteSequence
 from s2a.model import M2MConfig, backward_batch, forward_batch, init_model, prepare_batch
 from s2a.tokenizer import PAD, PREDICTED, SEGMENT_LEN, TokenSegment
 from s2a.trainer import (
@@ -257,6 +262,57 @@ class TestTrain:
         acc = token_accuracy(model, toy_dataset())
         assert set(acc) == {"velocity", "ioi", "duration"}
         assert all(0.0 <= v <= 1.0 for v in acc.values())
+
+    def test_non_int_performer_id_rejected(self):
+        """build_training_pairs(..., 0.5) used to train as performer 0."""
+        piece = NoteSequence(96, tuple(NoteEvent(i * 96, 96, 60 + i, 64) for i in range(4)))
+        for performer_id in (0.5, 1.0, True):
+            with pytest.raises(ValueError, match="^performer_id must be an integer, got"):
+                build_training_pairs(piece, piece, align_notes(piece, piece), performer_id)
+
+
+class TestEarlyStop:
+    """An early stop ends the run after the first step whose weighted total
+    loss is below early_stop_loss; the steps before it are the unstopped
+    run's, bit for bit."""
+
+    CFG = TrainConfig(learning_rate=1e-3, warmup_steps=2, max_epochs=8, batch_size=2, seed=3)
+    STEPS_PER_EPOCH = 2  # three pairs in batches of two
+
+    def unstopped(self):
+        return train(tiny_model(), toy_dataset((32, 20, 32)), self.CFG)
+
+    def threshold_at(self, log, on_last_batch):
+        """(step, threshold) for the first step past the first epoch, on its
+        epoch's last batch or not as asked, whose total is below every
+        earlier one, the threshold halfway down to it."""
+        totals = [r.total for r in log.records]
+        for step in range(self.STEPS_PER_EPOCH, len(totals)):
+            last = step % self.STEPS_PER_EPOCH == self.STEPS_PER_EPOCH - 1
+            if last == on_last_batch and totals[step] < min(totals[:step]):
+                return step, (totals[step] + min(totals[:step])) / 2
+        raise AssertionError("the unstopped run never sets a new low there")
+
+    def test_mid_epoch_stop_logs_a_prefix_of_the_unstopped_run(self):
+        _, full = self.unstopped()
+        step, threshold = self.threshold_at(full, on_last_batch=False)
+        cfg = replace(self.CFG, early_stop_loss=threshold)
+        _, log = train(tiny_model(), toy_dataset((32, 20, 32)), cfg)
+        assert len(log.records) == step + 1 < len(full.records)
+        assert full.to_csv().startswith(log.to_csv())
+        assert [r.total < threshold for r in log.records] == [False] * step + [True]
+
+    def test_stop_on_an_epochs_last_batch_equals_the_shorter_run(self):
+        _, full = self.unstopped()
+        step, threshold = self.threshold_at(full, on_last_batch=True)
+        stopped, log = train(tiny_model(), toy_dataset((32, 20, 32)),
+                             replace(self.CFG, early_stop_loss=threshold))
+        epochs = (step + 1) // self.STEPS_PER_EPOCH
+        shorter, want = train(tiny_model(), toy_dataset((32, 20, 32)),
+                              replace(self.CFG, max_epochs=epochs))
+        assert epochs < self.CFG.max_epochs
+        assert log.to_csv() == want.to_csv()
+        assert save_checkpoint(stopped) == save_checkpoint(shorter)
 
 
 def generator_at(state):
