@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +100,8 @@ def perform_score(
     score: NoteSequence, profile: PerformerProfile, rng: np.random.Generator
 ) -> NoteSequence:
     """Apply a performer profile to a score; note order is preserved, so the
-    ground-truth alignment is the identity."""
+    ground-truth alignment is the identity. The score's tempo and
+    time-signature maps are kept and its sustain events dropped."""
     notes = []
     prev_score_onset = None
     prev_perf_onset = 0
@@ -125,20 +126,7 @@ def perform_score(
         duration = int(round(note.duration_ticks * profile.articulation))
         notes.append(NoteEvent(perf_onset, min(1152, max(1, duration)), note.pitch,
                                int(min(127, max(1, round(velocity)))), note.channel))
-    return NoteSequence(
-        ppq=score.ppq,
-        notes=tuple(notes),
-        tempi=score.tempi,
-        time_signatures=score.time_signatures,
-    )
-
-
-def identity_alignment(n_notes: int) -> AlignmentMap:
-    return AlignmentMap(
-        pairs=tuple((i, i) for i in range(n_notes)),
-        unmatched_score=(),
-        unmatched_perf=(),
-    )
+    return replace(score, notes=tuple(notes), sustain_events=())
 
 
 def split_counts(n: int) -> tuple[int, int, int]:
@@ -176,7 +164,8 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) -> dict:
             perf_rel = f"performances/piece_{piece:03d}_p{performer:02d}.mid"
             align_rel = f"alignments/piece_{piece:03d}_p{performer:02d}.json"
             (out / perf_rel).write_bytes(write_smf(perf))
-            (out / align_rel).write_text(identity_alignment(len(perf.notes)).to_json())
+            identity = AlignmentMap(tuple((i, i) for i in range(len(perf.notes))), (), ())
+            (out / align_rel).write_text(identity.to_json())
             items.append(
                 {
                     "piece": piece,
@@ -211,8 +200,6 @@ def build_training_pairs(
     Matched notes are tokenized on each side in pair order (so IOIs run over
     the matched subsequences) and windowed with shared boundaries.
     """
-    if not alignment.pairs:
-        return []
     score_toks = tokenize(score.subset(i for i, _ in alignment.pairs), is_score=True)
     perf_toks = tokenize(perf.subset(j for _, j in alignment.pairs), is_score=False)
     score_segs = segment_tokens(score_toks, performer_id)

@@ -338,7 +338,11 @@ def evaluate_m2m(
 
 def _item_row(label, pred, target, alignment, windows) -> dict:
     """One item's metric columns; its windows are appended to windows. Its
-    audio metrics read both spectrograms cut to their common frames."""
+    audio metrics read both spectrograms cut to their common frames.
+    ValueError, before any audio is rendered, for a side without notes."""
+    for side, seq in (("prediction", pred), ("target", target)):
+        if not seq.notes:
+            raise ValueError(f"the {side} has no notes")
     row = {}
     if alignment.pairs:
         whole = matched_feature_sequences(pred, target, alignment)
@@ -358,7 +362,7 @@ def _item_row(label, pred, target, alignment, windows) -> dict:
     spec_p, spec_t = (midi_spectrogram(render_audio(seq)) for seq in (pred, target))
     lengths = len(spec_p.frames), len(spec_t.frames)
     n = min(lengths)
-    if 0 < n < max(lengths):
+    if n < max(lengths):
         warnings.warn(f"{label}: spectrograms lengths differ ({lengths[0]} vs {lengths[1]}); "
                       f"truncating to {n}", stacklevel=3)
         spec_p, spec_t = (replace(spec, frames=spec.frames[:n]) for spec in (spec_p, spec_t))

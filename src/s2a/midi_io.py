@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,8 +63,9 @@ class TempoEvent:
     microseconds_per_quarter: int
 
     def __post_init__(self):
-        if self.microseconds_per_quarter <= 0:
-            raise ValueError("microseconds_per_quarter must be > 0")
+        if not 1 <= self.microseconds_per_quarter <= 0xFFFFFF:  # the file stores 3 bytes
+            raise ValueError("microseconds_per_quarter must be in 1..16777215, "
+                             f"got {self.microseconds_per_quarter}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class TimeSignatureEvent:
     denominator_log2: int
 
     def __post_init__(self):
-        if self.numerator < 1:
-            raise ValueError("numerator must be >= 1")
+        if not 1 <= self.numerator <= 255:  # the file stores it in one byte
+            raise ValueError(f"numerator must be in 1..255, got {self.numerator}")
         if not 0 <= self.denominator_log2 <= 6:
             raise ValueError("denominator_log2 must be in 0..6")
 
@@ -112,13 +113,9 @@ class NoteSequence:
         object.__setattr__(self, "sustain_events", sustain)
 
     def subset(self, indices) -> NoteSequence:
-        """The notes at indices, under this tempo and time-signature map."""
-        return NoteSequence(
-            ppq=self.ppq,
-            notes=tuple(self.notes[i] for i in indices),
-            tempi=self.tempi,
-            time_signatures=self.time_signatures,
-        )
+        """The notes at indices, under this tempo and time-signature map; the
+        sustain events are dropped."""
+        return replace(self, notes=tuple(self.notes[i] for i in indices), sustain_events=())
 
     def effective_time_signatures(self) -> tuple[TimeSignatureEvent, ...]:
         """Time signature map with the 4/4-at-tick-0 default applied."""
@@ -409,18 +406,7 @@ def resample_grid(seq: NoteSequence) -> NoteSequence:
         )
         for n in seq.notes
     )
-    tempi = tuple(
-        TempoEvent(_round_half_up(e.tick * scale), e.microseconds_per_quarter) for e in seq.tempi
-    )
-    sigs = tuple(
-        TimeSignatureEvent(_round_half_up(e.tick * scale), e.numerator, e.denominator_log2)
-        for e in seq.time_signatures
-    )
+    tempi = tuple(replace(e, tick=_round_half_up(e.tick * scale)) for e in seq.tempi)
+    sigs = tuple(replace(e, tick=_round_half_up(e.tick * scale)) for e in seq.time_signatures)
     sustain = tuple((_round_half_up(t * scale), v) for t, v in seq.sustain_events)
-    return NoteSequence(
-        ppq=TICKS_PER_BEAT,
-        notes=notes,
-        tempi=tempi,
-        time_signatures=sigs,
-        sustain_events=sustain,
-    )
+    return NoteSequence(TICKS_PER_BEAT, notes, tempi, sigs, sustain)

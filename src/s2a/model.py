@@ -5,9 +5,10 @@ combined with sinusoidal positions, and run through a bidirectional post-norm
 encoder whose attention masks PAD keys. Attention has query, value and output
 biases but no key bias: one added to every key shifts all of a query's
 scores by the same q.b, which softmax ignores. A performer embedding of the
-model width is summed with the final hidden state at every real position,
-and three linear heads emit categorical logits over the velocity, IOI, and
-duration vocabularies. `forward` takes one segment's [256, 6] id array and
+model width is summed with the final hidden state at every row, PAD rows
+included: no output keeps a PAD row's logits, and the loss gives them no
+gradient. Three linear heads emit categorical logits over the velocity, IOI,
+and duration vocabularies. `forward` takes one segment's [256, 6] id array and
 returns {feature: logits [256, V]}, the per-segment slice of what
 `forward_batch` returns for a batch. A `forward_batch` given a generator
 is a training pass: dropout fires and it returns the cache that
@@ -369,7 +370,7 @@ def forward_batch(
         # nothing of the layer outlives it but what the cache holds
         del x_in, q, k, v, attn, ctx, out, ln1, ff_in, act, ff_out, ln2
 
-    h = h + p["perf_emb"][performer][:, None, :] * nonpad[:, :, None]
+    h = h + p["perf_emb"][performer][:, None, :]
 
     logits = {}
     for feature in PREDICTED:
@@ -378,8 +379,8 @@ def forward_batch(
         logits[feature] += p[key + "_b"]
     if train_rng is None:
         return logits, None
-    return logits, {"ids": ids, "nonpad": nonpad, "performer": performer, "concat": concat,
-                    "drop_in": drop_in, "layers": layers, "encoded": h}
+    return logits, {"ids": ids, "performer": performer, "concat": concat, "drop_in": drop_in,
+                    "layers": layers, "encoded": h}
 
 
 def backward_batch(
@@ -404,8 +405,7 @@ def backward_batch(
         key = HEAD_KEYS[feature]
         dh += _linear_backward(grads, key + "_w", key + "_b", h, dlog, p[key + "_w"])
 
-    masked = dh * cache["nonpad"][:, :, None]
-    np.add.at(grads["perf_emb"], cache["performer"], masked.sum(axis=1))
+    np.add.at(grads["perf_emb"], cache["performer"], dh.sum(axis=1))
 
     scale = 1.0 / np.sqrt(cfg.d_head)
     for layer in reversed(range(cfg.n_layers)):

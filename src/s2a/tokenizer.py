@@ -75,14 +75,18 @@ class TokenTuple(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TokenSegment:
-    """A fixed 256-note window: int64 ids [256, 6] in FEATURE_NAMES column
-    order, whose first n_real rows are notes and the rest PAD rows."""
+    """A fixed 256-note window: integer ids [256, 6] (int64 from segment) in
+    FEATURE_NAMES column order, whose first n_real rows are notes and the
+    rest PAD rows. ValueError for ids of another type, dtype or shape."""
 
     ids: np.ndarray
     n_real: int
     performer_id: int
 
     def __post_init__(self):
+        if not (isinstance(self.ids, np.ndarray) and np.issubdtype(self.ids.dtype, np.integer)):
+            got = self.ids.dtype if isinstance(self.ids, np.ndarray) else type(self.ids).__name__
+            raise ValueError(f"segment ids must be an integer numpy array, got {got}")
         if self.ids.shape != (SEGMENT_LEN, len(FEATURE_NAMES)):
             raise ValueError(f"segment ids must have shape ({SEGMENT_LEN}, {len(FEATURE_NAMES)})")
         for name in ("n_real", "performer_id"):  # a float or a bool would be cast to an id

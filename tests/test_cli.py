@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -110,6 +111,33 @@ class TestDemoData:
         b = make_corpus(tmp_path / "b")
         for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    def test_seed_0_corpus_bytes(self, tmp_path):
+        """The files of `s2a demo-data --pieces 2 --notes 120 --performers 2
+        --seed 0`, pinned by sha256: two runs that agree can still both differ
+        from the known corpus."""
+        corpus = make_corpus(tmp_path, pieces=2, notes=120, performers=2, seed=0)
+        alignment = "0fd574d9f225b9e533990042ca1e27642253f2c673240e849088f8015547d8c8"
+        want = {
+            "manifest.json": "43074acedc3898b1b89955049318d5c726c507ada6b7e8cc36c98b3b1332b4d1",
+            "scores/piece_000.mid":
+                "fdcc640fbcc42a5ceabb09246fab82a5d71cc2399c352ad9cb4f7bd10fe90ddc",
+            "scores/piece_001.mid":
+                "3064a5a4169b146a717567d393134db87e6725463c78faf14be864e6dd0bc41f",
+            "performances/piece_000_p00.mid":
+                "582b90fd4739d6048d39b753501feee6440421c88c4f15bd3f7180527578bd1c",
+            "performances/piece_000_p01.mid":
+                "db3794766e31112c6d51720ec7b9e24f1fefb24d0e17434235dad0684564fca8",
+            "performances/piece_001_p00.mid":
+                "86f8e5cd00c361e9572f41df4a7c560dc2194071ace1632f4b16226d8f818214",
+            "performances/piece_001_p01.mid":
+                "e7743e98ec03b6beec48ba1dc7d6874f55a62f7b59f76975285f59aa093d8157",
+            **{f"alignments/piece_00{piece}_p0{performer}.json": alignment
+               for piece in (0, 1) for performer in (0, 1)},
+        }
+        got = {p.relative_to(corpus).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in corpus.rglob("*") if p.is_file()}
+        assert got == want
 
     def test_score_constant_performance_varied(self, tmp_path):
         corpus = make_corpus(tmp_path)
@@ -264,16 +292,19 @@ def test_warnings_print_one_line_each(tmp_path):
 
 
 def test_evaluate_of_an_empty_side_prints_its_error_line_only(tmp_path):
-    """An item whose pred side has no notes has no common audio frame: s2a
-    evaluate exits 2 with the item's one error line and no warning line."""
+    """An item with a side that has no notes: s2a evaluate exits 2 with the
+    item's one error line, which names that side, and no warning line."""
     env = {**os.environ, "PYTHONPATH": str(Path(s2a.__file__).resolve().parents[1])}
-    for side, notes in (("pred", ()), ("target", (NoteEvent(0, 960, 60, 80),))):
-        (tmp_path / side).mkdir()
-        (tmp_path / side / "piece.mid").write_bytes(write_smf(NoteSequence(96, notes)))
-    err = s2a_in_subprocess(env, "evaluate", "--pred", str(tmp_path / "pred"), "--target",
-                            str(tmp_path / "target"), "--out-dir", str(tmp_path / "r"),
-                            code=EXIT_DATA)
-    assert err == "error: piece: no overlapping frames between chromagrams\n", err
+    for empty, side in (("pred", "prediction"), ("target", "target")):
+        for name in ("pred", "target"):
+            notes = () if name == empty else (NoteEvent(0, 960, 60, 80),)
+            (tmp_path / empty / name).mkdir(parents=True)
+            (tmp_path / empty / name / "piece.mid").write_bytes(
+                write_smf(NoteSequence(96, notes)))
+        err = s2a_in_subprocess(env, "evaluate", "--pred", str(tmp_path / empty / "pred"),
+                                "--target", str(tmp_path / empty / "target"), "--out-dir",
+                                str(tmp_path / empty / "r"), code=EXIT_DATA)
+        assert err == f"error: piece: the {side} has no notes\n", err
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one BLAS thread")

@@ -379,6 +379,23 @@ class TestEvaluateM2M:
                           (short, long, align_notes(short, long))], labels=["same", "longer"])
         assert [str(w.message).split(": ")[0] for w in caught] == ["longer"]
 
+    @pytest.mark.parametrize("empty_side, side", [(0, "prediction"), (1, "target")])
+    def test_a_side_without_notes_is_named_before_any_audio(self, monkeypatch, empty_side,
+                                                            side):
+        """It used to render both sides and fail on their chromagrams' common
+        frames."""
+        piece = make_piece(random.Random(3), 10)
+        sides = [piece, piece]
+        sides[empty_side] = grid_seq([])
+        amap = align_notes(*sides)
+
+        def never_rendered(*_):
+            raise AssertionError("audio was rendered")
+
+        monkeypatch.setattr(metrics, "render_audio", never_rendered)
+        with pytest.raises(ValueError, match=f"^x: the {side} has no notes$"):
+            evaluate_m2m([(*sides, amap)], labels=["x"])
+
 
 def direct_window_metrics(p, q):
     try:

@@ -224,6 +224,42 @@ class TestWrite:
         with pytest.raises(ValueError):
             write_smf(seq)
 
+    def test_widest_tempo_and_numerator_round_trip(self):
+        """The file stores a tempo in 3 bytes and a numerator in 1."""
+        seq = NoteSequence(ppq=96, tempi=(TempoEvent(0, 2**24 - 1),),
+                           time_signatures=(TimeSignatureEvent(0, 255, 6),))
+        again = parse_smf(write_smf(seq))
+        assert (again.tempi, again.time_signatures) == (seq.tempi, seq.time_signatures)
+
+    @pytest.mark.parametrize("us", [0, -1, 2**24, 2**31])
+    def test_tempo_the_file_cannot_hold_rejected(self, us):
+        """A tempo of 2**24 us or more used to pass and make write_smf raise
+        OverflowError."""
+        with pytest.raises(ValueError, match=r"^microseconds_per_quarter must be in 1\.\.16777215"):
+            TempoEvent(0, us)
+
+    @pytest.mark.parametrize("numerator", [0, -3, 256, 1000])
+    def test_numerator_the_file_cannot_hold_rejected(self, numerator):
+        """A numerator above 255 used to pass and make write_smf raise
+        'bytes must be in range(0, 256)'."""
+        with pytest.raises(ValueError, match=r"^numerator must be in 1\.\.255"):
+            TimeSignatureEvent(0, numerator, 2)
+
+
+class TestSubset:
+    def test_drops_sustain_and_keeps_the_maps(self):
+        seq = NoteSequence(
+            ppq=480,
+            notes=(NoteEvent(0, 10, 60, 80), NoteEvent(5, 10, 62, 81), NoteEvent(9, 10, 64, 82)),
+            tempi=(TempoEvent(0, 500000), TempoEvent(7, 400000)),
+            time_signatures=(TimeSignatureEvent(0, 3, 2), TimeSignatureEvent(960, 6, 3)),
+            sustain_events=((0, 127), (8, 0)),
+        )
+        out = seq.subset([2, 0])
+        assert out == NoteSequence(ppq=480, notes=(seq.notes[0], seq.notes[2]),
+                                   tempi=seq.tempi, time_signatures=seq.time_signatures)
+        assert out.sustain_events == ()
+
 
 def random_sequence(rng, max_notes=40):
     """Random NoteSequence whose same-pitch notes never overlap, so FIFO
@@ -354,6 +390,47 @@ class TestResampleGrid:
         seq = NoteSequence(ppq=480, notes=(NoteEvent(0, 1, 60, 80),))
         out = resample_grid(seq)
         assert out.notes[0].duration_ticks == 1
+
+    def test_down_scale_fixed_events(self):
+        """ppq 1000: tempo ticks 4166 and 4170 both land on 400, where the
+        later one is kept."""
+        seq = NoteSequence(
+            ppq=1000,
+            notes=(NoteEvent(0, 5, 60, 80), NoteEvent(1005, 994, 62, 70, 1),
+                   NoteEvent(2604, 1, 64, 90), NoteEvent(5208, 15621, 67, 100, 9)),
+            tempi=(TempoEvent(0, 500000), TempoEvent(1005, 400000), TempoEvent(4166, 600000),
+                   TempoEvent(4170, 0xFFFFFF), TempoEvent(9999, 1)),
+            time_signatures=(TimeSignatureEvent(0, 4, 2), TimeSignatureEvent(3120, 3, 3),
+                             TimeSignatureEvent(7005, 255, 0), TimeSignatureEvent(7015, 7, 6)),
+            sustain_events=((5, 127), (2604, 0), (7010, 64)),
+        )
+        out = resample_grid(seq)
+        assert out.ppq == 96
+        assert out.notes == (NoteEvent(0, 1, 60, 80), NoteEvent(96, 95, 62, 70, 1),
+                             NoteEvent(250, 1, 64, 90), NoteEvent(500, 1500, 67, 100, 9))
+        assert out.tempi == (TempoEvent(0, 500000), TempoEvent(96, 400000),
+                             TempoEvent(400, 0xFFFFFF), TempoEvent(960, 1))
+        assert out.time_signatures == (TimeSignatureEvent(0, 4, 2), TimeSignatureEvent(300, 3, 3),
+                                       TimeSignatureEvent(672, 255, 0),
+                                       TimeSignatureEvent(673, 7, 6))
+        assert out.sustain_events == ((0, 127), (250, 0), (673, 64))
+
+    def test_up_scale_fixed_events(self):
+        seq = NoteSequence(
+            ppq=7,
+            notes=(NoteEvent(0, 1, 21, 1), NoteEvent(3, 2, 108, 127, 15)),
+            tempi=(TempoEvent(1, 250000), TempoEvent(5, 750000), TempoEvent(12, 123457)),
+            time_signatures=(TimeSignatureEvent(2, 5, 1), TimeSignatureEvent(9, 2, 4)),
+            sustain_events=((4, 1), (11, 0)),
+        )
+        out = resample_grid(seq)
+        assert out.ppq == 96
+        assert out.notes == (NoteEvent(0, 14, 21, 1), NoteEvent(41, 27, 108, 127, 15))
+        assert out.tempi == (TempoEvent(14, 250000), TempoEvent(69, 750000),
+                             TempoEvent(165, 123457))
+        assert out.time_signatures == (TimeSignatureEvent(27, 5, 1),
+                                       TimeSignatureEvent(123, 2, 4))
+        assert out.sustain_events == ((55, 1), (151, 0))
 
     def test_on_grid_is_unchanged(self):
         rng = random.Random(5)

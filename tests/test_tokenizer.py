@@ -222,6 +222,22 @@ class TestSegment:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
             TokenSegment(**fields)
 
+    @pytest.mark.parametrize("ids, named", [
+        (np.full((SEGMENT_LEN, 6), 4.7), "float64"),
+        (np.zeros((SEGMENT_LEN, 6), dtype=bool), "bool"),
+        ([[4] * 6] * SEGMENT_LEN, "list"),
+    ], ids=["float", "bool", "list"])
+    def test_ids_not_an_int_array_rejected(self, ids, named):
+        """A float array used to pass and fail in forward with numpy's
+        IndexError; a list failed with AttributeError on .shape."""
+        with pytest.raises(ValueError, match=f"^segment ids must be an integer numpy array, "
+                                             f"got {named}$"):
+            TokenSegment(ids, 1, 0)
+
+    def test_ids_of_any_int_dtype_taken(self):
+        ids = np.full((SEGMENT_LEN, 6), 4, dtype=np.int32)
+        assert TokenSegment(ids, 1, 0).ids is ids
+
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(0, 700), performer_id=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
