@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .align import AlignmentMap
-from .midi_io import TICKS_PER_BEAT, NoteSequence
+from .midi_io import NoteSequence
 from .synth import Chromagram, Spectrogram, chromagram, midi_spectrogram, render_audio
 from .tokenizer import N_SPECIALS, PREDICTED, SEGMENT_LEN, VOCAB, tokenize
 
@@ -50,7 +50,7 @@ class FeatureSeq:
 
 @dataclass(frozen=True)
 class Aggregate:
-    mean: float
+    mean: float | None  # None when n == 0
     ci95: float | None  # half-width; None when n < 2
     n: int
     n_missing: int = 0
@@ -77,11 +77,8 @@ class MetricReport:
     items: list[dict]
 
     def to_json(self) -> str:
-        """Strict JSON: a NaN field (the mean over no values) is written as null."""
-        def no_nan(fields):
-            return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in fields}
-
-        return json.dumps(asdict(self, dict_factory=no_nan), indent=2, allow_nan=False)
+        """Strict JSON: the mean over no values is null."""
+        return json.dumps(asdict(self), indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         """One row per evaluated item; missing metrics are left blank."""
@@ -246,30 +243,28 @@ def spectrogram_mse(a: Spectrogram, b: Spectrogram) -> float:
 
 
 def _matrix_mse(a: Chromagram | Spectrogram, b: Chromagram | Spectrogram) -> float:
+    """Mean square error over the cells of two matrices of one frame rate and
+    one non-zero frame count; ValueError otherwise. Cutting audio of unequal
+    lengths to its common frames is the caller's choice (evaluate_m2m does)."""
     what = f"{type(a).__name__.lower()}s"
     if a.frame_rate != b.frame_rate:
         raise ValueError(f"{what} must share a frame rate")
-    fa, fb = a.frames, b.frames
-    n = min(len(fa), len(fb))
-    if n == 0:
-        raise ValueError(f"no overlapping frames between {what}")
-    if len(fa) != len(fb):
-        warnings.warn(f"{what} lengths differ ({len(fa)} vs {len(fb)}); truncating to {n}")
-    diff = fa[:n] - fb[:n]
+    if len(a.frames) != len(b.frames) or not len(a.frames):
+        raise ValueError(f"{what} must have one non-zero frame count, got "
+                         f"{len(a.frames)} and {len(b.frames)}")
+    diff = a.frames - b.frames
     return float(np.mean(diff * diff))
 
 
 def aggregate(values: list[float]) -> Aggregate:
-    """Mean and 1.96 * standard-error 95% CI half-width (n >= 2); the mean is
-    NaN when there are no values."""
+    """Mean and 1.96 * standard-error 95% CI half-width; the mean is None
+    when there are no values, the half-width when there are fewer than two."""
     n = len(values)
-    if n == 0:
-        return Aggregate(mean=float("nan"), ci95=None, n=0)
-    mean = float(np.mean(values))
-    if n < 2:
-        return Aggregate(mean=mean, ci95=None, n=n)
-    sd = float(np.std(values, ddof=1))
-    return Aggregate(mean=mean, ci95=1.96 * sd / math.sqrt(n), n=n)
+    return Aggregate(
+        mean=float(np.mean(values)) if n else None,
+        ci95=1.96 * float(np.std(values, ddof=1)) / math.sqrt(n) if n >= 2 else None,
+        n=n,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +276,10 @@ def matched_feature_sequences(
     """Per-feature (predicted, target) token sequences over matched pairs.
 
     Both sequences must already be on the 96-tick grid (resample_grid) so
-    that alignment indices refer to the order being tokenized. IOIs are
-    measured between consecutive matched notes on each side.
+    that alignment indices refer to the order being tokenized; tokenize
+    raises ValueError for one that is not. IOIs are measured between
+    consecutive matched notes on each side.
     """
-    for name, seq in (("pred", pred), ("target", target)):
-        if seq.ppq != TICKS_PER_BEAT:
-            raise ValueError(f"{name} must be on the 96-tick grid; apply resample_grid first")
     pred_toks = tokenize(pred.subset(i for i, _ in alignment.pairs), is_score=False)
     targ_toks = tokenize(target.subset(j for _, j in alignment.pairs), is_score=False)
     out = {}

@@ -101,8 +101,11 @@ class NoteSequence:
     sustain_events: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.ppq <= 0:
-            raise ValueError(f"ppq must be > 0, got {self.ppq}")
+        if not 1 <= self.ppq <= 0x7FFF:  # the header's top bit would mean SMPTE timing
+            raise ValueError(f"ppq must be in 1..32767, got {self.ppq}")
+        for _, value in self.sustain_events:  # the file stores each in one data byte
+            if not (type(value) is int and 0 <= value <= 127):
+                raise ValueError(f"sustain values must be ints in 0..127, got {value!r}")
         notes = tuple(sorted(self.notes, key=lambda n: (n.onset_ticks, n.pitch)))
         tempi = tuple(_dedupe_by_tick(sorted(self.tempi, key=lambda e: e.tick)))
         sigs = tuple(_dedupe_by_tick(sorted(self.time_signatures, key=lambda e: e.tick)))

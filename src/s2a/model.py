@@ -67,6 +67,12 @@ LN_EPS = 1e-5
 MAX_PERFORMERS = 10_000
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number; a bool, which JSON and Python both
+    accept as one, is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class M2MConfig:
     n_layers: int = 2
@@ -82,7 +88,7 @@ class M2MConfig:
         for name in ("n_layers", "d_model", "n_heads", "d_ff", "n_performers", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if isinstance(self.dropout, bool) or not isinstance(self.dropout, numbers.Real):
+        if not is_real(self.dropout):
             raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
         # sinusoidal positions fill d_model in sine/cosine pairs, and the six
         # feature embeddings are d_model // 4 wide
@@ -451,10 +457,11 @@ def forward(model: M2MModel, seg: TokenSegment) -> dict[str, np.ndarray]:
 # Decoding
 
 def check_sampling(temperature: float, top_p: float) -> None:
-    """ValueError unless top_p is in (0, 1] and temperature >= 0 (+inf included, NaN not)."""
-    if not 0.0 < top_p <= 1.0:
+    """ValueError unless top_p is a real number in (0, 1] and temperature one
+    >= 0 (+inf included, NaN not); a bool is not a real number here."""
+    if not (is_real(top_p) and 0.0 < top_p <= 1.0):
         raise ValueError("top_p must be in (0, 1]")
-    if not temperature >= 0.0:
+    if not (is_real(temperature) and temperature >= 0.0):
         raise ValueError("temperature must be >= 0")
 
 
@@ -573,9 +580,12 @@ def predict_performance(
     calling thread first draws every uniform they take from default_rng(seed)
     in the order a loop over them would, so the ids are those of one thread.
     ValueError for settings check_sampling rejects, a score with no notes
-    included, and for a performer_id not an int (nor a bool) in 0..n_performers - 1.
+    included, for a seed not an int (nor a bool) >= 0, and for a performer_id
+    not an int (nor a bool) in 0..n_performers - 1.
     """
     check_sampling(temperature, top_p)
+    if not (type(seed) is int and seed >= 0):
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     if not (type(performer_id) is int and 0 <= performer_id < model.config.n_performers):
         raise ValueError(f"performer id outside 0..{model.config.n_performers - 1}: {performer_id}")
     grid = resample_grid(score)

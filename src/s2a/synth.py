@@ -174,8 +174,8 @@ def _render_pitch_class(plan: list, work: np.ndarray, t: np.ndarray, sample_rate
 
 
 def check_sample_rate(sample_rate: int) -> None:
-    """ValueError unless sample_rate is in 1..MAX_SAMPLE_RATE."""
-    if not 0 < sample_rate <= MAX_SAMPLE_RATE:
+    """ValueError unless sample_rate is an int (not a bool) in 1..MAX_SAMPLE_RATE."""
+    if not (type(sample_rate) is int and 0 < sample_rate <= MAX_SAMPLE_RATE):
         raise ValueError(f"sample_rate must be in 1..{MAX_SAMPLE_RATE}, got {sample_rate}")
 
 
@@ -199,8 +199,8 @@ def render_audio(seq: NoteSequence, sample_rate: int = DEFAULT_SAMPLE_RATE) -> W
     they run on two threads without changing a sample. Each thread's
     tables, decay and scratch rows share one array allocated before the
     split.
-    ValueError for a sample_rate outside 1..MAX_SAMPLE_RATE, or for a last
-    release that ends past MAX_AUDIO_SECONDS.
+    ValueError for a sample_rate that is not an int in 1..MAX_SAMPLE_RATE, or
+    for a last release that ends past MAX_AUDIO_SECONDS.
     """
     check_sample_rate(sample_rate)
     if not seq.notes:

@@ -17,12 +17,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import M2MModel, backward_batch, forward_batch, prepare_batch
+from .model import M2MModel, backward_batch, forward_batch, is_real, prepare_batch
 from .parallel import split_work
 from .tokenizer import FEATURE_NAMES, PREDICTED, TokenSegment
 
@@ -72,7 +71,7 @@ class TrainConfig:
             value = getattr(self, name)
             if value is None and name == "early_stop_loss":  # no early stop
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             try:
                 float(value)

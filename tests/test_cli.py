@@ -184,6 +184,15 @@ class TestTokenizeAlign:
         assert lines[0] == "pitch\tvelocity\tduration\tioi\tposition\tbar"
         assert len(lines) == 61
 
+    def test_tokenize_without_out_writes_stdout(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path)
+        score = str(corpus / "scores/piece_000.mid")
+        out = tmp_path / "tokens.tsv"
+        assert run("tokenize", "--in", score, "--out", str(out)) == EXIT_OK
+        capsys.readouterr()
+        assert run("tokenize", "--in", score) == EXIT_OK
+        assert capsys.readouterr().out == out.read_text()
+
     def test_tokenize_missing_file_is_data_error(self, tmp_path):
         assert run("tokenize", "--in", str(tmp_path / "nope.mid")) == EXIT_DATA
 
@@ -238,6 +247,24 @@ class TestTrainRender:
                 "--checkpoint", str(ckpt), "--out", str(out), "--seed", "7")
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_default_split_trains_on_the_train_items_only(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, pieces=10, notes=8, performers=1)
+        items = json.loads((corpus / "manifest.json").read_text())["items"]
+        n_train = sum(item["split"] == "train" for item in items)
+        assert 0 < n_train < len(items)
+        capsys.readouterr()
+        code = run("train", "--data", str(corpus), "--out", str(tmp_path / "m.ckpt"),
+                   "--epochs", "1")
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"train: {n_train} segments, ")
+
+    def test_split_without_items_is_data_error(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, pieces=1, notes=8, performers=1)
+        capsys.readouterr()
+        assert run("train", "--data", str(corpus), "--out", str(tmp_path / "m.ckpt"),
+                   "--split", "valid") == EXIT_DATA
+        assert capsys.readouterr().err == f"error: no 'valid' items in {corpus}\n"
 
     def test_bad_checkpoint_is_data_error(self, tmp_path):
         corpus = make_corpus(tmp_path, pieces=1, notes=10, performers=1)

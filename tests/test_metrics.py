@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,16 @@ from s2a.synth import Chromagram, Spectrogram, chromagram, midi_spectrogram, ren
 
 def fseq(values, feature="velocity", vocab_size=68):
     return FeatureSeq(tuple(values), feature, vocab_size)
+
+
+@pytest.mark.parametrize("values, feature, message", [
+    ((4,), "pitch", "^unknown feature 'pitch'$"),
+    ((3,), "velocity", "^value 3 outside token range of velocity$"),
+    ((68,), "velocity", "^value 68 outside token range of velocity$"),
+], ids=["unknown-feature", "special-id", "past-vocabulary"])
+def test_feature_seq_outside_its_feature_rejected(values, feature, message):
+    with pytest.raises(ValueError, match=message):
+        FeatureSeq(values, feature, 68)
 
 
 class TestKld:
@@ -99,6 +110,10 @@ class TestPearson:
             den = math.sqrt(sum((a - mx) ** 2 for a in xs) * sum((b - my) ** 2 for b in ys))
             assert pearson(fseq(xs), fseq(ys)) == pytest.approx(num / den, abs=1e-9)
 
+    def test_unequal_lengths_error(self):
+        with pytest.raises(ValueError, match="^sequences must have equal length$"):
+            pearson(fseq([10, 11, 12]), fseq([10, 11]))
+
     def test_constant_errors(self):
         with pytest.raises(ConstantSequenceError):
             pearson(fseq([10, 10, 10]), fseq([10, 12, 14]))
@@ -140,6 +155,10 @@ class TestDtwd:
     def test_identity_zero(self):
         a = fseq([10, 12, 14, 10])
         assert dtwd(a, a) == 0.0
+
+    def test_empty_errors(self):
+        with pytest.raises(ValueError, match="^cannot compute DTWD of an empty sequence$"):
+            dtwd(fseq([10]), fseq([]))
 
     def test_constant_shift(self):
         x = [10, 14, 12, 18, 11]
@@ -264,11 +283,16 @@ class TestMse:
         expected = ((1 - 0) ** 2 * 2) / (2 * 128)
         assert spectrogram_mse(sa, sb) == pytest.approx(expected)
 
-    def test_truncates_with_warning(self):
-        a = Chromagram(np.zeros((4, 12)), 10.0)
-        b = Chromagram(np.zeros((2, 12)), 10.0)
-        with pytest.warns(UserWarning):
-            assert chroma_mse(a, b) == 0.0
+    def test_unequal_frame_counts_error_without_warning(self):
+        """Cutting to the common frames is evaluate_m2m's step, not the MSE's."""
+        for mse, matrix, width in ((chroma_mse, Chromagram, 12),
+                                   (spectrogram_mse, Spectrogram, 128)):
+            a = matrix(np.zeros((4, width)), 10.0)
+            b = matrix(np.zeros((2, width)), 10.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="one non-zero frame count, got 4 and 2"):
+                    mse(a, b)
 
     def test_frame_rate_mismatch(self):
         a = Chromagram(np.zeros((2, 12)), 10.0)
@@ -299,10 +323,8 @@ class TestAggregate:
         assert agg.mean == 5.0
         assert agg.ci95 is None
 
-    def test_no_values_nan_mean(self):
-        agg = aggregate([])
-        assert math.isnan(agg.mean)
-        assert (agg.ci95, agg.n, agg.n_missing) == (None, 0, 0)
+    def test_no_values_none_mean(self):
+        assert aggregate([]) == Aggregate(mean=None, ci95=None, n=0, n_missing=0)
 
 
 def grid_seq(notes):
@@ -433,6 +455,8 @@ def test_report_equals_direct_computation_of_every_window():
     chroma, spec = [], []
     for row, (pred, target, _) in zip(report.items, triples):
         spec_p, spec_t = (midi_spectrogram(render_audio(seq)) for seq in (pred, target))
+        n = min(len(spec_p.frames), len(spec_t.frames))  # evaluate_m2m's common frames
+        spec_p, spec_t = (Spectrogram(s.frames[:n], s.frame_rate) for s in (spec_p, spec_t))
         spec.append(spectrogram_mse(spec_p, spec_t))
         chroma.append(chroma_mse(chromagram(spec_p), chromagram(spec_t)))
         assert (row["chroma_mse"], row["spectrogram_mse"]) == (chroma[-1], spec[-1])
@@ -464,7 +488,7 @@ def test_report_serialization_round_trips_structurally():
 def test_summary_table_splits_back_into_its_cells():
     """Cells of 16 or more characters stay apart from their neighbours."""
     aggs = [Aggregate(12.139, 0.024, 5), Aggregate(-0.061, 0.002, 5), Aggregate(0.254, 0.003, 5),
-            Aggregate(1234.5678, 12.3456, 5), Aggregate(1.5, None, 1), Aggregate(math.nan, None, 0)]
+            Aggregate(1234.5678, 12.3456, 5), Aggregate(1.5, None, 1), Aggregate(None, None, 0)]
     cells = ["12.139 +/- 0.024", "-0.061 +/- 0.002", "0.254 +/- 0.003",
              "1234.568 +/- 12.346", "1.500", "-"]
     metrics = ("kld", "correlation", "dtwd")

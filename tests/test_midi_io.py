@@ -148,6 +148,22 @@ class TestParse:
             parse_smf(b"RIFF" + b"\x00" * 20)
         assert err.value.offset == 0
 
+    def test_header_length_below_6_rejected(self):
+        data = smf([])
+        with pytest.raises(SMFParseError, match=r"^MThd length 5 < 6") as err:
+            parse_smf(data[:4] + struct.pack(">I", 5) + data[8:])
+        assert err.value.offset == 4
+
+    def test_five_byte_delta_rejected(self):
+        with pytest.raises(SMFParseError, match="^variable-length quantity longer than 4 bytes"):
+            parse_smf(smf([[b"\x81\x80\x80\x80\x00" + bytes([0x90, 60, 80])]]))
+
+    def test_unsupported_system_message_reports_offset(self):
+        data = smf([[vlq(0) + bytes([0xF1, 0x00])]])
+        with pytest.raises(SMFParseError, match="^unsupported system message 0xF1") as err:
+            parse_smf(data)
+        assert data[err.value.offset] == 0xF1
+
     def test_format_2_rejected(self):
         with pytest.raises(SMFParseError):
             parse_smf(smf([], fmt=2))
@@ -244,6 +260,36 @@ class TestWrite:
         'bytes must be in range(0, 256)'."""
         with pytest.raises(ValueError, match=r"^numerator must be in 1\.\.255"):
             TimeSignatureEvent(0, numerator, 2)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: NoteEvent(0, 0, 60, 80), r"^duration_ticks must be >= 1, got 0$"),
+        (lambda: NoteEvent(0, 1, 60, 0), r"^velocity must be in 1\.\.127, got 0$"),
+        (lambda: NoteEvent(0, 1, 60, 80, channel=16), r"^channel must be in 0\.\.15, got 16$"),
+        (lambda: TimeSignatureEvent(0, 4, 7), r"^denominator_log2 must be in 0\.\.6$"),
+    ], ids=["duration-0", "velocity-0", "channel-16", "denominator-128"])
+    def test_event_the_file_cannot_hold_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_widest_ppq_and_sustain_values_round_trip(self):
+        """The header stores ppq in 15 bits; a sustain value is one data byte."""
+        seq = NoteSequence(ppq=32767, sustain_events=((0, 127), (5, 0)))
+        again = parse_smf(write_smf(seq))
+        assert (again.ppq, again.sustain_events) == (seq.ppq, seq.sustain_events)
+
+    @pytest.mark.parametrize("ppq", [0, -1, 32768, 70000])
+    def test_ppq_the_header_cannot_hold_rejected(self, ppq):
+        """ppq 32768 used to write a header that parse_smf reads as SMPTE
+        time division, and 70000 made write_smf raise struct.error."""
+        with pytest.raises(ValueError, match=r"^ppq must be in 1\.\.32767"):
+            NoteSequence(ppq=ppq)
+
+    @pytest.mark.parametrize("value", [-1, 128, 200, 1.5, True])
+    def test_sustain_value_the_file_cannot_hold_rejected(self, value):
+        """A value of 200 used to write a data byte that parse_smf rejects,
+        and 1.5 made write_smf raise TypeError."""
+        with pytest.raises(ValueError, match=r"^sustain values must be ints in 0\.\.127"):
+            NoteSequence(ppq=96, sustain_events=((0, value),))
 
 
 class TestSubset:

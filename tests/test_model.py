@@ -129,6 +129,13 @@ class TestForward:
         with pytest.raises(ValueError, match="pitch"):
             forward(model, seg)
 
+    def test_negative_token_id_rejected(self):
+        seg = make_segment()
+        bad = seg.ids.copy()
+        bad[0, 2] = -1
+        with pytest.raises(ValueError, match="^negative token id$"):
+            forward(small_model(), TokenSegment(bad, seg.n_real, 0))
+
     def test_bad_performer_rejected(self):
         model = small_model()
         with pytest.raises(ValueError, match="performer"):
@@ -647,6 +654,24 @@ class TestPredictPerformance:
             with pytest.raises(ValueError, match="temperature must be|top_p must be"):
                 predict_performance(model, NoteSequence(ppq=96), 0, **bad)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"), ({"seed": np.int64(1)}, "seed"),
+        ({"temperature": "0.5"}, "temperature"), ({"temperature": None}, "temperature"),
+        ({"temperature": True}, "temperature"), ({"top_p": "0.9"}, "top_p"),
+        ({"top_p": None}, "top_p"), ({"top_p": True}, "top_p"),
+    ], ids=["float-seed", "bool-seed", "numpy-int-seed", "str-temperature",
+            "none-temperature", "bool-temperature", "str-top-p", "none-top-p", "bool-top-p"])
+    def test_setting_of_the_wrong_type_rejected(self, setting, message):
+        """Seed 1.5 used to raise numpy's TypeError and seed True to render as
+        seed 1; a temperature of "0.5" or None raised TypeError, and True
+        rendered as 1.0."""
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            predict_performance(small_model(), self.score(), 0, **setting)
+        if message != "seed":
+            sampling = {"temperature": 1.0, "top_p": 0.9, **setting}
+            with pytest.raises(ValueError, match=f"^{message} must be"):
+                check_sampling(sampling["temperature"], sampling["top_p"])
+
     @pytest.mark.parametrize("performer_id", [1.5, 1.0, True, np.int64(1)],
                              ids=["float", "whole-float", "bool", "numpy-int"])
     def test_performer_id_that_is_not_an_int_rejected(self, performer_id):
@@ -689,6 +714,11 @@ def test_d_model_is_even_and_at_least_4(d_model):
     """Sinusoidal positions fill d_model in pairs; embeddings are d_model // 4 wide."""
     with pytest.raises(ValueError, match="d_model"):
         M2MConfig(d_model=d_model, n_heads=1)
+
+
+def test_d_model_is_divisible_by_n_heads():
+    with pytest.raises(ValueError, match="^d_model must be divisible by n_heads$"):
+        M2MConfig(d_model=6, n_heads=4)
 
 
 def test_n_performers_is_bounded():

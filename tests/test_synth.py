@@ -1,8 +1,10 @@
 import inspect
+import io
 import sys
 import threading
 import time
 import tracemalloc
+import wave
 
 import numpy as np
 import pytest
@@ -126,6 +128,15 @@ class TestRenderAudio:
         with pytest.raises(ValueError, match="sample_rate"):
             check_sample_rate(MAX_SAMPLE_RATE + 1)
         assert 2 * N_HARMONICS * midi_pitch_hz(108) < MAX_SAMPLE_RATE < 2**32
+
+    @pytest.mark.parametrize("sample_rate", [24000.5, 24000.0, True, np.int64(24000)],
+                             ids=["float", "whole-float", "bool", "numpy-int"])
+    def test_sample_rate_that_is_not_an_int_rejected(self, sample_rate):
+        """24000.5 used to render 12,242 samples that write_wav labelled
+        24000 Hz, and True 2 samples under a 1 Hz header."""
+        seq = NoteSequence(ppq=96, notes=(NoteEvent(0, 96, 60, 80),))
+        with pytest.raises(ValueError, match=r"^sample_rate must be in 1\.\."):
+            render_audio(seq, sample_rate)
 
 
 @st.composite
@@ -404,6 +415,11 @@ def test_render_reads_the_tempo_map_once():
 
 
 class TestSpectrogram:
+    def test_empty_waveform_has_no_frames(self):
+        s = midi_spectrogram(Waveform(np.zeros(0), 24000))
+        assert s.frames.shape == (0, 128)
+        assert s.frame_rate == 24000 / HOP
+
     def test_silence(self):
         s = midi_spectrogram(Waveform(np.zeros(48000)))
         assert np.all(s.frames == 0)
@@ -633,6 +649,14 @@ class TestConcatCrosscorr:
         with pytest.raises(ValueError, match=message):
             concat_crosscorr(a, a, **kwargs)
 
+    def test_sample_rates_must_match(self):
+        with pytest.raises(ValueError, match="^sample rates must match$"):
+            concat_crosscorr(self.make_signal(), self.make_signal(sr=16000))
+
+    def test_no_segments_to_stitch(self):
+        with pytest.raises(ValueError, match="^no segments to stitch$"):
+            stitch_segments([])
+
     def make_signal(self, seconds=3.0, sr=24000, seed=0):
         rng = np.random.default_rng(seed)
         t = np.arange(int(seconds * sr)) / sr
@@ -762,6 +786,16 @@ class TestWav:
         again = read_wav(write_wav(w))
         assert again.sample_rate == 24000
         assert np.max(np.abs(again.samples - w.samples)) < 1.0 / 32767
+
+    def test_stereo_rejected(self):
+        buf = io.BytesIO()
+        with wave.open(buf, "wb") as wf:
+            wf.setnchannels(2)
+            wf.setsampwidth(2)
+            wf.setframerate(24000)
+            wf.writeframes(bytes(8))
+        with pytest.raises(ValueError, match="^only 16-bit mono WAV is supported$"):
+            read_wav(buf.getvalue())
 
     def test_deterministic_bytes(self):
         w = render_audio(one_note_seq())

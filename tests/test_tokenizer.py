@@ -234,6 +234,14 @@ class TestSegment:
                                              f"got {named}$"):
             TokenSegment(ids, 1, 0)
 
+    @pytest.mark.parametrize("rows, n_real, message", [
+        (SEGMENT_LEN - 1, 3, r"^segment ids must have shape \(256, 6\)$"),
+        (SEGMENT_LEN, SEGMENT_LEN + 1, r"^n_real must be in 0\.\.256, got 257$"),
+    ], ids=["255-rows", "n_real-257"])
+    def test_segment_past_its_length_rejected(self, rows, n_real, message):
+        with pytest.raises(ValueError, match=message):
+            TokenSegment(np.zeros((rows, 6), dtype=np.int64), n_real, 0)
+
     def test_ids_of_any_int_dtype_taken(self):
         ids = np.full((SEGMENT_LEN, 6), 4, dtype=np.int32)
         assert TokenSegment(ids, 1, 0).ids is ids
