@@ -30,7 +30,7 @@ from .align import AlignmentMap, align_notes
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import evaluate_m2m
 from .midi_io import SMFParseError, parse_smf, resample_grid, write_smf
-from .model import M2MConfig, check_sampling, init_model, predict_performance
+from .model import M2MConfig, check_sampling, check_seed, init_model, predict_performance
 from .synth import (check_sample_rate, chromagram, midi_spectrogram, render_audio, save_matrix,
                     write_wav)
 from .tokenizer import dump_tokens, tokenize
@@ -242,7 +242,7 @@ def cmd_train(args, config) -> int:
 def cmd_render(args, config) -> int:
     sampling = resolve(args, config, "sampling")
     _usage(check_sampling, sampling["temperature"], sampling["top_p"])
-    _usage(np.random.default_rng, sampling["seed"])
+    _usage(check_seed, sampling["seed"])
     try:
         model = load_checkpoint(Path(args.checkpoint).read_bytes())
     except ValueError as err:

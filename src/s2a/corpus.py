@@ -21,15 +21,18 @@ import numpy as np
 
 from .align import AlignmentMap
 from .midi_io import (
+    DEFAULT_TEMPO_US,
     TICKS_PER_BEAT,
     NoteEvent,
     NoteSequence,
     TempoEvent,
     TimeSignatureEvent,
+    check_ints,
     write_smf,
 )
 from .tokenizer import (
     SCORE_VELOCITY,
+    VOCAB,
     TokenSegment,
     segment as segment_tokens,
     tokenize,
@@ -65,9 +68,7 @@ class SyntheticCorpusSpec:
     profiles: tuple[PerformerProfile, ...] = DEFAULT_PROFILES
 
     def __post_init__(self):
-        for name in ("n_pieces", "notes_per_piece", "n_performers", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_ints(self, "n_pieces", "notes_per_piece", "n_performers", "seed")
         if min(self.n_pieces, self.notes_per_piece, self.n_performers, self.seed) < 0:
             raise ValueError("n_pieces, notes_per_piece, n_performers and seed must be >= 0")
         if self.n_performers > len(self.profiles):
@@ -91,7 +92,7 @@ def generate_score(rng: np.random.Generator, n_notes: int) -> NoteSequence:
     return NoteSequence(
         ppq=TICKS_PER_BEAT,
         notes=tuple(notes),
-        tempi=(TempoEvent(0, 500000),),
+        tempi=(TempoEvent(0, DEFAULT_TEMPO_US),),
         time_signatures=(TimeSignatureEvent(0, 4, 2),),
     )
 
@@ -124,8 +125,8 @@ def perform_score(
             prev_perf_onset = perf_onset
 
         duration = int(round(note.duration_ticks * profile.articulation))
-        notes.append(NoteEvent(perf_onset, min(1152, max(1, duration)), note.pitch,
-                               int(min(127, max(1, round(velocity)))), note.channel))
+        notes.append(NoteEvent(perf_onset, min(VOCAB.n_values("duration"), max(1, duration)),
+                               note.pitch, int(min(127, max(1, round(velocity)))), note.channel))
     return replace(score, notes=tuple(notes), sustain_events=())
 
 

@@ -8,6 +8,7 @@ itself cannot distinguish the alternatives.
 
 from __future__ import annotations
 
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -32,6 +33,24 @@ class SMFWarning(UserWarning):
     pass
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number within the float range; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an int past the float range
+        return False
+    return True
+
+
+def check_ints(obj, *names: str) -> None:
+    """ValueError unless each named field of obj is an int; a bool is not."""
+    for name in names:
+        if type(getattr(obj, name)) is not int:
+            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True, order=True)
 class NoteEvent:
     """One note with absolute onset time and duration in MIDI ticks."""
@@ -43,6 +62,7 @@ class NoteEvent:
     channel: int = 0
 
     def __post_init__(self):
+        check_ints(self, "onset_ticks", "duration_ticks", "pitch", "velocity", "channel")
         if self.duration_ticks < 1:
             raise ValueError(f"duration_ticks must be >= 1, got {self.duration_ticks}")
         if not 0 <= self.pitch <= 127:
@@ -63,6 +83,7 @@ class TempoEvent:
     microseconds_per_quarter: int
 
     def __post_init__(self):
+        check_ints(self, "tick", "microseconds_per_quarter")
         if not 1 <= self.microseconds_per_quarter <= 0xFFFFFF:  # the file stores 3 bytes
             raise ValueError("microseconds_per_quarter must be in 1..16777215, "
                              f"got {self.microseconds_per_quarter}")
@@ -75,6 +96,7 @@ class TimeSignatureEvent:
     denominator_log2: int
 
     def __post_init__(self):
+        check_ints(self, "tick", "numerator", "denominator_log2")
         if not 1 <= self.numerator <= 255:  # the file stores it in one byte
             raise ValueError(f"numerator must be in 1..255, got {self.numerator}")
         if not 0 <= self.denominator_log2 <= 6:
@@ -101,11 +123,13 @@ class NoteSequence:
     sustain_events: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        check_ints(self, "ppq")
         if not 1 <= self.ppq <= 0x7FFF:  # the header's top bit would mean SMPTE timing
             raise ValueError(f"ppq must be in 1..32767, got {self.ppq}")
-        for _, value in self.sustain_events:  # the file stores each in one data byte
-            if not (type(value) is int and 0 <= value <= 127):
-                raise ValueError(f"sustain values must be ints in 0..127, got {value!r}")
+        for tick, value in self.sustain_events:  # the file stores a value in one data byte
+            if not (type(tick) is type(value) is int and 0 <= value <= 127):
+                raise ValueError("sustain values must be ints in 0..127 at int ticks, "
+                                 f"got {(tick, value)!r}")
         notes = tuple(sorted(self.notes, key=lambda n: (n.onset_ticks, n.pitch)))
         tempi = tuple(_dedupe_by_tick(sorted(self.tempi, key=lambda e: e.tick)))
         sigs = tuple(_dedupe_by_tick(sorted(self.time_signatures, key=lambda e: e.tick)))
@@ -122,16 +146,14 @@ class NoteSequence:
 
     def effective_time_signatures(self) -> tuple[TimeSignatureEvent, ...]:
         """Time signature map with the 4/4-at-tick-0 default applied."""
-        sigs = self.time_signatures
-        if not sigs or sigs[0].tick > 0:
-            return (TimeSignatureEvent(0, 4, 2),) + sigs
-        return sigs
+        return _from_tick_0(self.time_signatures, TimeSignatureEvent(0, 4, 2))
 
     def effective_tempi(self) -> tuple[TempoEvent, ...]:
-        tempi = self.tempi
-        if not tempi or tempi[0].tick > 0:
-            return (TempoEvent(0, DEFAULT_TEMPO_US),) + tempi
-        return tempi
+        return _from_tick_0(self.tempi, TempoEvent(0, DEFAULT_TEMPO_US))
+
+
+def _from_tick_0(events: tuple, default) -> tuple:
+    return events if events and events[0].tick <= 0 else (default,) + events
 
 
 def _dedupe_by_tick(events):

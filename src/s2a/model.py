@@ -33,13 +33,12 @@ ids are those of one thread.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .midi_io import NoteSequence, resample_grid
+from .midi_io import NoteSequence, check_ints, is_real, resample_grid
 from .parallel import split_work
 from .tokenizer import (
     FEATURE_NAMES,
@@ -67,12 +66,6 @@ LN_EPS = 1e-5
 MAX_PERFORMERS = 10_000
 
 
-def is_real(value) -> bool:
-    """Whether value is a real number; a bool, which JSON and Python both
-    accept as one, is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class M2MConfig:
     n_layers: int = 2
@@ -85,9 +78,7 @@ class M2MConfig:
 
     def __post_init__(self):
         # a checkpoint header is JSON, where 2.0, true and NaN are numbers too
-        for name in ("n_layers", "d_model", "n_heads", "d_ff", "n_performers", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_ints(self, "n_layers", "d_model", "n_heads", "d_ff", "n_performers", "seed")
         if not is_real(self.dropout):
             raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
         # sinusoidal positions fill d_model in sine/cosine pairs, and the six
@@ -465,6 +456,12 @@ def check_sampling(temperature: float, top_p: float) -> None:
         raise ValueError("temperature must be >= 0")
 
 
+def check_seed(seed: int) -> None:
+    """ValueError unless seed is an int >= 0; a bool is not an int here."""
+    if not (type(seed) is int and seed >= 0):
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+
+
 def nucleus_sample(
     logits: np.ndarray,
     temperature: float,
@@ -579,13 +576,12 @@ def predict_performance(
     forward and sample into its columns of one [3, n_notes] id array. The
     calling thread first draws every uniform they take from default_rng(seed)
     in the order a loop over them would, so the ids are those of one thread.
-    ValueError for settings check_sampling rejects, a score with no notes
-    included, for a seed not an int (nor a bool) >= 0, and for a performer_id
-    not an int (nor a bool) in 0..n_performers - 1.
+    ValueError for settings check_sampling or check_seed rejects, a score
+    with no notes included, and for a performer_id not an int (nor a bool) in
+    0..n_performers - 1.
     """
     check_sampling(temperature, top_p)
-    if not (type(seed) is int and seed >= 0):
-        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+    check_seed(seed)
     if not (type(performer_id) is int and 0 <= performer_id < model.config.n_performers):
         raise ValueError(f"performer id outside 0..{model.config.n_performers - 1}: {performer_id}")
     grid = resample_grid(score)

@@ -28,9 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .midi_io import TICKS_PER_BEAT, NoteEvent, NoteSequence, TimeSignatureEvent
+from .midi_io import TICKS_PER_BEAT, NoteEvent, NoteSequence, TimeSignatureEvent, check_ints
 
-PAD, BOS, EOS, MASK = 0, 1, 2, 3
+PAD = 0  # the other specials, BOS, EOS and MASK, are never written
 N_SPECIALS = 4
 
 SEGMENT_LEN = 256
@@ -89,9 +89,7 @@ class TokenSegment:
             raise ValueError(f"segment ids must be an integer numpy array, got {got}")
         if self.ids.shape != (SEGMENT_LEN, len(FEATURE_NAMES)):
             raise ValueError(f"segment ids must have shape ({SEGMENT_LEN}, {len(FEATURE_NAMES)})")
-        for name in ("n_real", "performer_id"):  # a float or a bool would be cast to an id
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_ints(self, "n_real", "performer_id")  # a float or a bool would be cast to an id
         if not 0 <= self.n_real <= SEGMENT_LEN:
             raise ValueError(f"n_real must be in 0..{SEGMENT_LEN}, got {self.n_real}")
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .model import M2MModel, backward_batch, forward_batch, is_real, prepare_batch
+from .midi_io import check_ints, is_real
+from .model import M2MModel, backward_batch, forward_batch, prepare_batch
 from .parallel import split_work
 from .tokenizer import FEATURE_NAMES, PREDICTED, TokenSegment
 
@@ -64,19 +65,11 @@ class TrainConfig:
     early_stop_loss: float | None = None  # stop once total weighted loss dips below
 
     def __post_init__(self):
-        for name in ("warmup_steps", "max_epochs", "batch_size", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_ints(self, "warmup_steps", "max_epochs", "batch_size", "seed")
         for name in ("learning_rate", "alpha", "gradnorm_lr", "early_stop_loss"):
             value = getattr(self, name)
-            if value is None and name == "early_stop_loss":  # no early stop
-                continue
-            if not is_real(value):
+            if not (is_real(value) or value is None and name == "early_stop_loss"):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            try:
-                float(value)
-            except OverflowError:  # an int past the float range
-                raise ValueError(f"{name} must be within the float range") from None
         if not all(0 < v < math.inf for v in (self.learning_rate, self.warmup_steps,
                                               self.batch_size, self.gradnorm_lr)):
             raise ValueError("learning_rate, warmup_steps, batch_size, gradnorm_lr must be "
@@ -107,9 +100,7 @@ class TrainingLog:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["step", "lr", "w_vel", "w_ioi", "w_dur",
                          "L_vel", "L_ioi", "L_dur", "total"])
-        for r in self.records:
-            writer.writerow([r.step, repr(r.lr), repr(r.w_vel), repr(r.w_ioi), repr(r.w_dur),
-                             repr(r.loss_vel), repr(r.loss_ioi), repr(r.loss_dur), repr(r.total)])
+        writer.writerows(astuple(r) for r in self.records)  # csv writes a float's repr
         return buf.getvalue()
 
 

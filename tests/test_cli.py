@@ -752,6 +752,11 @@ class TestSettings:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not (tmp_path / "d").exists() and not (tmp_path / "m.ckpt").exists()
 
+    def test_negative_sampling_seed_gets_the_library_message(self, workspace, tmp_path, capsys):
+        """render used to check the seed with numpy, whose message names no setting."""
+        assert run_in(workspace, tmp_path, RENDER + ("--seed", "-1")) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: seed must be an int >= 0, got -1\n"
+
     @pytest.mark.parametrize("temperature", ["1e300", "inf"],
                              ids=["temperature-past-1e6", "infinite-temperature"])
     def test_any_large_temperature_renders(self, workspace, tmp_path, temperature):

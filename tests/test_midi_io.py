@@ -266,8 +266,21 @@ class TestWrite:
         (lambda: NoteEvent(0, 1, 60, 0), r"^velocity must be in 1\.\.127, got 0$"),
         (lambda: NoteEvent(0, 1, 60, 80, channel=16), r"^channel must be in 0\.\.15, got 16$"),
         (lambda: TimeSignatureEvent(0, 4, 7), r"^denominator_log2 must be in 0\.\.6$"),
-    ], ids=["duration-0", "velocity-0", "channel-16", "denominator-128"])
+        (lambda: NoteEvent(0, 48, 60.5, 64), r"^pitch must be an integer, got 60\.5$"),
+        (lambda: NoteEvent(0, 48.5, 60, 64), r"^duration_ticks must be an integer, got 48\.5$"),
+        (lambda: NoteEvent(0.0, 48, 60, 64), r"^onset_ticks must be an integer, got 0\.0$"),
+        (lambda: NoteEvent(0, 48, 60, True), r"^velocity must be an integer, got True$"),
+        (lambda: NoteEvent(0, 48, 60, 64, np.int64(0)), r"^channel must be an integer, got "),
+        (lambda: TimeSignatureEvent(0, 4.0, 2), r"^numerator must be an integer, got 4\.0$"),
+        (lambda: TimeSignatureEvent(0, 4, 2.0), r"^denominator_log2 must be an integer, got 2\.0$"),
+        (lambda: TempoEvent(0, 500000.0), r"^microseconds_per_quarter must be an integer, got "),
+        (lambda: TempoEvent(False, 500000), r"^tick must be an integer, got False$"),
+    ], ids=["duration-0", "velocity-0", "channel-16", "denominator-128", "float-pitch",
+            "float-duration", "float-onset", "bool-velocity", "numpy-int-channel",
+            "float-numerator", "float-denominator", "float-tempo", "bool-tick"])
     def test_event_the_file_cannot_hold_rejected(self, make, message):
+        """A float pitch used to tokenize as the int below it, other floats
+        made write_smf raise TypeError or AttributeError, and True passed as 1."""
         with pytest.raises(ValueError, match=message):
             make()
 
@@ -283,6 +296,20 @@ class TestWrite:
         time division, and 70000 made write_smf raise struct.error."""
         with pytest.raises(ValueError, match=r"^ppq must be in 1\.\.32767"):
             NoteSequence(ppq=ppq)
+
+    @pytest.mark.parametrize("ppq", [96.0, True])
+    def test_ppq_that_is_not_an_int_rejected(self, ppq):
+        """ppq 96.0 used to make write_smf raise struct.error, and True wrote
+        a file of 1 tick per quarter."""
+        with pytest.raises(ValueError, match=r"^ppq must be an integer, got "):
+            NoteSequence(ppq=ppq)
+
+    @pytest.mark.parametrize("tick", [0.5, 2.0, np.int64(2)])
+    def test_sustain_tick_that_is_not_an_int_rejected(self, tick):
+        """A tick of 0.5 or 2.0 used to make write_smf raise TypeError; a
+        numpy int is no more an int here than in an event field."""
+        with pytest.raises(ValueError, match=r"^sustain values must be ints in 0\.\.127 at int "):
+            NoteSequence(ppq=96, sustain_events=((tick, 64),))
 
     @pytest.mark.parametrize("value", [-1, 128, 200, 1.5, True])
     def test_sustain_value_the_file_cannot_hold_rejected(self, value):

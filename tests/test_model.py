@@ -392,6 +392,17 @@ class TestSampling:
         with pytest.raises(ValueError):
             nucleus_sample(np.zeros((0, 0)), temperature, 0.9, np.empty(0))
 
+    @pytest.mark.parametrize("temperature, top_p, message", [
+        (10**400, 0.9, r"^temperature must be >= 0$"), (1.0, 10**400, r"^top_p must be in"),
+    ], ids=["temperature", "top-p"])
+    def test_int_past_the_float_range_rejected(self, temperature, top_p, message):
+        """A temperature of 10**400 used to pass check_sampling and make
+        nucleus_sample raise OverflowError."""
+        with pytest.raises(ValueError, match=message):
+            check_sampling(temperature, top_p)
+        with pytest.raises(ValueError, match=message):
+            nucleus_sample(np.zeros((2, 5)), temperature, top_p, np.full(2, 0.5))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_specials_never_sampled_at_a_million(self, seed):
         dist = forward(small_model(), make_segment(n_real=40))

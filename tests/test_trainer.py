@@ -194,7 +194,7 @@ def test_config_field_types_checked(field, value):
     ("early_stop_loss", -1),
 ], ids=["learning_rate", "alpha", "gradnorm_lr", "early_stop_loss", "early_stop_loss_negative"])
 def test_config_real_fields_within_the_float_range(field, sign):
-    with pytest.raises(ValueError, match=f"{field} must be within the float range"):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
         TrainConfig(**{field: sign * 10**400})
 
 
