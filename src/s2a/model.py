@@ -24,11 +24,13 @@ whole-array expressions.
 
 `sample` and `nucleus_sample` draw nothing: they read the uniforms they are
 given. `nucleus_sample` samples its rows SAMPLE_BLOCK at a time, so no
-temporary is larger than one block. `predict_performance` runs a score's
-segments, each one `forward` and one `sample`, on two threads
-(s2a.parallel). The calling thread draws every uniform they take from its
-seed before the split, in the order a loop over the segments would, so the
-ids are those of one thread.
+temporary is larger than one block, and a block reads only the columns
+its ids depend on. `predict_performance` runs a score's segments, each one
+`forward` and one `sample` of its real rows, on two threads
+(s2a.parallel). The calling thread draws the uniforms of whole segments,
+PAD rows included, from its seed before the split, in the order a loop
+over the segments would, so the ids are those of one thread; a PAD row's
+uniforms are drawn, never read.
 """
 
 from __future__ import annotations
@@ -477,16 +479,21 @@ def nucleus_sample(
     below 1e-6 short-circuit to argmax and read no uniform, so uniforms may
     be None there; at +inf every token is equally likely. ValueError for a
     bad top_p or temperature, for V = 0, for other than one uniform per row
-    when sampling, or for a row whose logits hold NaN or +inf, or whose
-    logits / temperature do at 1e-6 and above; logits is left unchanged.
+    when sampling (None included), or for a row whose logits hold NaN or
+    +inf, or whose logits / temperature do at 1e-6 and above; logits is
+    left unchanged.
 
     Rows are sampled SAMPLE_BLOCK at a time, so no temporary is larger than
     one block of [SAMPLE_BLOCK, V]. Every step works row by row, so the ids
-    are those of one pass over all rows.
+    are those of one pass over all rows. A block's pick and rank read only
+    the sorted columns that can pass their tests, and only a pick past the
+    first of a run of equal values looks its id up among the tied ones.
     """
     check_sampling(temperature, top_p)
-    if temperature >= ARGMAX_TEMPERATURE and len(uniforms) != len(logits):
-        raise ValueError(f"{len(uniforms)} uniforms for {len(logits)} rows")
+    if temperature >= ARGMAX_TEMPERATURE:
+        count = "no" if uniforms is None else len(uniforms)
+        if count != len(logits):
+            raise ValueError(f"{count} uniforms for {len(logits)} rows")
     return np.concatenate([
         _nucleus_sample_block(logits[start:start + SAMPLE_BLOCK], temperature, top_p,
                               None if uniforms is None else uniforms[start:start + SAMPLE_BLOCK])
@@ -510,15 +517,23 @@ def _nucleus_sample_block(logits, temperature, top_p, uniforms):
         raise ValueError("logits / temperature must not be NaN or +inf")
     cut = np.minimum((cumulative < top_p).sum(axis=-1), probs.shape[-1] - 1)
     rows = np.arange(len(probs))
-    pick = np.minimum((cumulative <= (uniforms * cumulative[rows, cut])[:, None]).sum(axis=-1),
-                      cut)
+    # The columns that pass the pick test form a prefix, as the cumulative
+    # mass never decreases, and pick stops at cut: the first cut columns
+    # decide it. Likewise the rank test passes only columns before the pick.
+    pick = np.minimum((cumulative[:, :cut.max(initial=0)]
+                       <= (uniforms * cumulative[rows, cut])[:, None]).sum(axis=-1), cut)
     # Probability-sorted order puts equal values in id order, so the picked
     # position holds the rank-th id with that value, where rank is the
-    # position's offset into its run of equal values.
+    # position's offset into its run of equal values. At rank 0 that is the
+    # first id with the value; only the other rows look theirs up.
     value = sorted_probs[rows, pick]
-    rank = pick - (sorted_probs > value[:, None]).sum(axis=-1)
-    hit_row, hit_id = np.nonzero(probs == value[:, None])
-    return hit_id[np.searchsorted(hit_row, rows) + rank]
+    rank = pick - (sorted_probs[:, :pick.max(initial=0)] > value[:, None]).sum(axis=-1)
+    hits = probs == value[:, None]
+    ids = hits.argmax(axis=-1)
+    tied = np.flatnonzero(rank)
+    hit_row, hit_id = np.nonzero(hits[tied])
+    ids[tied] = hit_id[np.searchsorted(hit_row, np.arange(len(tied))) + rank[tied]]
+    return ids
 
 
 def nucleus_sample_row(
@@ -539,14 +554,19 @@ def sample(
     top_p: float,
     uniforms: Sequence[np.ndarray | None],
 ) -> np.ndarray:
-    """Draw token ids at every position of forward's {feature: logits [T, V]},
-    leaving dist unchanged: an int64 [3, T] array whose rows follow PREDICTED.
+    """Draw token ids at every row of {feature: logits [T, V]}, as forward
+    returns them or cut to a segment's real rows, leaving dist unchanged: an
+    int64 [3, T] array whose rows follow PREDICTED.
 
     uniforms holds each feature's [T] uniforms for nucleus_sample, in
-    PREDICTED order. Only the value columns, ids N_SPECIALS.., are sampled,
+    PREDICTED order; other than one array per feature is a ValueError that
+    counts them. Only the value columns, ids N_SPECIALS.., are sampled,
     so the special ids 0..3 are never drawn; a head with no value column
     (V <= N_SPECIALS) is a ValueError that names it.
     """
+    if len(uniforms) != len(PREDICTED):
+        raise ValueError(f"{len(uniforms)} uniform arrays for the {len(PREDICTED)} features "
+                         f"{', '.join(PREDICTED)}")
     for feature in PREDICTED:
         if dist[feature].shape[-1] <= N_SPECIALS:
             raise ValueError(f"{feature} logits are {dist[feature].shape[-1]} wide: no value "
@@ -573,9 +593,11 @@ def predict_performance(
     map is carried over so the result plays back at the notated tempo.
 
     The segments run on two threads (s2a.parallel.split_work), each its
-    forward and sample into its columns of one [3, n_notes] id array. The
-    calling thread first draws every uniform they take from default_rng(seed)
-    in the order a loop over them would, so the ids are those of one thread.
+    forward and the sample of its real rows into its columns of one
+    [3, n_notes] id array; a PAD row's logits are never read. The calling
+    thread first draws the uniforms of whole segments, PAD rows included,
+    from default_rng(seed) in the order a loop over them would, so the ids
+    are those of one thread, and of a sampler that read every row.
     ValueError for settings check_sampling or check_seed rejects, a score
     with no notes included, and for a performer_id not an int (nor a bool) in
     0..n_performers - 1.
@@ -593,8 +615,9 @@ def predict_performance(
     def render_segment(k: int) -> None:
         seg = segments[k]
         start = k * SEGMENT_LEN
-        ids[:, start:start + seg.n_real] = sample(forward(model, seg), temperature, top_p,
-                                                  draws[k])[:, :seg.n_real]
+        real = {feature: logits[:seg.n_real] for feature, logits in forward(model, seg).items()}
+        ids[:, start:start + seg.n_real] = sample(real, temperature, top_p,
+                                                  draws[k][:, :seg.n_real])
 
     split_work(render_segment, list(range(len(segments))))
     pitches = [t.pitch_tok for t in tokens]

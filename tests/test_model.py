@@ -459,6 +459,23 @@ class TestSampling:
             nucleus_sample(logits, 1.0, 0.9, np.full(n_uniforms, 0.5))
         assert len(nucleus_sample(logits, 0.0, 0.9, np.full(n_uniforms, 0.5))) == 256
 
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_no_uniforms_while_sampling_raises(self, rows):
+        """None is one uniform per row only below ARGMAX_TEMPERATURE."""
+        logits = np.zeros((rows, 5))
+        with pytest.raises(ValueError, match=f"^no uniforms for {rows} rows$"):
+            nucleus_sample(logits, 1.0, 0.9, None)
+        assert len(nucleus_sample(logits, 0.0, 0.9, None)) == rows
+
+    @pytest.mark.parametrize("n_arrays", [0, 2, 4])
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_one_uniform_array_per_feature(self, n_arrays, temperature):
+        """Two arrays used to drop duration from the [3, T] ids, and a fourth
+        was ignored."""
+        dist = {feature: np.zeros((5, 10)) for feature in PREDICTED}
+        with pytest.raises(ValueError, match=f"^{n_arrays} uniform arrays for the 3 features "):
+            sample(dist, temperature, 0.9, np.full((n_arrays, 5), 0.5))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -504,6 +521,8 @@ class TestSamplerMatchesLoop:
              seed=2)
     @example(rows=257, widths=(5, 6, 7), kind="flat", temperature=0.5, top_p=0.05, seed=3)
     @example(rows=300, widths=(900, 1200, 17), kind="masked", temperature=1e-7, top_p=0.9, seed=4)
+    @example(rows=33, widths=(68, 772, 1156), kind="integer", temperature=1.0, top_p=1.0, seed=5)
+    @example(rows=33, widths=(68, 772, 1156), kind="normal", temperature=1.0, top_p=0.05, seed=6)
     def test_sample(self, rows, widths, kind, temperature, top_p, seed):
         data_rng = np.random.default_rng(seed)
         vel, ioi, dur = (random_logits(data_rng, kind, rows, w) for w in widths)
@@ -567,6 +586,22 @@ class TestSamplerMatchesLoop:
                 got = predict_performance(model, score, 2, temperature, top_p, 3)
                 want = loop_render(model, score, 2, temperature, top_p, np.random.default_rng(3))
                 assert write_smf(got) == write_smf(want), case
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_pad_rows_never_reach_the_sampler(self, monkeypatch, temperature):
+        """A segment's rows past n_real are never sampled: with NaN logits
+        there, the render is the one of finite PAD rows."""
+        model, score = peaked_model(), patterned_score(300)  # segments of 256 and 44 notes
+        want = predict_performance(model, score, 1, temperature, 0.9, 5)
+
+        def nan_pad_forward(model, seg):
+            logits = forward(model, seg)
+            for value in logits.values():
+                value[seg.n_real:] = np.nan
+            return logits
+
+        monkeypatch.setattr(model_module, "forward", nan_pad_forward)
+        assert predict_performance(model, score, 1, temperature, 0.9, 5) == want
 
     @pytest.mark.parametrize("temperature", [0.0, 5e-7])
     def test_argmax_render_reads_no_uniform(self, temperature):
